@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 verification failure, 2 no admissible contour,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -105,15 +106,15 @@ def _table_rows(kappa: float, t: float, n_max: int) -> list[dict]:
     inv = flow.phi_inv_coeffs(params, n_max)
     rows = []
     for n in range(1, n_max + 1):
-        c = inv.coeffs[n]
+        s_n = flow.s_coeff(params, n)  # M_n = n (S_n / n) = S_n, rounded once
         rows.append(
             {
                 "n": n,
                 "a_n": flow.a_coeff(params, n),
                 "b_n": flow.b_coeff(params, n),
-                "S_n": flow.s_coeff(params, n),
-                "phi_inv": c,
-                "M": n * c,
+                "S_n": s_n,
+                "phi_inv": inv.coeffs[n],
+                "M": s_n,
             }
         )
     return rows
@@ -176,7 +177,12 @@ def _cmd_verify(args) -> int:
     kappa, t = float(args.kappa), float(args.t)
     _check_params(kappa, t)
     report = run_checks(kappa, t, args.level)
-    sys.stdout.write(report.format() + "\n")
+    if args.format == "json":
+        text = json.dumps(report.to_dict()) + "\n"
+    else:
+        text = report.format() + "\n"
+    if _emit(text, args.out):
+        return 1
     return 0 if report.passed else 1
 
 

@@ -1,13 +1,17 @@
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from jacobiflow import maps
+from jacobiflow import cli, maps
 from jacobiflow.flow import (
     FlowParams,
     RationalPoly,
+    _engine,
+    _TTable,
     a_coeff,
     b_coeff,
     binom_transform,
@@ -21,6 +25,7 @@ from jacobiflow.flow import (
     s_coeff,
     s_series_coeffs,
 )
+from jacobiflow.powerseries import series_revert
 from jacobiflow.specfun import binomial, laguerre
 
 
@@ -179,6 +184,62 @@ class TestSeries:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             m_series_coeffs(FlowParams(0.1, 1.0), 1)
+
+
+class TestExactEngine:
+    @pytest.mark.parametrize("kappa", [0.3, 0.7])
+    @pytest.mark.parametrize("t", [0.5, 2.5])
+    def test_b_and_m_rounded_once(self, kappa, t):
+        p = FlowParams(kappa, t)
+        eng = _engine(p)
+        rows = cli._table_rows(kappa, t, 40)
+        for n, row in enumerate(rows, start=1):
+            assert b_coeff(p, n) == float(eng.b_exact(n))
+            assert row["M"] == float(eng.s_exact(n))
+
+    @pytest.mark.parametrize(
+        "kappa,t", [(0.37, 1.23), (-0.61, 0.83), (Fraction(1, 3), 0.7), (0.0, 0.5)]
+    )
+    def test_matches_exact_reversion_oracle(self, kappa, t):
+        p = FlowParams(kappa, t)
+        oracle = series_revert(maps.big_phi_series(p, 10, exact=True))
+        eng = _engine(p)
+        for n in range(1, 11):
+            assert eng.s_exact(n) / n == oracle.coeffs[n]
+
+    def test_matches_laguerre_pnm_sum(self):
+        # the nested sum in its original order, over specfun and pnm_poly
+        kappa, t = Fraction(2, 5), 0.75
+        eps, decay = kappa**2, Fraction(math.exp(-t))
+        eng = _engine(FlowParams(kappa, t))
+        for n in range(1, 9):
+            total = sum(
+                binomial(2 * n, n - k) * decay**k * sum(
+                    laguerre(k - m - 1, m + 1, 2 * k * Fraction(t)) * 2**m * pnm_poly(n, m)(eps)
+                    for m in range(k)
+                )
+                for k in range(1, n + 1)
+            )
+            assert eng.a_exact(n) == Fraction(2, 4**n * n) * total
+
+    def test_shared_table_under_threads(self):
+        t, n_max = 0.6180339887, 14
+        serial = _TTable(t)
+        want = [serial.row(n) for n in range(1, n_max + 1)]
+        orders = [random.Random(seed).sample(range(1, n_max + 1), n_max) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(10):
+                    shared = _TTable(t)
+                    futures = [pool.submit(lambda tab, o: [(n, tab.row(n)) for n in o], shared, o)
+                               for o in orders]
+                    for f in futures:
+                        for n, row in f.result(timeout=60):
+                            assert row == want[n - 1]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestBinomTransforms:

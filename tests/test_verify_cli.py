@@ -102,11 +102,32 @@ class TestCliCoeffs:
         assert err.value.code == 64
 
 
+@pytest.fixture(scope="module")
+def fast_report():
+    return run_checks(0.4, 0.8, "fast")
+
+
 class TestCliVerify:
     def test_exit_zero_on_pass(self, capsys):
         assert main(["verify", "--kappa", "0.4", "--t", "0.8", "--level", "fast"]) == 0
         out = capsys.readouterr().out
         assert "overall" in out and "FAIL" not in out
+
+    def test_json_format(self, capsys, fast_report):
+        assert main(["verify", "--kappa", "0.4", "--t", "0.8", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == fast_report.to_dict()
+
+    def test_out_writes_the_text_report(self, tmp_path, capsys, fast_report):
+        path = tmp_path / "verify.txt"
+        assert main(["verify", "--kappa", "0.4", "--t", "0.8", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text(encoding="utf-8") == fast_report.format() + "\n"
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "verify.json"
+        assert main(["verify", "--kappa", "0.4", "--t", "0.8", "--format", "json",
+                     "--out", str(path)]) == 1
+        assert "cannot write" in capsys.readouterr().err
 
 
 class TestCliIntegral:
