@@ -12,7 +12,7 @@ to the exact binary64 bit pattern; identical inputs give byte-identical
 output regardless of the --jobs setting.
 
 Exit codes: 0 success, 1 verification failure, 2 no admissible contour,
-64 usage error.
+3 numerical failure (a solver did not converge), 64 usage error.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .verify import run_checks
 
 USAGE_EXIT = 64
 CONTOUR_EXIT = 2
+NUMERICAL_EXIT = 3
 MAX_TABLE_ORDER = 64
 CONFIG_KEYS = ("kappa", "t", "n_max", "format")
 
@@ -342,7 +343,11 @@ def main(argv=None) -> int:
             _usage_fail(f"n must be an integer, got {args.n!r}")
     if getattr(args, "format", None) is None:
         args.format = "csv"
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (maps.ConvergenceError, contour.QuadratureError) as exc:
+        sys.stderr.write(f"error: numerical failure: {exc}\n")
+        return NUMERICAL_EXIT
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import FlowParams
-from .maps import ConvergenceError, DomainError, herglotz_k, r_func, y_func
+from .maps import DomainError, herglotz_k, r_func, y_func
 from .report import VerifyEntry
 from .specfun import jacobi_poly, laguerre
 
@@ -127,7 +127,7 @@ def pkm_residue(k: int, m: int, params: FlowParams, spec: ContourSpec) -> float:
 
 
 def _contour_admissible(t, kap, z, rho, samples):
-    w = kap + rho * np.exp(2j * np.pi * np.arange(samples) / samples)
+    w = contour_nodes(ContourSpec(complex(kap), rho, samples))
     # (i) image of w -> 1 - 2 w**2 inside the convergence ellipse
     u = 1 - 2 * w * w
     if np.any((u.real / SEMI_MAJOR) ** 2 + (u.imag / SEMI_MINOR) ** 2 > 1):
@@ -142,7 +142,7 @@ def _contour_admissible(t, kap, z, rho, samples):
         if np.any(np.abs(y) >= 1):
             return False
         K = herglotz_k(t, y)
-    except (DomainError, ConvergenceError):
+    except DomainError:
         return False
     # (iv) kernel zero set stays away from the circle
     if np.min(np.abs(w * K - kap)) <= KERNEL_MARGIN:
@@ -162,6 +162,8 @@ def admissible_contour(params: FlowParams, z, samples: int = 256) -> ContourSpec
     passes on the sampled nodes.  Failure raises NoAdmissibleContourError:
     the caller is near the kernel zero set and the representation genuinely
     stops being available.
+    A Herglotz solve that does not converge is a numerical failure, not
+    this obstruction, and propagates as ConvergenceError.
     """
     kap = float(params.kappa)
     if kap == 0.0:

@@ -4,8 +4,9 @@ Principal branches everywhere: every square root validates its argument
 against the cut and fails loudly instead of switching sheets.  The inverse
 Herglotz problem (find Z in the right half-plane Jordan domain with
 xi(Z) = y) is solved by Newton iteration seeded from the Taylor series of
-the transform, with radial continuation for arguments close to the unit
-circle.
+the transform.  Arguments beyond |y| = 0.5 are reached by radial
+continuation: all of them walk outward along their own rays in lockstep,
+one array-wide Newton solve per step.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ def xi(t: float, z):
     return complex(out) if arr.ndim == 0 else out
 
 
-def _xi_prime(t, z):
-    return np.exp(t * z) * (2 + t * (z * z - 1)) / ((z + 1) * (z + 1))
-
-
 def k_series_coeff(t: float, n: int) -> float:
     """n-th Taylor coefficient of the Herglotz transform of the time-2t
     free unitary Brownian motion: 2 e^{-n t} L_{n-1}^{(1)}(2 n t) / n.
@@ -101,11 +98,14 @@ def _seed_poly(t: float):
 def _newton_solve(t, seeds, targets):
     Z = np.array(seeds, dtype=complex)
     for _ in range(NEWTON_MAX_ITER + 1):
-        F = (Z - 1) / (Z + 1) * np.exp(t * Z) - targets
+        # xi and its derivative share e^{tZ} and Z + 1
+        E = np.exp(t * Z)
+        P = Z + 1
+        F = (Z - 1) / P * E - targets
         done = np.abs(F) <= NEWTON_TOL
         if done.all():
             break
-        Z = np.where(done, Z, Z - F / _xi_prime(t, Z))
+        Z = np.where(done, Z, Z - F / (E * (2 + t * (Z * Z - 1)) / (P * P)))
     else:
         raise ConvergenceError(
             "Newton inversion of the exponential map did not converge", last=Z
@@ -116,15 +116,21 @@ def _newton_solve(t, seeds, targets):
 
 
 def _continuation(t, y):
-    # walk outward along the ray from |y| = 0.5, reusing each solution
-    phase = y / abs(y)
+    # walk every point outward along its own ray from |y| = 0.5 in lockstep:
+    # the points still short of their |y| share the radius r, and each step
+    # is seeded by the previous solution
+    radius = np.abs(y)
+    phase = y / radius
     r = CONTINUATION_START
-    target = np.array([r * phase])
+    target = r * phase
     Z = _newton_solve(t, np.polyval(_seed_poly(t), target), target)
-    while r < abs(y):
-        r = min(r + CONTINUATION_STEP, abs(y))
-        Z = _newton_solve(t, Z, np.array([r * phase]))
-    return Z[0]
+    moving = radius > r
+    while moving.any():
+        r += CONTINUATION_STEP
+        target = np.minimum(r, radius[moving]) * phase[moving]
+        Z[moving] = _newton_solve(t, Z[moving], target)
+        moving = radius > r
+    return Z
 
 
 def herglotz_k(t: float, y):
@@ -144,8 +150,8 @@ def herglotz_k(t: float, y):
     if small.any():
         pts = flat[small]
         out[small] = _newton_solve(t, np.polyval(_seed_poly(t), pts), pts)
-    for idx in np.nonzero(~small)[0]:
-        out[idx] = _continuation(t, flat[idx])
+    if not small.all():
+        out[~small] = _continuation(t, flat[~small])
     if arr.ndim == 0:
         return complex(out[0])
     return out.reshape(arr.shape)

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from jacobiflow import maps
 from jacobiflow.flow import FlowParams, phi_inv_coeffs
 from jacobiflow.maps import (
+    ConvergenceError,
     DomainError,
     alpha,
     alpha_inv,
@@ -109,6 +111,52 @@ class TestHerglotz:
         t, y = 1.0, 0.2
         partial = 1.0 + sum(k_series_coeff(t, n) * y**n for n in range(1, 61))
         assert partial == pytest.approx(herglotz_k(t, y), abs=1e-11)
+
+
+class TestBatchedContinuation:
+    @pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 2.5, 6.0])
+    def test_residual_on_polar_grid(self, t):
+        radii = np.array([0.1, 0.3, 0.5, 0.6, 0.75, 0.9, 0.95, 0.99])
+        ys = (radii[:, None] * np.exp(2j * np.pi * np.arange(16) / 16)).ravel()
+        assert np.max(np.abs(xi(t, herglotz_k(t, ys)) - ys)) <= 1e-13
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 2.5])
+    def test_far_batch_matches_per_point_calls(self, t):
+        rng = np.random.default_rng(11)
+        ys = rng.uniform(0.51, 0.99, 64) * np.exp(2j * np.pi * rng.uniform(size=64))
+        single = np.array([herglotz_k(t, complex(y)) for y in ys])
+        np.testing.assert_allclose(herglotz_k(t, ys), single, rtol=1e-14, atol=0)
+
+    def test_mixed_near_far_two_dimensional(self):
+        ys = np.array([[0.1 + 0.2j, 0.9j, -0.4], [0.7 - 0.6j, 0.3, -0.95]])
+        out = herglotz_k(1.3, ys)
+        assert out.shape == ys.shape
+        single = np.array([[herglotz_k(1.3, complex(y)) for y in row] for row in ys])
+        np.testing.assert_allclose(out, single, rtol=1e-14, atol=0)
+
+    def test_far_points_share_each_solve(self, monkeypatch):
+        calls = []
+        solve = maps._newton_solve
+
+        def counting(t, seeds, targets):
+            calls.append(len(targets))
+            return solve(t, seeds, targets)
+
+        monkeypatch.setattr(maps, "_newton_solve", counting)
+        rng = np.random.default_rng(5)
+        ys = rng.uniform(0.51, 0.99, 512) * np.exp(2j * np.pi * rng.uniform(size=512))
+        herglotz_k(1.0, ys)
+        steps = math.ceil((0.99 - maps.CONTINUATION_START) / maps.CONTINUATION_STEP)
+        assert calls[0] == 512
+        assert len(calls) <= 2 + steps
+
+    def test_one_failing_point_fails_the_batch(self):
+        # at t = 8 the absolute Newton tolerance cannot be met near the
+        # positive real axis, while the left half of the circle converges
+        good = 0.9 * np.exp(2j * np.pi * np.arange(5, 12) / 16)
+        assert np.all(herglotz_k(8.0, good).real > 0)
+        with pytest.raises(ConvergenceError):
+            herglotz_k(8.0, np.append(good, 0.9))
 
 
 class TestKSeriesCoeff:

@@ -129,6 +129,12 @@ class TestCliVerify:
                      "--out", str(path)]) == 1
         assert "cannot write" in capsys.readouterr().err
 
+    def test_numerical_failure_exit_code(self, capsys):
+        assert main(["verify", "--kappa", "0.5", "--t", "8"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure: ")
+        assert err.count("\n") == 1
+
 
 class TestCliIntegral:
     def test_matches_series_value(self, capsys):
@@ -152,6 +158,20 @@ class TestCliIntegral:
 
     def test_obstruction_exit_code(self, capsys):
         assert main(["integral", "--kappa", "0.9", "--t", "0.5", "--z", "0.2"]) == 2
+
+    def test_numerical_failure_is_not_the_obstruction(self, capsys):
+        assert main(["integral", "--kappa", "0.5", "--t", "10", "--z", "0.03"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_deterministic_bytes(self, tmp_path, fmt):
+        paths = [tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"]
+        for p in paths:
+            assert main(["integral", "--kappa", "0.2", "--t", "1.7", "--z", "0.7,0.1",
+                         "--format", fmt, "--out", str(p)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_origin_value(self, capsys):
         assert main(["integral", "--kappa", "0.5", "--t", "1.0", "--z", "0,0"]) == 0
