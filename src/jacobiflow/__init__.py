@@ -55,7 +55,6 @@ from .powerseries import (
     TruncatedSeries,
     series_compose,
     series_derive,
-    series_mul,
     series_revert,
     series_sqrt,
 )

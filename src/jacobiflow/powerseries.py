@@ -187,11 +187,6 @@ def _compose_trunc(f, g, order):
 # -- public operations -------------------------------------------------------
 
 
-def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated to the common order."""
-    return f * g
-
-
 def series_compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Taylor coefficients of f(g(.)) about g's base.
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from jacobiflow import maps
 from jacobiflow.gaussian import GaussianRational
 from jacobiflow.specfun import binomial, charlier, jacobi_poly, laguerre, pochhammer
 
@@ -182,3 +183,187 @@ class TestGaussianRational:
         g = GaussianRational(1, 1)
         assert g**2 == GaussianRational(0, 2)
         assert g**0 == GaussianRational(1)
+
+
+# -- the term-by-term sums the evaluators replaced, kept as references ---------
+#
+# Each builds every term from fresh Pochhammer products, O(n^2) work per
+# value.  The evaluators carry term ratios instead, and must return the same
+# value of the same type, bit for bit.
+
+
+def _reference_exact_div(num, den):
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
+    return num / den
+
+
+def _reference_exactify(*values):
+    converted = [Fraction(v) if isinstance(v, float) else v for v in values]
+    return (*converted, any(isinstance(v, float) for v in values))
+
+
+def _reference_laguerre(n, alpha, z):
+    alpha, z, round_back = _reference_exactify(alpha, z)
+    total = z * 0
+    for j in range(n + 1):
+        c = (-1) ** j * binomial(n, j)
+        total = total + c * pochhammer(alpha + j + 1, n - j) * z**j
+    out = _reference_exact_div(total, math.factorial(n))
+    return float(out) if round_back and not isinstance(out, complex) else out
+
+
+def _reference_charlier(n, x, a):
+    if a == 0:
+        raise ValueError("charlier parameter a must be nonzero")
+    if isinstance(a, int):
+        a = Fraction(a)
+    x, a, round_back = _reference_exactify(x, a)
+    u = -1 / a
+    total = a * 0
+    for j in range(n + 1):
+        num = pochhammer(-n, j) * pochhammer(-x, j)
+        total = total + _reference_exact_div(num, math.factorial(j)) * u**j
+    return float(total) if round_back else total
+
+
+def _reference_jacobi(n, a, b, z):
+    a, b, z, round_back = _reference_exactify(a, b, z)
+    half = (1 - z) / 2 if isinstance(z, complex) else (1 - z) * Fraction(1, 2)
+    total = z * 0
+    for m in range(n + 1):
+        num = pochhammer(-n, m) * pochhammer(n + a + b + 1, m)
+        den = pochhammer(a + 1, m) * math.factorial(m)
+        total = total + _reference_exact_div(num, den) * half**m
+    out = _reference_exact_div(pochhammer(a + 1, n), math.factorial(n)) * total
+    return float(out) if round_back and not isinstance(out, complex) else out
+
+
+def _assert_same(got, want):
+    """Equal values of equal type; floats and complexes bit for bit, so a
+    signed zero counts too."""
+    assert type(got) is type(want), (got, want)
+    assert got == want, (got, want)
+    if isinstance(want, (float, complex)):
+        want = complex(want)
+        got = complex(got)
+        for g, w in ((got.real, want.real), (got.imag, want.imag)):
+            assert math.copysign(1.0, g) == math.copysign(1.0, w), (got, want)
+
+
+def _parameter(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-12, 12)
+    if kind == 1:
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+    return rng.choice([rng.uniform(-6.0, 6.0), float(rng.randint(-8, 8))])
+
+
+def _argument(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.randint(-5, 5)
+    if kind == 1:
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+    if kind == 2:
+        return rng.uniform(-4.0, 4.0) * rng.choice([1.0, 10.0, 0.01])
+    if kind == 3:
+        return complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    if kind == 4:  # signed zeros in the parts
+        return complex(rng.choice([0.0, -0.0, 1.5, -2.0]), rng.choice([0.0, -0.0, 0.5]))
+    return GaussianRational(
+        Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+        Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+    )
+
+
+def _exact_parameter(rng):
+    """A parameter that is not a float: a float parameter with an exact
+    complex argument has no value in either version (float() of a
+    GaussianRational)."""
+    return rng.choice([rng.randint(-12, 12), Fraction(rng.randint(-40, 40), rng.randint(1, 9))])
+
+
+class TestTermRatioBitIdentity:
+    def test_random_grid(self):
+        rng = random.Random(20260)
+        for _ in range(400):
+            n = rng.randint(0, 24)
+            z = _argument(rng)
+            param = _exact_parameter if isinstance(z, GaussianRational) else _parameter
+            alpha, a, b = param(rng), param(rng), param(rng)
+            _assert_same(laguerre(n, alpha, z), _reference_laguerre(n, alpha, z))
+            if not (-n <= a <= -1 and a == int(a)):
+                _assert_same(jacobi_poly(n, a, b, z), _reference_jacobi(n, a, b, z))
+            if z != 0:
+                # a float x with a complex a is covered by its own test below
+                x = _exact_parameter(rng) if isinstance(z, complex) else param(rng)
+                _assert_same(charlier(n, x, z), _reference_charlier(n, x, z))
+
+    def test_negative_integer_index(self):
+        zs = (0, Fraction(0), 0.0, 0j, -0j, GaussianRational(0), Fraction(7, 3), -1.25,
+              0.5 - 2j, GaussianRational(Fraction(1, 2), Fraction(-1, 3)))
+        for n in range(0, 9):
+            for m in range(1, n + 2):
+                for alpha in (-m, Fraction(-m), float(-m)):
+                    for z in zs:
+                        if isinstance(alpha, float) and isinstance(z, GaussianRational):
+                            continue
+                        _assert_same(laguerre(n, alpha, z), _reference_laguerre(n, alpha, z))
+        for m in range(1, 11):  # L_m^(-m)(0) = 0
+            for z in (0, Fraction(0), 0.0, 0j):
+                assert laguerre(m, -m, z) == 0
+
+    def test_exact_zero_is_positive_zero(self):
+        # C_1(x, a) = 1 - x/a vanishes at x = a; a < 0 makes the common
+        # denominator negative, and the rounded zero must still be +0.0
+        for x, a in ((-2.0, -2), (-1.5, Fraction(-3, 2)), (Fraction(-3, 4), -0.75)):
+            _assert_same(charlier(1, x, a), _reference_charlier(1, x, a))
+        _assert_same(laguerre(3, -3.0, 0.0), _reference_laguerre(3, -3.0, 0.0))
+
+    @pytest.mark.parametrize("m,t", [(0, 1.78), (2, 0.3), (4, 2.5)])
+    def test_laguerre_generating_check_inputs(self, m, t):
+        for j in range(m + 1, 121):
+            args = (j - m - 1, m + 1, 2.0 * j * t)
+            _assert_same(laguerre(*args), _reference_laguerre(*args))
+
+    @pytest.mark.parametrize("j,w,n_terms", [(1, 0.6, 100), (2, 0.5 + 0.1j, 150), (4, 0.5 + 0.1j, 150)])
+    def test_jacobi_generating_check_inputs(self, j, w, n_terms):
+        arg = 1 - 2 * complex(w) * complex(w)
+        for n in range(n_terms + 1):
+            _assert_same(jacobi_poly(n, 0, 2 * j, arg), _reference_jacobi(n, 0, 2 * j, arg))
+
+    def test_k_series_coefficients(self, monkeypatch):
+        ts = (0.01, 1.0, 2.5, 40.0)
+        got = [[maps.k_series_coeff(t, n) for n in range(1, 61)] for t in ts]
+        monkeypatch.setattr(maps, "laguerre", _reference_laguerre)
+        want = [[maps.k_series_coeff(t, n) for n in range(1, 61)] for t in ts]
+        for row_got, row_want in zip(got, want):
+            for g, w in zip(row_got, row_want):
+                _assert_same(g, w)
+
+    def test_charlier_float_x_complex_a(self):
+        # with a float x the reference ends in float() of its complex total
+        # and raises, so it is given the exact x
+        for n in range(12):
+            for x in (2.5, -1.0, 0.0):
+                a = 0.7 - 1.3j
+                _assert_same(charlier(n, x, a), _reference_charlier(n, Fraction(x), a))
+
+    def test_jacobi_vanishing_normalisation_raises(self):
+        for z in (Fraction(1, 3), 0.25, 0.1 + 0.2j, GaussianRational(1, 1)):
+            for a in (-1, -3, Fraction(-2), -2.0):
+                with pytest.raises(ZeroDivisionError):
+                    jacobi_poly(3, a, 1, z)
+                with pytest.raises(ZeroDivisionError):
+                    _reference_jacobi(3, a, 1, z)
+
+    @pytest.mark.parametrize("call", [
+        lambda: laguerre(3, 1 + 1j, 0.5),
+        lambda: jacobi_poly(3, 0, GaussianRational(1, 1), 0.5),
+        lambda: charlier(3, 2j, 1.5),
+    ])
+    def test_complex_parameters_rejected(self, call):
+        with pytest.raises(TypeError):
+            call()

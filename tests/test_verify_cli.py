@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from jacobiflow import contour, maps, specfun, verify
 from jacobiflow.cli import main
 from jacobiflow.report import VerifyEntry, VerifyReport
 from jacobiflow.verify import run_checks
+from test_specfun import _reference_charlier, _reference_jacobi, _reference_laguerre
 
 
 class TestReport:
@@ -35,6 +37,29 @@ class TestRunChecks:
     def test_level_validation(self):
         with pytest.raises(ValueError):
             run_checks(0.5, 1.0, "medium")
+
+
+class TestUnchangedReport:
+    """The term-ratio evaluators leave every verify residual where the
+    term-by-term sums put it."""
+
+    @pytest.mark.parametrize("kappa,t", [(0.44, 1.78), (0.0, 1.0)])
+    def test_reference_sums_give_the_same_report(self, kappa, t, monkeypatch):
+        maps._seed_poly.cache_clear()
+        got = run_checks(kappa, t, "fast").to_dict()
+        references = {
+            "laguerre": _reference_laguerre,
+            "jacobi_poly": _reference_jacobi,
+            "charlier": _reference_charlier,
+        }
+        for module in (specfun, contour, maps, verify):
+            for name, ref in references.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, ref)
+        maps._seed_poly.cache_clear()
+        want = run_checks(kappa, t, "fast").to_dict()
+        maps._seed_poly.cache_clear()
+        assert got == want
 
 
 class TestCliCoeffs:
