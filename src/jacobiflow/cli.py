@@ -9,7 +9,7 @@ Usage:
 
 Floats are printed with 17 significant digits so every value round-trips
 to the exact binary64 bit pattern; identical inputs give byte-identical
-output regardless of the --jobs setting.
+output.
 
 Exit codes: 0 success, 1 verification failure, 2 no admissible contour,
 3 numerical failure (a solver did not converge), 64 usage error.
@@ -20,22 +20,46 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import contour, flow, maps
 from .contour import NoAdmissibleContourError
+from .powerseries import MAX_ORDER
 from .verify import run_checks
 
 USAGE_EXIT = 64
 CONTOUR_EXIT = 2
 NUMERICAL_EXIT = 3
-MAX_TABLE_ORDER = 64
-CONFIG_KEYS = ("kappa", "t", "n_max", "format")
+# config-file key -> argument it fills
+CONFIG_KEYS = {"kappa": "kappa", "t": "t", "n_max": "n", "format": "format"}
 
 
 def _num(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _json(value) -> str:
+    """Compact JSON, keys in insertion order, floats with 17 significant digits."""
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_json(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(map(_json, value)) + "]"
+    if isinstance(value, float):
+        return _num(value)
+    return json.dumps(value)
+
+
+def _csv(rows: list[dict]) -> str:
+    """Header from the first record's keys, one line per record."""
+    lines = [",".join(rows[0])]
+    for row in rows:
+        lines.append(",".join(_num(v) if isinstance(v, float) else str(v) for v in row.values()))
+    return "\n".join(lines) + "\n"
+
+
+def _write(path, text: str):
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,21 +87,18 @@ def _load_config(path: str) -> dict:
         key, sep, value = line.partition("=")
         key = key.strip()
         if not sep or key not in CONFIG_KEYS:
-            _usage_fail(f"config line {lineno}: expected key=value with key in {CONFIG_KEYS}")
+            _usage_fail(
+                f"config line {lineno}: expected key=value with key in {tuple(CONFIG_KEYS)}"
+            )
         opts[key] = value.strip()
     return opts
 
 
 def _merge(args, config: dict):
     """Command-line flags override config-file values."""
-    if args.kappa is None and "kappa" in config:
-        args.kappa = config["kappa"]
-    if args.t is None and "t" in config:
-        args.t = config["t"]
-    if getattr(args, "n", None) is None and "n_max" in config:
-        args.n = config["n_max"]
-    if getattr(args, "format", None) is None and "format" in config:
-        args.format = config["format"]
+    for key, dest in CONFIG_KEYS.items():
+        if getattr(args, dest, None) is None and key in config:
+            setattr(args, dest, config[key])
 
 
 def _parse_reals(text: str, flag: str) -> list[float]:
@@ -90,13 +111,14 @@ def _parse_reals(text: str, flag: str) -> list[float]:
     return values
 
 
-def _check_params(kappa: float, t: float, n: int | None = None):
-    if not -1 < kappa < 1:
-        _usage_fail(f"kappa must lie in (-1, 1), got {kappa}")
-    if not t > 0:
-        _usage_fail(f"t must be positive, got {t}")
-    if n is not None and not 1 <= n <= MAX_TABLE_ORDER:
-        _usage_fail(f"n must lie in [1, {MAX_TABLE_ORDER}], got {n}")
+def _check_params(kappa: float, t: float, n: int | None = None) -> flow.FlowParams:
+    try:
+        params = flow.FlowParams(kappa, t)
+    except ValueError as exc:
+        _usage_fail(str(exc))
+    if n is not None and not 1 <= n <= MAX_ORDER:
+        _usage_fail(f"n must lie in [1, {MAX_ORDER}], got {n}")
+    return params
 
 
 # -- table construction --------------------------------------------------------
@@ -121,35 +143,11 @@ def _table_rows(kappa: float, t: float, n_max: int) -> list[dict]:
     return rows
 
 
-_COLUMNS = ("a_n", "b_n", "S_n", "phi_inv", "M")
-
-
-def _format_csv(rows: list[dict]) -> str:
-    lines = ["n," + ",".join(_COLUMNS)]
-    for r in rows:
-        lines.append(",".join([str(r["n"])] + [_num(r[c]) for c in _COLUMNS]))
-    return "\n".join(lines) + "\n"
-
-
-def _format_json(kappa: float, t: float, rows: list[dict]) -> str:
-    row_text = ",".join(
-        "{"
-        + f'"n":{r["n"]},'
-        + ",".join(f'"{c}":{_num(r[c])}' for c in _COLUMNS)
-        + "}"
-        for r in rows
-    )
-    return (
-        f'{{"params":{{"kappa":{_num(kappa)},"t":{_num(t)}}},'
-        f'"rows":[{row_text}],"version":1}}\n'
-    )
-
-
 def _render_table(kappa: float, t: float, n_max: int, fmt: str) -> str:
     rows = _table_rows(kappa, t, n_max)
     if fmt == "json":
-        return _format_json(kappa, t, rows)
-    return _format_csv(rows)
+        return _json({"params": {"kappa": kappa, "t": t}, "rows": rows, "version": 1}) + "\n"
+    return _csv(rows)
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -157,8 +155,7 @@ def _emit(text: str, out: str | None) -> int:
         sys.stdout.write(text)
         return 0
     try:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        _write(out, text)
     except OSError as exc:
         sys.stderr.write(f"error: cannot write {out}: {exc}\n")
         return 1
@@ -189,26 +186,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_integral(args) -> int:
     kappa, t = float(args.kappa), float(args.t)
-    _check_params(kappa, t)
+    params = _check_params(kappa, t)
     parts = _parse_reals(args.z, "--z")
     if len(parts) > 2:
         _usage_fail(f"--z expects re[,im], got {args.z!r}")
     z = complex(parts[0], parts[1] if len(parts) == 2 else 0.0)
-    if abs(z) >= 1:
+    if not abs(z) < 1:
         _usage_fail(f"z must lie in the open unit disc, got {z}")
 
     if kappa == 0.0:
-        value = maps.m_zero(t, z)
-        fields = {
-            "value_re": _num(value.real),
-            "value_im": _num(value.imag),
-            "form": "closed",
-            "radius": _num(0.0),
-            "samples": "0",
-            "forms_residual": _num(0.0),
-        }
+        value, form, radius, samples, residual = maps.m_zero(t, z), "closed", 0.0, 0, 0.0
     else:
-        params = flow.FlowParams(kappa, t)
         try:
             main = contour.m_integral_detailed(params, z, args.form)
             other_form = "proposition" if args.form == "corollary" else "corollary"
@@ -216,23 +204,17 @@ def _cmd_integral(args) -> int:
         except NoAdmissibleContourError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return CONTOUR_EXIT
-        fields = {
-            "value_re": _num(main.value.real),
-            "value_im": _num(main.value.imag),
-            "form": main.form,
-            "radius": _num(main.contour.radius),
-            "samples": str(main.samples),
-            "forms_residual": _num(abs(main.value - other.value)),
-        }
-
-    if args.format == "json":
-        body = ",".join(
-            f'"{k}":{v}' if k not in ("form",) else f'"{k}":"{v}"'
-            for k, v in fields.items()
-        )
-        text = "{" + body + "}\n"
-    else:
-        text = ",".join(fields) + "\n" + ",".join(fields.values()) + "\n"
+        value, form, radius, samples = main.value, main.form, main.contour.radius, main.samples
+        residual = abs(main.value - other.value)
+    record = {
+        "value_re": value.real,
+        "value_im": value.imag,
+        "form": form,
+        "radius": radius,
+        "samples": samples,
+        "forms_residual": residual,
+    }
+    text = _json(record) + "\n" if args.format == "json" else _csv([record])
     return _emit(text, args.out)
 
 
@@ -243,8 +225,8 @@ def _cmd_sweep(args) -> int:
     for kap in kappas:
         for t in ts:
             _check_params(kap, t, n)
-    if args.jobs < 1:
-        _usage_fail(f"--jobs must be >= 1, got {args.jobs}")
+    if args.out is None:
+        _usage_fail("sweep needs --out DIR")
 
     points = []
     seen = set()
@@ -257,30 +239,17 @@ def _cmd_sweep(args) -> int:
             seen.add(key)
             points.append((kap, t))
 
-    fmt = args.format
-    if args.jobs == 1:
-        tables = [_render_table(kap, t, n, fmt) for kap, t in points]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            tables = list(pool.map(lambda pt: _render_table(pt[0], pt[1], n, fmt), points))
-
     outdir = Path(args.out)
-    ext = "json" if fmt == "json" else "csv"
+    ext = "json" if args.format == "json" else "csv"
+    entries = []
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        names = []
-        for index, text in enumerate(tables):
+        for index, (kap, t) in enumerate(points):
             name = f"table_{index:03d}.{ext}"
-            with open(outdir / name, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-            names.append(name)
-        entries = ",".join(
-            f'{{"index":{i},"kappa":{_num(kap)},"t":{_num(t)},"path":"{name}"}}'
-            for i, ((kap, t), name) in enumerate(zip(points, names))
-        )
-        manifest = f'{{"entries":[{entries}],"n_max":{n},"version":1}}\n'
-        with open(outdir / "manifest.json", "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(manifest)
+            _write(outdir / name, _render_table(kap, t, n, args.format))
+            entries.append({"index": index, "kappa": kap, "t": t, "path": name})
+        manifest = {"entries": entries, "n_max": n, "version": 1}
+        _write(outdir / "manifest.json", _json(manifest) + "\n")
     except OSError as exc:
         sys.stderr.write(f"error: cannot write to {args.out}: {exc}\n")
         return 1
@@ -295,7 +264,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--kappa", help="trace asymmetry in (-1, 1)")
         p.add_argument("--t", help="time parameter, positive")
         if with_n:
-            p.add_argument("--n", help=f"table order, 1..{MAX_TABLE_ORDER} (default 16)")
+            p.add_argument("--n", help=f"table order, 1..{MAX_ORDER} (default 16)")
         p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--config", help="key=value config file (flags override)")
@@ -317,7 +286,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="tables over a (kappa, t) grid plus manifest")
     common(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel grid evaluations")
     p.set_defaults(func=_cmd_sweep, multi=True)
     return parser
 

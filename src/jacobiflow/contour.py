@@ -169,7 +169,7 @@ def admissible_contour(params: FlowParams, z, samples: int = 256) -> ContourSpec
     if kap == 0.0:
         raise ValueError("contour search needs kappa != 0")
     z = complex(z)
-    if abs(z) >= 1:
+    if not abs(z) < 1:
         raise DomainError("target point must lie in the open unit disc")
     t = float(params.t)
     rho = min((1 - abs(kap)) / 4, abs(kap) / 2)
@@ -213,7 +213,7 @@ def m_integral_detailed(
     if kap == 0.0:
         raise ValueError("kappa = 0 has the closed form maps.m_zero")
     z = complex(z)
-    if abs(z) >= 1:
+    if not abs(z) < 1:
         raise DomainError("evaluation point must lie in the open unit disc")
     if spec is None:
         spec = admissible_contour(params, z)

@@ -48,6 +48,8 @@ class FlowParams:
             raise ValueError(f"kappa must lie in (-1, 1), got {self.kappa}")
         if not self.t > 0:
             raise ValueError(f"t must be positive, got {self.t}")
+        if not self.t < math.inf:
+            raise ValueError(f"t must be finite, got {self.t}")
         object.__setattr__(self, "epsilon", self.kappa * self.kappa)
 
 

@@ -139,11 +139,11 @@ def herglotz_k(t: float, y):
 
     Accepts complex scalars or arrays with entries in the open unit disc.
     """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
     arr = np.asarray(y, dtype=complex)
     flat = arr.reshape(-1)
-    if np.any(np.abs(flat) >= 1):
+    if not np.all(np.abs(flat) < 1):
         raise DomainError("Herglotz transform needs |y| < 1")
     out = np.empty(flat.shape, dtype=complex)
     small = np.abs(flat) <= CONTINUATION_START
@@ -167,7 +167,7 @@ def v_deformed(params: FlowParams, z) -> complex:
     the plain Herglotz transform when kappa = 0.
     """
     z = complex(z)
-    if abs(z) >= 1:
+    if not abs(z) < 1:
         raise DomainError("deformed transform needs |z| < 1")
     inner = (1 - float(params.epsilon)) * alpha_inv(z)
     return herglotz_k(float(params.t), alpha(inner))
@@ -191,7 +191,7 @@ def psi(params: FlowParams, z) -> complex:
     """Full flow on the disc: Cayley lift, axis deformation, then the
     disc-valued flow map."""
     z = complex(z)
-    if abs(z) >= 1:
+    if not abs(z) < 1:
         raise DomainError("flow argument must satisfy |z| < 1")
     kap = float(params.kappa)
     eps = kap * kap

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +127,10 @@ class TestAdmissibleContour:
         with pytest.raises(ValueError):
             admissible_contour(FlowParams(0.0, 1.0), 0.1)
 
+    def test_nan_point_rejected(self):
+        with pytest.raises(DomainError):
+            admissible_contour(FlowParams(0.5, 1.0), complex(math.nan, 0))
+
     def test_obstruction_surfaces(self):
         with pytest.raises(NoAdmissibleContourError):
             admissible_contour(FlowParams(0.9, 0.5), 0.2)
@@ -169,6 +174,12 @@ class TestMIntegral:
             m_integral(FlowParams(0.5, 1.0), 0.03, form="other")
         with pytest.raises(DomainError):
             m_integral(FlowParams(0.5, 1.0), 1.5)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0.1, math.nan)])
+    def test_nan_point_rejected(self, z):
+        spec = ContourSpec(0.5 + 0j, 0.1)
+        with pytest.raises(DomainError):
+            m_integral_detailed(FlowParams(0.5, 1.0), z, spec=spec)
 
 
 class TestGeneratingChecks:

@@ -38,7 +38,11 @@ class TestFlowParams:
         p = FlowParams(Fraction(1, 3), 2.0)
         assert p.epsilon == Fraction(1, 9)
 
-    @pytest.mark.parametrize("kappa,t", [(1.0, 1.0), (-1.0, 1.0), (0.5, 0.0), (0.5, -2.0)])
+    @pytest.mark.parametrize(
+        "kappa,t",
+        [(1.0, 1.0), (-1.0, 1.0), (0.5, 0.0), (0.5, -2.0),
+         (0.5, math.inf), (0.5, math.nan), (math.nan, 1.0)],
+    )
     def test_domain_validation(self, kappa, t):
         with pytest.raises(ValueError):
             FlowParams(kappa, t)

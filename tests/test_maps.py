@@ -107,6 +107,18 @@ class TestHerglotz:
         with pytest.raises(ValueError):
             herglotz_k(-1.0, 0.1)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError):
+            herglotz_k(t, 0.1)
+
+    @pytest.mark.parametrize(
+        "y", [complex(math.nan, 0), complex(0.1, math.nan), np.array([0.1, 0.9, math.nan])]
+    )
+    def test_nan_point_rejected(self, y):
+        with pytest.raises(DomainError):
+            herglotz_k(1.0, y)
+
     def test_series_agreement(self):
         t, y = 1.0, 0.2
         partial = 1.0 + sum(k_series_coeff(t, n) * y**n for n in range(1, 61))
@@ -192,6 +204,10 @@ class TestVDeformed:
         with pytest.raises(DomainError):
             v_deformed(FlowParams(0.5, 1.0), 1.2)
 
+    def test_nan_point_rejected(self):
+        with pytest.raises(DomainError):
+            v_deformed(FlowParams(0.5, 1.0), complex(math.nan, 0))
+
 
 class TestFlowMaps:
     def test_phi_vanishes_at_one(self):
@@ -271,6 +287,10 @@ class TestPsi:
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             psi(FlowParams(0.3, 1.0), 1.5)
+
+    def test_nan_point_rejected(self):
+        with pytest.raises(DomainError):
+            psi(FlowParams(0.3, 1.0), complex(0.1, math.nan))
 
 
 class TestKernels:

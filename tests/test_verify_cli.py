@@ -98,6 +98,10 @@ class TestCliCoeffs:
             ["coeffs", "--kappa", "0.5", "--t", "1.0", "--n", "0"],
             ["coeffs", "--t", "1.0"],
             ["coeffs", "--kappa", "abc", "--t", "1.0"],
+            ["coeffs", "--kappa", "0.5", "--t", "inf"],
+            ["integral", "--kappa", "0.5", "--t", "inf", "--z", "0.1"],
+            ["verify", "--kappa", "0.5", "--t", "inf"],
+            ["sweep", "--kappa", "0.5", "--t", "inf", "--out", "unused"],
         ],
     )
     def test_usage_errors(self, argv):
@@ -198,6 +202,13 @@ class TestCliIntegral:
                          "--format", fmt, "--out", str(p)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("z", ["nan", "0.1,nan", "nan,0.1"])
+    def test_nan_point_is_a_usage_error(self, z, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["integral", "--kappa", "0.5", "--t", "1.0", "--z", z])
+        assert err.value.code == 64
+        assert capsys.readouterr().err.startswith("error: z must lie in the open unit disc")
+
     def test_origin_value(self, capsys):
         assert main(["integral", "--kappa", "0.5", "--t", "1.0", "--z", "0,0"]) == 0
         header, row = capsys.readouterr().out.strip().split("\n")
@@ -224,6 +235,12 @@ class TestCliSweep:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["entries"]) == 1
 
+    def test_missing_out_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--kappa", "0.5", "--t", "1.0", "--n", "2"])
+        assert err.value.code == 64
+        assert "--out" in capsys.readouterr().err
+
     def test_sweep_column_matches_coeffs(self, tmp_path, capsys):
         out = tmp_path / "tables"
         assert main(["sweep", "--kappa", "0", "--t", "1.0", "--n", "4",
@@ -232,3 +249,64 @@ class TestCliSweep:
         assert main(["coeffs", "--kappa", "0", "--t", "1.0", "--n", "4"]) == 0
         single = capsys.readouterr().out
         assert (out / "table_000.csv").read_text() == single
+
+
+class TestPinnedBytes:
+    """Exact output bytes: 17 significant digits, key order, separators."""
+
+    COEFFS_CSV = (
+        "n,a_n,b_n,S_n,phi_inv,M\n"
+        "1,0.18393972058572117,0.73575888234288467,0.73575888234288467,"
+        "0.73575888234288467,0.73575888234288467\n"
+        "2,0.075052949888283996,2.4016943964250879,-0.54134113294645081,"
+        "-0.2706705664732254,-0.54134113294645081\n"
+        "3,0.042120098164957029,8.0870588476717487,0.29872241020718371,"
+        "0.099574136735727903,0.29872241020718371\n"
+    )
+    COEFFS_JSON = (
+        '{"params":{"kappa":0,"t":1},"rows":['
+        '{"n":1,"a_n":0.18393972058572117,"b_n":0.73575888234288467,'
+        '"S_n":0.73575888234288467,"phi_inv":0.73575888234288467,"M":0.73575888234288467},'
+        '{"n":2,"a_n":0.075052949888283996,"b_n":2.4016943964250879,'
+        '"S_n":-0.54134113294645081,"phi_inv":-0.2706705664732254,"M":-0.54134113294645081},'
+        '{"n":3,"a_n":0.042120098164957029,"b_n":8.0870588476717487,'
+        '"S_n":0.29872241020718371,"phi_inv":0.099574136735727903,"M":0.29872241020718371}'
+        '],"version":1}\n'
+    )
+    INTEGRAL_CSV = (
+        "value_re,value_im,form,radius,samples,forms_residual\n"
+        "0.035471581336987898,0,closed,0,0,0\n"
+    )
+    INTEGRAL_JSON = (
+        '{"value_re":0.035471581336987898,"value_im":0,"form":"closed",'
+        '"radius":0,"samples":0,"forms_residual":0}\n'
+    )
+    MANIFEST = (
+        '{"entries":['
+        '{"index":0,"kappa":0,"t":0.5,"path":"table_000.csv"},'
+        '{"index":1,"kappa":0,"t":1,"path":"table_001.csv"},'
+        '{"index":2,"kappa":0.5,"t":0.5,"path":"table_002.csv"},'
+        '{"index":3,"kappa":0.5,"t":1,"path":"table_003.csv"}'
+        '],"n_max":2,"version":1}\n'
+    )
+
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (["coeffs", "--kappa", "0", "--t", "1.0", "--n", "3"], COEFFS_CSV),
+            (["coeffs", "--kappa", "0", "--t", "1.0", "--n", "3", "--format", "json"],
+             COEFFS_JSON),
+            (["integral", "--kappa", "0", "--t", "1.0", "--z", "0.05"], INTEGRAL_CSV),
+            (["integral", "--kappa", "0", "--t", "1.0", "--z", "0.05", "--format", "json"],
+             INTEGRAL_JSON),
+        ],
+    )
+    def test_stdout(self, argv, want, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
+    def test_sweep_manifest(self, tmp_path):
+        out = tmp_path / "tables"
+        assert main(["sweep", "--kappa", "0.0,0.5", "--t", "0.5,1.0", "--n", "2",
+                     "--out", str(out)]) == 0
+        assert (out / "manifest.json").read_text(encoding="utf-8") == self.MANIFEST
