@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import contour, flow, maps
@@ -32,6 +33,7 @@ CONTOUR_EXIT = 2
 NUMERICAL_EXIT = 3
 # config-file key -> argument it fills
 CONFIG_KEYS = {"kappa": "kappa", "t": "t", "n_max": "n", "format": "format"}
+FORMATS = ("csv", "json")
 
 
 def _num(x: float) -> str:
@@ -95,10 +97,13 @@ def _load_config(path: str) -> dict:
 
 
 def _merge(args, config: dict):
-    """Command-line flags override config-file values."""
+    """Command-line flags override config-file values; a config file's
+    format is held to the same choices as --format."""
     for key, dest in CONFIG_KEYS.items():
         if getattr(args, dest, None) is None and key in config:
             setattr(args, dest, config[key])
+    if args.format not in (None, *FORMATS):
+        _usage_fail(f"format must be one of {FORMATS}, got {args.format!r}")
 
 
 def _parse_reals(text: str, flag: str) -> list[float]:
@@ -256,7 +261,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="jacobiflow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -265,7 +272,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--t", help="time parameter, positive")
         if with_n:
             p.add_argument("--n", help=f"table order, 1..{MAX_ORDER} (default 16)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+        p.add_argument("--format", choices=FORMATS, help="output format (default csv)")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--config", help="key=value config file (flags override)")
 

@@ -5,13 +5,23 @@ Integrals are trapezoidal sums over uniformly spaced nodes (spectrally
 accurate for analytic periodic integrands), with the sample count doubled
 until two successive values agree to 1e-12.  Sums run in fixed index order,
 so results are bit-reproducible regardless of how callers parallelize.
+
+The doubled grids are nested: node 2k of the 2n-node grid is node k of the
+n-node grid, bit for bit, since 2 pi (2k) / 2n = 2 pi k / n exactly in
+binary64.  So the Herglotz kernel K is solved once per distinct node of a
+circle: each doubling solves only its new odd nodes, and the nodes with K
+are kept in a small bounded cache shared by the admissibility check, every
+doubling of both integral forms, and the kernel checks.  The cached arrays
+are read-only.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,8 +53,13 @@ class NoAdmissibleContourError(RuntimeError):
 
     Surfacing this (instead of retrying forever) is deliberate: the failure
     marks the obstruction to extending the derivative series further into
-    the disc.
+    the disc.  ``trail`` lists every radius tried, in order, with the first
+    condition that rejected it (see :func:`admissible_contour`).
     """
+
+    def __init__(self, message, trail=()):
+        super().__init__(message)
+        self.trail = list(trail)
 
 
 @dataclass(frozen=True)
@@ -69,13 +84,14 @@ def contour_nodes(spec: ContourSpec, count: int | None = None) -> np.ndarray:
     return spec.center + spec.radius * np.exp(1j * theta)
 
 
-def _adaptive_quadrature(f, spec: ContourSpec):
-    """(1/2 pi i) contour integral of f; returns (value, samples, delta)."""
+def _adaptive_quadrature(level, spec: ContourSpec):
+    """(1/2 pi i) contour integral by doubling; ``level(n)`` returns the
+    n nodes and the integrand's values there.  Returns (value, samples, delta)."""
     values = []
     n = spec.samples
     while n <= MAX_SAMPLES:
-        w = contour_nodes(spec, n)
-        fw = np.asarray(f(w), dtype=complex)
+        w, fw = level(n)
+        fw = np.asarray(fw, dtype=complex)
         if fw.shape != w.shape:
             raise ValueError("integrand must return one value per node")
         if not np.all(np.isfinite(fw)):
@@ -97,7 +113,36 @@ def circle_quadrature(f, spec: ContourSpec) -> complex:
 
     ``f`` is called with an ndarray of nodes and must return matching values.
     """
-    return _adaptive_quadrature(f, spec)[0]
+
+    def level(n):
+        w = contour_nodes(spec, n)
+        return w, f(w)
+
+    return _adaptive_quadrature(level, spec)[0]
+
+
+def _kernel(t: float, z: complex, spec: ContourSpec, n: int):
+    """Nodes w of the n-node grid of ``spec`` and K(y(z, w)) there, read-only."""
+    # the key holds z's bit pattern, so z = x + 0j and x - 0j stay apart
+    return _kernel_cached(t, struct.pack("<2d", z.real, z.imag), spec, n)
+
+
+# eight grids hold the 256- and 512-node levels of a few points at once;
+# an entry of 512 nodes keeps 16 KB
+@lru_cache(maxsize=8)
+def _kernel_cached(t, z_bits, spec, n):
+    z = complex(*struct.unpack("<2d", z_bits))
+    w = contour_nodes(spec, n)
+    if n > spec.samples:
+        # the even nodes are the n/2 grid's nodes; solve only the odd ones
+        K = np.empty(n, dtype=complex)
+        K[0::2] = _kernel_cached(t, z_bits, spec, n // 2)[1]
+        K[1::2] = herglotz_k(t, y_func(z, w[1::2]))
+    else:
+        K = herglotz_k(t, y_func(z, w))
+    w.flags.writeable = False
+    K.flags.writeable = False
+    return w, K
 
 
 def pkm_residue(k: int, m: int, params: FlowParams, spec: ContourSpec) -> float:
@@ -127,41 +172,48 @@ def pkm_residue(k: int, m: int, params: FlowParams, spec: ContourSpec) -> float:
 
 
 def _contour_admissible(t, kap, z, rho, samples):
-    w = contour_nodes(ContourSpec(complex(kap), rho, samples))
+    """None if the circle of radius rho around kappa passes conditions
+    (i)-(vi) on its nodes, else the name of the first one it fails."""
+    spec = ContourSpec(complex(kap), rho, samples)
+    w = contour_nodes(spec)
     # (i) image of w -> 1 - 2 w**2 inside the convergence ellipse
     u = 1 - 2 * w * w
     if np.any((u.real / SEMI_MAJOR) ** 2 + (u.imag / SEMI_MINOR) ** 2 > 1):
-        return False
+        return "(i) ellipse"
     # (ii) branch argument stays off (-inf, 0]
     v = (1 - z) ** 2 + 4 * w * w * z
     if np.any((v.real <= 0) & (np.abs(v.imag) <= 1e-12)):
-        return False
+        return "(ii) branch cut"
     try:
         y = y_func(z, w)
         # (iii) kernel argument inside the disc
         if np.any(np.abs(y) >= 1):
-            return False
-        K = herglotz_k(t, y)
+            return "(iii) kernel argument"
+        K = _kernel(t, z, spec, samples)[1]
     except DomainError:
-        return False
+        return "domain"
     # (iv) kernel zero set stays away from the circle
     if np.min(np.abs(w * K - kap)) <= KERNEL_MARGIN:
-        return False
+        return "(iv) kernel zero"
     # (v) origin excluded, needed whenever the 1/w integrand form is used
     if not rho < abs(kap):
-        return False
+        return "(v) origin"
     # (vi) geometric-series ratio below one; this is what makes the circle
     # enclose the kernel zero, so the integral picks up its residue
-    return bool(np.max(np.abs(w * (1 - K) / (w - kap))) < 1)
+    if not np.max(np.abs(w * (1 - K) / (w - kap))) < 1:
+        return "(vi) geometric ratio"
+    return None
 
 
 def admissible_contour(params: FlowParams, z, samples: int = 256) -> ContourSpec:
     """Search a circle radius around kappa satisfying all kernel conditions.
 
     Starts at min((1-|kappa|)/4, |kappa|/2) and halves until every check
-    passes on the sampled nodes.  Failure raises NoAdmissibleContourError:
-    the caller is near the kernel zero set and the representation genuinely
-    stops being available.
+    passes on the sampled nodes.  Failure raises NoAdmissibleContourError,
+    whose ``trail`` pairs each radius tried with the first condition that
+    rejected it: "(i) ellipse" ... "(vi) geometric ratio", or "domain"
+    when a map left its domain on the circle.  The caller is then near the
+    kernel zero set and the representation genuinely stops being available.
     A Herglotz solve that does not converge is a numerical failure, not
     this obstruction, and propagates as ConvergenceError.
     """
@@ -173,14 +225,17 @@ def admissible_contour(params: FlowParams, z, samples: int = 256) -> ContourSpec
         raise DomainError("target point must lie in the open unit disc")
     t = float(params.t)
     rho = min((1 - abs(kap)) / 4, abs(kap) / 2)
+    trail = []
     for _ in range(MAX_HALVINGS + 1):
         if rho < MIN_RADIUS:
             break
-        if _contour_admissible(t, kap, z, rho, samples):
+        failed = _contour_admissible(t, kap, z, rho, samples)
+        if failed is None:
             return ContourSpec(complex(kap), rho, samples)
+        trail.append((rho, failed))
         rho /= 2
     raise NoAdmissibleContourError(
-        f"no admissible circle around kappa={kap} for z={z}"
+        f"no admissible circle around kappa={kap} for z={z}", trail
     )
 
 
@@ -221,9 +276,8 @@ def m_integral_detailed(
     min_den = [math.inf]
     max_ratio = [0.0]
 
-    def integrand(w):
-        y = y_func(z, w)
-        K = herglotz_k(t, y)
+    def level(n):
+        w, K = _kernel(t, z, spec, n)
         den = t * K * K + (2 - t)
         min_den[0] = min(min_den[0], float(np.min(np.abs(den))))
         max_ratio[0] = max(
@@ -232,10 +286,10 @@ def m_integral_detailed(
         rr = r_func(z, w)
         core = (K * K - 1) / (den * (w * K - kap))
         if form == "corollary":
-            return K * core / rr
-        return core / (w * rr)
+            return w, K * core / rr
+        return w, core / (w * rr)
 
-    value, samples, delta = _adaptive_quadrature(integrand, spec)
+    value, samples, delta = _adaptive_quadrature(level, spec)
     scale = (1 - z) * (kap if form == "proposition" else 1.0)
     return IntegralResult(
         value=scale * value,
@@ -318,8 +372,7 @@ def nonvanishing_check(
     if the kernel denominator comes within ``floor`` of vanishing."""
     z = complex(z)
     t = float(params.t)
-    w = contour_nodes(spec)
-    K = herglotz_k(t, y_func(z, w))
+    K = _kernel(t, z, spec, spec.samples)[1]
     min_abs = float(np.min(np.abs(t * K * K + (2 - t))))
     return VerifyEntry.make(
         "kernel-nonvanishing", max(0.0, floor - min_abs), 0.0,
@@ -332,8 +385,7 @@ def geom_ratio_check(params: FlowParams, z, spec: ContourSpec) -> VerifyEntry:
     on the contour for the kernel resummation to be valid."""
     z = complex(z)
     kap = float(params.kappa)
-    w = contour_nodes(spec)
-    K = herglotz_k(float(params.t), y_func(z, w))
+    w, K = _kernel(float(params.t), z, spec, spec.samples)
     max_ratio = float(np.max(np.abs(w * (1 - K) / (w - kap))))
     return VerifyEntry.make(
         "geometric-ratio", max(0.0, max_ratio - 1.0), 0.0,

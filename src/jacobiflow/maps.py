@@ -77,16 +77,18 @@ def k_series_coeff(t: float, n: int) -> float:
 
     The Laguerre factor alternates and cancels in binary64 for n beyond ~12,
     so it is evaluated in exact rationals at the dyadic argument and rounded
-    once, together with the exact n-th power of the rounded e^{-t}.
+    once, together with the exact n-th power of the rounded e^{-t} = D / d:
+    one integer quotient 2 D**n p / (d**n q n), with p / q the Laguerre value.
+    Python's int / int is correctly rounded, as float(Fraction) is.
     """
     if n < 1:
         raise ValueError(f"coefficient index must be >= 1, got {n}")
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     t = float(t)
-    decay = Fraction(math.exp(-t)) ** n
+    big_d, d = math.exp(-t).as_integer_ratio()
     lag = laguerre(n - 1, 1, 2 * n * Fraction(t))
-    return float(2 * decay * lag / n)
+    return 2 * big_d**n * lag.numerator / (d**n * lag.denominator * n)
 
 
 @lru_cache(maxsize=64)

@@ -1,9 +1,13 @@
+import cmath
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from jacobiflow import contour
 from jacobiflow.contour import (
     ContourSpec,
     NoAdmissibleContourError,
@@ -135,6 +139,24 @@ class TestAdmissibleContour:
         with pytest.raises(NoAdmissibleContourError):
             admissible_contour(FlowParams(0.9, 0.5), 0.2)
 
+    def test_obstruction_trail(self):
+        # every radius tried, halving from rho0 = 0.025 while it is at least
+        # MIN_RADIUS, each with the first condition that rejected it
+        with pytest.raises(NoAdmissibleContourError) as err:
+            admissible_contour(FlowParams(0.9, 0.5), 0.2)
+        rho0 = min((1 - 0.9) / 4, 0.9 / 2)
+        assert rho0 == pytest.approx(0.025)
+        assert err.value.trail == [(rho0 / 2**k, "(vi) geometric ratio") for k in range(15)]
+        assert rho0 / 2**15 < contour.MIN_RADIUS <= rho0 / 2**14
+        assert str(err.value) == "no admissible circle around kappa=0.9 for z=(0.2+0j)"
+
+    def test_failing_condition_is_named(self):
+        # rho0 = 0.1 sends part of the circle to |y| >= 1; its half is admissible
+        z = 0.9 * cmath.exp(1j * math.pi / 4)
+        assert contour._contour_admissible(2.0, 0.2, z, 0.1, 256) == "(iii) kernel argument"
+        assert contour._contour_admissible(2.0, 0.2, z, 0.05, 256) is None
+        assert admissible_contour(FlowParams(0.2, 2.0), z).radius == 0.05
+
 
 class TestMIntegral:
     def test_forms_agree(self):
@@ -236,3 +258,98 @@ class TestKernelChecks:
         spec = admissible_contour(p, 0.03)
         entry = geom_ratio_check(p, 0.03, spec)
         assert entry.passed
+
+
+class TestSharedKernel:
+    """K is solved once per distinct contour node and shared by the
+    admissibility check, every doubling of both forms and the kernel checks."""
+
+    @staticmethod
+    def _count_points(monkeypatch):
+        sent = []
+
+        def counting(t, y):
+            sent.append(np.size(y))
+            return herglotz_k(t, y)
+
+        contour._kernel_cached.cache_clear()
+        monkeypatch.setattr(contour, "herglotz_k", counting)
+        return sent
+
+    @pytest.mark.parametrize(
+        "kappa,t,z",
+        [
+            (0.5, 1.0, 0.03),
+            (0.2, 1.7, 0.7 + 0.1j),
+            (-0.4, 0.9, 0.1 + 0.2j),
+            # rho0 fails (iii), before its K is solved
+            (0.2, 2.0, 0.9 * cmath.exp(1j * math.pi / 4)),
+        ],
+    )
+    def test_one_solve_per_distinct_node(self, kappa, t, z, monkeypatch):
+        sent = self._count_points(monkeypatch)
+        params = FlowParams(kappa, t)
+        cor = m_integral_detailed(params, z, "corollary")
+        prop = m_integral_detailed(params, z, "proposition", spec=cor.contour)
+        nonvanishing_check(params, z, cor.contour)
+        geom_ratio_check(params, z, cor.contour)
+        assert prop.samples == cor.samples
+        assert sum(sent) == cor.samples
+
+    def test_rejected_radii_cost_one_grid_each(self, monkeypatch):
+        sent = self._count_points(monkeypatch)
+        with pytest.raises(NoAdmissibleContourError) as err:
+            admissible_contour(FlowParams(0.9, 0.5), 0.2)
+        assert sent == [256] * len(err.value.trail)
+
+    @pytest.mark.parametrize("n", [256, 512, 1024, 2048])
+    def test_nested_grid_matches_a_direct_solve(self, n):
+        # node 2k of the 2n grid is node k of the n grid, bit for bit, so
+        # the shared K equals a solve on all n nodes at once
+        spec = ContourSpec(0.2 + 0j, 0.1, 256)
+        z = 0.7 + 0.1j
+        contour._kernel_cached.cache_clear()
+        w, K = contour._kernel(1.7, z, spec, n)
+        direct_w = contour_nodes(spec, n)
+        assert w.tobytes() == direct_w.tobytes()
+        assert K.tobytes() == herglotz_k(1.7, y_func(z, direct_w)).tobytes()
+
+    def test_arrays_are_read_only(self):
+        spec = ContourSpec(0.5 + 0j, 0.125, 256)
+        for n in (256, 512):
+            w, K = contour._kernel(1.0, 0.03 + 0j, spec, n)
+            with pytest.raises(ValueError):
+                K[0] = 0
+            with pytest.raises(ValueError):
+                w[1] = 0
+
+    def test_signed_zero_points_stay_apart(self):
+        spec = ContourSpec(0.5 + 0j, 0.125, 256)
+        plus = contour._kernel(1.0, complex(0.03, 0.0), spec, 256)
+        minus = contour._kernel(1.0, complex(0.03, -0.0), spec, 256)
+        assert plus is not minus
+
+    def test_shared_cache_under_threads(self):
+        spec = ContourSpec(0.2 + 0j, 0.1, 256)
+        points = [(1.7, 0.7 + 0.1j), (1.7, 0.6 - 0.2j), (0.9, 0.7 + 0.1j), (2.3, 0.8 + 0.05j)]
+        jobs = [(t, z, n) for t, z in points for n in (256, 512, 1024)]
+
+        def solve_all(order):
+            return [((t, z, n), contour._kernel(t, z, spec, n)[1].tobytes()) for t, z, n in order]
+
+        contour._kernel_cached.cache_clear()
+        want = dict(solve_all(jobs))
+        orders = [[jobs[i] for i in np.random.default_rng(seed).permutation(len(jobs))]
+                  for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(5):
+                    contour._kernel_cached.cache_clear()
+                    futures = [pool.submit(solve_all, order) for order in orders]
+                    for f in futures:
+                        for job, got in f.result(timeout=120):
+                            assert got == want[job]
+        finally:
+            sys.setswitchinterval(interval)

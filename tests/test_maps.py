@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from jacobiflow.maps import (
     xi,
     y_func,
 )
+from jacobiflow.specfun import laguerre
 
 
 class TestAlpha:
@@ -171,7 +174,23 @@ class TestBatchedContinuation:
             herglotz_k(8.0, np.append(good, 0.9))
 
 
+def _reference_k_series_coeff(t: float, n: int) -> float:
+    """The coefficient as float() of one exact Fraction expression."""
+    decay = Fraction(math.exp(-t)) ** n
+    lag = laguerre(n - 1, 1, 2 * n * Fraction(t))
+    return float(2 * decay * lag / n)
+
+
 class TestKSeriesCoeff:
+    def test_same_bits_as_the_fraction_form(self):
+        rng = random.Random(20261018)
+        ts = [5e-324, 1e-300, 1e-3, 0.5, 1.0, 2.5, 40.0, 745.0, 800.0]
+        ts += [10 ** rng.uniform(-4, 2.9) for _ in range(20)]
+        for t in ts:
+            for n in range(1, 61):
+                # hex() tells 0.0 from -0.0
+                assert k_series_coeff(t, n).hex() == _reference_k_series_coeff(t, n).hex(), (t, n)
+
     def test_first(self):
         assert k_series_coeff(1.0, 1) == pytest.approx(2 * math.exp(-1), rel=1e-15)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from jacobiflow import contour, maps, specfun, verify
+from jacobiflow import cli, contour, maps, specfun, verify
 from jacobiflow.cli import main
 from jacobiflow.report import VerifyEntry, VerifyReport
 from jacobiflow.verify import run_checks
@@ -129,6 +129,41 @@ class TestCliCoeffs:
         with pytest.raises(SystemExit) as err:
             main(["coeffs", "--config", str(cfg), "--t", "1.0"])
         assert err.value.code == 64
+
+    def test_parser_built_once(self, capsys):
+        # one argparse tree per process; a usage error leaves it reusable
+        parser = cli._build_parser()
+        with pytest.raises(SystemExit) as err:
+            main(["coeffs", "--kappa", "0.5", "--t", "1.0", "--n", "x"])
+        assert err.value.code == 64
+        assert main(["coeffs", "--kappa", "0", "--t", "1.0", "--n", "3"]) == 0
+        assert capsys.readouterr().out == TestPinnedBytes.COEFFS_CSV
+        assert cli._build_parser() is parser
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["coeffs"],
+            ["verify"],
+            ["integral", "--z", "0.03"],
+            ["sweep", "--out", "tables"],
+        ],
+    )
+    @pytest.mark.parametrize("value", ["xml", "CSV", ""])
+    def test_bad_config_format(self, extra, value, tmp_path, capsys):
+        # a config file's format is held to the same choices as --format
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kappa=0.5\nt=1.0\nn_max=2\nformat={value}\n")
+        argv = [extra[0], "--config", str(cfg)] + [
+            str(tmp_path / a) if a == "tables" else a for a in extra[1:]
+        ]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "format" in captured.err
+        assert not (tmp_path / "tables").exists()
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +339,24 @@ class TestPinnedBytes:
     def test_stdout(self, argv, want, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out == want
+
+    CONTOUR_CSV = (
+        "value_re,value_im,form,radius,samples,forms_residual\n"
+        "0.1172430845497795,-0.010635895931860682,corollary,0.10000000000000001,"
+        "512,2.9642967751672169e-17\n"
+    )
+    CONTOUR_JSON = (
+        '{"value_re":0.1172430845497795,"value_im":-0.010635895931860682,'
+        '"form":"corollary","radius":0.10000000000000001,"samples":512,'
+        '"forms_residual":2.9642967751672169e-17}\n'
+    )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_contour_stdout(self, fmt, capsys):
+        # the contour path: admissibility search, doublings and both forms
+        argv = ["integral", "--kappa", "0.2", "--t", "1.7", "--z", "0.7,0.1", "--format", fmt]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (self.CONTOUR_CSV if fmt == "csv" else self.CONTOUR_JSON)
 
     def test_sweep_manifest(self, tmp_path):
         out = tmp_path / "tables"
