@@ -8,7 +8,12 @@ function about an expansion point ``base``:
 Operations use nothing but ring arithmetic of the entries, so the same code
 runs over complex binary64, exact Fractions and GaussianRationals.  Exact
 inputs give exact outputs, which makes the rational mode the oracle for the
-floating one.
+floating one.  The one exception to the generic loop is the product of two
+all-Fraction lists: it writes each operand as integer numerators over one
+common denominator, convolves the integers and reduces each output
+coefficient once, which gives the same Fractions with one gcd per
+coefficient instead of about two per term.  Every other coefficient type,
+int mixed with Fraction included, runs the ring loop.
 
 Compositional inversion (:func:`series_revert`) is done by Newton iteration
 with order doubling.  It never touches any closed-form coefficient formula,
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 DEFAULT_ORDER = 24
 MAX_ORDER = 64
@@ -150,10 +156,29 @@ class TruncatedSeries:
 # -- raw coefficient-list kernels (shared by the public operations) ---------
 
 
+def _common_denominator(fracs):
+    """Integer numerators of ``fracs`` over the lcm of their denominators."""
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
 def _mul_trunc(a, b, order):
+    a = a[: order + 1]
+    b = b[: order + 1]
+    if all(type(c) is Fraction for c in a) and all(type(c) is Fraction for c in b):
+        # one exact integer convolution, then one gcd per output coefficient
+        na, da = _common_denominator(a)
+        nb, db = _common_denominator(b)
+        den = da * db
+        out = [0] * (order + 1)
+        for i, ai in enumerate(na):
+            if ai:
+                for j, bj in enumerate(nb[: order + 1 - i]):
+                    out[i + j] += ai * bj
+        return [Fraction(c, den) for c in out]
     zero = a[0] * 0
     out = [zero] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
+    for i, ai in enumerate(a):
         if ai == 0:
             continue
         for j in range(min(len(b), order + 1 - i)):

@@ -211,6 +211,14 @@ class TestExactEngine:
         for n in range(1, 11):
             assert eng.s_exact(n) / n == oracle.coeffs[n]
 
+    @pytest.mark.parametrize("kappa,t", [(0.5, 1.0), (0.7, 0.5)])
+    def test_matches_exact_reversion_oracle_to_order_24(self, kappa, t):
+        p = FlowParams(kappa, t)
+        oracle = series_revert(maps.big_phi_series(p, 24, exact=True))
+        eng = _engine(p)
+        for n in range(1, 25):
+            assert eng.s_exact(n) / n == oracle.coeffs[n]
+
     def test_matches_laguerre_pnm_sum(self):
         # the nested sum in its original order, over specfun and pnm_poly
         kappa, t = Fraction(2, 5), 0.75

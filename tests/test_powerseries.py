@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from jacobiflow import flow, maps, powerseries
+from jacobiflow.gaussian import GaussianRational
 from jacobiflow.powerseries import (
     MAX_ORDER,
     NonInvertibleError,
@@ -18,6 +20,80 @@ from jacobiflow.powerseries import (
 
 def frac_series(*coeffs):
     return TruncatedSeries(Fraction(0), [Fraction(c) for c in coeffs])
+
+
+def _reference_mul_trunc(a, b, order):
+    """The ring loop ``_mul_trunc`` runs for every coefficient type but
+    all-Fraction lists: one ring operation per term."""
+    zero = a[0] * 0
+    out = [zero] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
+        if ai == 0:
+            continue
+        for j in range(min(len(b), order + 1 - i)):
+            out[i + j] = out[i + j] + ai * b[j]
+    return out
+
+
+def _random_fraction(rng):
+    # zeros, negatives and unrelated denominators
+    if rng.random() < 0.2:
+        return Fraction(0)
+    return Fraction(rng.randint(-10**6, 10**6), rng.choice([1, 3, 7, 12, 2**20, 999983]))
+
+
+_KINDS = {
+    "fraction": lambda a, b, rng: (a, b),
+    "zeros": lambda a, b, rng: ([Fraction(0)] * len(a), b),
+    "int-mixed": lambda a, b, rng: (
+        [rng.randint(-9, 9) if k % 2 else x for k, x in enumerate(a)], b),
+    "int-mixed-right": lambda a, b, rng: (
+        b, [rng.randint(-9, 9) if k % 2 else x for k, x in enumerate(a)]),
+    "int-first": lambda a, b, rng: ([rng.randint(-9, 9)] + a[1:], b),
+    "float": lambda a, b, rng: ([float(x) for x in a], [float(x) for x in b]),
+    "complex": lambda a, b, rng: (
+        [complex(float(x), -float(y)) for x, y in zip(a, a[::-1])],
+        [complex(float(x), 0.5) for x in b]),
+    "gaussian": lambda a, b, rng: (
+        [GaussianRational(x, y) for x, y in zip(a, a[::-1])],
+        [GaussianRational(x, -x) for x in b]),
+}
+
+
+class TestMulTruncKernel:
+    """All-Fraction products on integer numerators give the ring loop's
+    values and types; every other list still runs the ring loop."""
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_matches_ring_loop(self, kind):
+        rng = random.Random(2718)
+        for order in (0, 1, 2, 5, 12, 24):
+            # equal lengths, b shorter than order + 1, a longer than it
+            for len_a, len_b in ((order + 1, order + 1), (order + 1, max(1, order // 2)),
+                                 (order + 4, order + 1), (order + 3, 1)):
+                a = [_random_fraction(rng) for _ in range(len_a)]
+                b = [_random_fraction(rng) for _ in range(len_b)]
+                a, b = _KINDS[kind](a, b, rng)
+                got = powerseries._mul_trunc(a, b, order)
+                want = _reference_mul_trunc(a, b, order)
+                assert got == want, (order, len_a, len_b)
+                assert [type(c) for c in got] == [type(c) for c in want]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: series_revert(maps.big_phi_series(flow.FlowParams(0.5, 1.0), 16, exact=True)),
+            lambda: series_sqrt(maps.phi_series(flow.FlowParams(0.3, 0.7), 16, exact=True) * -1 + 1),
+            lambda: maps.phi_series(flow.FlowParams(Fraction(1, 3), 2.5), 16, exact=True),
+        ],
+        ids=["series_revert", "series_sqrt", "phi_series"],
+    )
+    def test_exact_series_unchanged(self, build, monkeypatch):
+        got = build().coeffs
+        monkeypatch.setattr(powerseries, "_mul_trunc", _reference_mul_trunc)
+        want = build().coeffs
+        assert got == want
+        assert all(type(c) is Fraction for c in got + want)
 
 
 class TestConstruction:

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
-from jacobiflow import cli, contour, maps, specfun, verify
+from jacobiflow import cli, contour, maps, powerseries, specfun, verify
 from jacobiflow.cli import main
 from jacobiflow.report import VerifyEntry, VerifyReport
 from jacobiflow.verify import run_checks
+from test_powerseries import _reference_mul_trunc
 from test_specfun import _reference_charlier, _reference_jacobi, _reference_laguerre
 
 
@@ -60,6 +62,32 @@ class TestUnchangedReport:
         want = run_checks(kappa, t, "fast").to_dict()
         maps._seed_poly.cache_clear()
         assert got == want
+
+    def test_ring_loop_products_give_the_same_full_report(self, monkeypatch):
+        got = run_checks(0.44, 1.78, "full").to_dict()
+        monkeypatch.setattr(powerseries, "_mul_trunc", _reference_mul_trunc)
+        want = run_checks(0.44, 1.78, "full").to_dict()
+        assert got == want
+
+
+class TestHerglotzCalls:
+    def test_full_suite_batches_the_herglotz_grid(self, monkeypatch):
+        # the radius x angle grid and its conjugates go in one array call
+        # each; the points sent stay exactly those of one call per point
+        calls = []
+        solve = maps.herglotz_k
+
+        def counted(t, y):
+            calls.append(np.size(y))
+            return solve(t, y)
+
+        monkeypatch.setattr(maps, "herglotz_k", counted)
+        monkeypatch.setattr(contour, "herglotz_k", counted)
+        contour._kernel_cached.cache_clear()
+        assert run_checks(0.44, 1.78, "full").passed
+        contour._kernel_cached.cache_clear()
+        assert len(calls) <= 60
+        assert sum(calls) == 1707
 
 
 class TestCliCoeffs:
