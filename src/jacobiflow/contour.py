@@ -36,8 +36,8 @@ ELLIPSE_PARAM = 0.5  # convergence ellipse for the Jacobi generating series
 SEMI_MAJOR = (1 / ELLIPSE_PARAM + ELLIPSE_PARAM) / 2
 SEMI_MINOR = (1 / ELLIPSE_PARAM - ELLIPSE_PARAM) / 2
 KERNEL_MARGIN = 1e-8
+NONVANISHING_FLOOR = 1e-10
 MIN_RADIUS = 1e-6
-MAX_HALVINGS = 20
 
 
 class QuadratureError(RuntimeError):
@@ -205,11 +205,12 @@ def _contour_admissible(t, kap, z, rho, samples):
     return None
 
 
-def admissible_contour(params: FlowParams, z, samples: int = 256) -> ContourSpec:
+def admissible_contour(params: FlowParams, z) -> ContourSpec:
     """Search a circle radius around kappa satisfying all kernel conditions.
 
-    Starts at min((1-|kappa|)/4, |kappa|/2) and halves until every check
-    passes on the sampled nodes.  Failure raises NoAdmissibleContourError,
+    Starts at min((1-|kappa|)/4, |kappa|/2) and halves, down to
+    ``MIN_RADIUS``, until every check passes on the default
+    ``ContourSpec.samples`` nodes.  Failure raises NoAdmissibleContourError,
     whose ``trail`` pairs each radius tried with the first condition that
     rejected it: "(i) ellipse" ... "(vi) geometric ratio", or "domain"
     when a map left its domain on the circle.  The caller is then near the
@@ -226,12 +227,10 @@ def admissible_contour(params: FlowParams, z, samples: int = 256) -> ContourSpec
     t = float(params.t)
     rho = min((1 - abs(kap)) / 4, abs(kap) / 2)
     trail = []
-    for _ in range(MAX_HALVINGS + 1):
-        if rho < MIN_RADIUS:
-            break
-        failed = _contour_admissible(t, kap, z, rho, samples)
+    while rho >= MIN_RADIUS:
+        failed = _contour_admissible(t, kap, z, rho, ContourSpec.samples)
         if failed is None:
-            return ContourSpec(complex(kap), rho, samples)
+            return ContourSpec(complex(kap), rho)
         trail.append((rho, failed))
         rho /= 2
     raise NoAdmissibleContourError(
@@ -365,18 +364,16 @@ def jacobi_gen_check(j: int, z, w, n_terms: int = 150, tol: float = 1e-8) -> Ver
     )
 
 
-def nonvanishing_check(
-    params: FlowParams, z, spec: ContourSpec, floor: float = 1e-10
-) -> VerifyEntry:
+def nonvanishing_check(params: FlowParams, z, spec: ContourSpec) -> VerifyEntry:
     """Minimum of |t K**2 + (2 - t)| over the contour nodes; the entry fails
-    if the kernel denominator comes within ``floor`` of vanishing."""
+    if this kernel denominator comes within ``NONVANISHING_FLOOR`` of zero."""
     z = complex(z)
     t = float(params.t)
     K = _kernel(t, z, spec, spec.samples)[1]
     min_abs = float(np.min(np.abs(t * K * K + (2 - t))))
     return VerifyEntry.make(
-        "kernel-nonvanishing", max(0.0, floor - min_abs), 0.0,
-        min_abs=min_abs, floor=floor, z=z, t=t,
+        "kernel-nonvanishing", max(0.0, NONVANISHING_FLOOR - min_abs), 0.0,
+        min_abs=min_abs, floor=NONVANISHING_FLOOR, z=z, t=t,
     )
 
 

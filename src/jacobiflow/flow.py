@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .powerseries import TruncatedSeries, series_derive
+from .powerseries import TruncatedSeries
 from .specfun import _exact_div, binomial, pochhammer
 
 
@@ -284,22 +284,12 @@ def phi_inv_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
 def m_series_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
     """Derivative series M = z d/dz applied to the inverted-flow series.
 
-    This route multiplies the rounded S_n / n by n, so it is rounded twice and
-    may differ from S_n in the last bit.  It is kept to cross-check
-    :func:`s_series_coeffs`, which (like the CLI ``M`` column) gives the
-    once-rounded S_n.
+    Constant term 0; the z**n coefficient is S_n, rounded once, as in the
+    CLI ``M`` column.
     """
-    if order < 2:
-        raise ValueError(f"m_series_coeffs needs order >= 2, got {order}")
-    inv = phi_inv_coeffs(params, order)
-    d = series_derive(inv)
-    return TruncatedSeries(0.0, [0.0] + list(d.coeffs))
-
-
-def s_series_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
-    """The raw sum-of-S_n form of the derivative series."""
     _check_index(order)
-    return TruncatedSeries(0.0, [0.0] + [s_coeff(params, n) for n in range(1, order + 1)])
+    eng = _engine(params)
+    return TruncatedSeries(0.0, [0.0] + [float(eng.s_exact(n)) for n in range(1, order + 1)])
 
 
 def binom_transform(seq):

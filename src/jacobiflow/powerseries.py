@@ -27,7 +27,6 @@ import cmath
 import math
 from fractions import Fraction
 
-DEFAULT_ORDER = 24
 MAX_ORDER = 64
 
 
@@ -63,15 +62,10 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     @classmethod
-    def variable(cls, base, order: int = DEFAULT_ORDER, one=1.0):
+    def variable(cls, base, order: int, one=1.0):
         """The identity function z, expanded about ``base``."""
         zero = one * 0
         return cls(base, [base + zero, one] + [zero] * (order - 1))
-
-    @classmethod
-    def constant(cls, value, order: int = DEFAULT_ORDER, base=0.0):
-        zero = value * 0
-        return cls(base, [value] + [zero] * order)
 
     def _zero(self):
         return self.coeffs[0] * 0

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import contour, flow, maps
 from .gaussian import GaussianRational
-from .powerseries import TruncatedSeries, series_compose, series_revert
+from .powerseries import TruncatedSeries, series_compose, series_derive, series_revert
 from .report import VerifyReport
 from .specfun import binomial, charlier, jacobi_poly, laguerre, pochhammer
 
@@ -168,8 +168,7 @@ def _check_flow_exact(rep: VerifyReport, kappa: float, full: bool):
             poly = flow.pnm_poly(n, m)
             if poly.degree > n:
                 worst = max(worst, 1)
-            val0 = poly(Fraction(0))
-            if val0 != (1 if m == 0 else 0):
+            if poly.coeffs[0] != (1 if m == 0 else 0):
                 worst = max(worst, 1)
     rep.check("pnm-structure", float(worst), 0.0, n_max=n_max)
 
@@ -240,15 +239,16 @@ def _check_oracles(rep: VerifyReport, params: flow.FlowParams, full: bool):
     )
     rep.check("kzero-closed-form", worst, 1e-10, t=t)
 
-    # derivative series: z d/dz route against the direct S_n route
+    # derivative series: z d/dz of the inverted-flow series against the
+    # direct S_n route
+    derived = series_derive(flow.phi_inv_coeffs(params, 12))
     mser = flow.m_series_coeffs(params, 12)
-    sser = flow.s_series_coeffs(params, 12)
     worst = max(
         abs(a - b) / max(abs(b), 1e-300)
-        for a, b in zip(mser.coeffs[1:], sser.coeffs[1:])
+        for a, b in zip(derived.coeffs, mser.coeffs[1:])
     )
     rep.check("m-series-two-routes", worst, 1e-12,
-              first_coeff=sser.coeffs[1], note="sum starts at n=1")
+              first_coeff=mser.coeffs[1], note="sum starts at n=1")
 
 
 # -- conformal maps -------------------------------------------------------------
@@ -404,15 +404,14 @@ def _check_contour(rep: VerifyReport, params: flow.FlowParams, full: bool):
     for j in (2,) if not full else (2, 3, 4):
         rep.add(contour.jacobi_gen_check(j, 0.15, 0.5 + 0.1j, n_terms=150, tol=1e-8))
 
+    mser = flow.m_series_coeffs(params, 16)
     if kap == 0.0:
-        mser = flow.m_series_coeffs(params, 16)
         worst = max(
             abs(mser(z) - maps.m_zero(t, z)) for z in (0.05, 0.02 + 0.02j)
         )
         rep.check("mzero-closed-form", worst, 1e-10, t=t)
         return
 
-    mser = flow.m_series_coeffs(params, 16)
     zs = (0.02, 0.03 + 0.01j, 0.05) if full else (0.03,)
     worst_series = 0.0
     worst_forms = 0.0

@@ -23,7 +23,6 @@ from jacobiflow.flow import (
     phi_inv_coeffs,
     pnm_poly,
     s_coeff,
-    s_series_coeffs,
 )
 from jacobiflow.powerseries import series_revert
 from jacobiflow.specfun import binomial, laguerre
@@ -163,9 +162,8 @@ class TestSeries:
     def test_m_series_matches_direct_s_route(self):
         p = FlowParams(0.5, 1.0)
         m = m_series_coeffs(p, 10)
-        s = s_series_coeffs(p, 10)
-        for a, b in zip(m.coeffs[1:], s.coeffs[1:]):
-            assert a == pytest.approx(b, rel=1e-13)
+        for n in range(1, 11):
+            assert m.coeffs[n] == s_coeff(p, n)
 
     def test_symmetric_closed_form_value(self):
         t = 1.0
@@ -186,8 +184,9 @@ class TestSeries:
         assert max(abs(c) for c in ident.coeffs[2:]) < 1e-10
 
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            m_series_coeffs(FlowParams(0.1, 1.0), 1)
+        for order in (0, 2.0):
+            with pytest.raises(ValueError):
+                m_series_coeffs(FlowParams(0.1, 1.0), order)
 
 
 class TestExactEngine:
@@ -197,9 +196,11 @@ class TestExactEngine:
         p = FlowParams(kappa, t)
         eng = _engine(p)
         rows = cli._table_rows(kappa, t, 40)
+        m = m_series_coeffs(p, 40)
         for n, row in enumerate(rows, start=1):
             assert b_coeff(p, n) == float(eng.b_exact(n))
             assert row["M"] == float(eng.s_exact(n))
+            assert m.coeffs[n] == float(eng.s_exact(n))
 
     @pytest.mark.parametrize(
         "kappa,t", [(0.37, 1.23), (-0.61, 0.83), (Fraction(1, 3), 0.7), (0.0, 0.5)]

@@ -1,4 +1,5 @@
-"""Every `jacobiflow` command in the README's command-line section runs."""
+"""Every `jacobiflow` command in the README's command-line section runs, and
+so does its library example."""
 
 import re
 import shlex
@@ -31,3 +32,10 @@ def test_command_exits_zero(argv, tmp_path, capsys):
         argv[at] = str(tmp_path / argv[at])
     assert cli.main(argv) == 0
     assert capsys.readouterr().out or "--out" in argv
+
+
+def test_library_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("\n## Library example\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
