@@ -11,21 +11,30 @@ sums run on integer numerators over known denominators:
 * The sum over m of L_{k-m-1}^{(m+1)}(2kt) 2**m P_{n,m}(eps) is reordered
   into sum_j (-1)**j C(n, j) eps**j Q(k, j), where
   Q(k, j) = sum_m (-2)**m (2j)_m / m! L_{k-m-1}^{(m+1)}(2kt) depends on t
-  alone.  The integer table of Q(k, j) (k-1)! t_d**(k-1), and its sums over
-  k for each order, are cached per t and shared by every kappa.
-* b_n = n 4**n a_n is one integer over a known denominator, turned into a
-  Fraction once; a_n and S_n are derived from the b_k.
+  alone and is a polynomial of degree k-1 in j.
+* Q(k, .) is kept in the binomial basis C(j, r) of j.  Its r-th forward
+  difference at 0 is (-4)**r [s**(k-1-r)] (1+s)**(-2r) sum_N L_N^{(1)}(2kt) s**N,
+  because Q(k, j) = [s**(k-1)] (1-s)**-2 e^{-2kts/(1-s)} ((1-s)/(1+s))**(2j)
+  and ((1-s)/(1+s))**2 = 1 - 4s/(1+s)**2.  These integers, scaled by
+  D**k (k-1)! 2**(tau (k-1)) (see ``_TTable``), and their sums over k for
+  each order are cached per t and shared by every kappa.
+* sum_j C(n, j) (-eps)**j C(j, r) = C(n, r) (-eps)**r (1-eps)**(n-r) turns
+  the eps-sum into a sum over r < n, so b_n = n 4**n a_n is one integer over
+  a known denominator; S_n is another, derived from the b_k.
 
-Each public coefficient is rounded to binary64 exactly once, at the very end.
+Each public coefficient is one integer quotient, which Python rounds to
+binary64 exactly once, the same value as float(Fraction(num, den)).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import accumulate
 
 from .powerseries import TruncatedSeries
 from .specfun import _exact_div, binomial, pochhammer
@@ -109,17 +118,32 @@ class _TTable:
     """The t-only integers of the coefficient sums, grown on demand.
 
     With t = T / 2**tau and the once-rounded e^{-t} = D / 2**delta, both
-    binary64 and so dyadic, and sigma = tau + delta:
+    binary64 and so dyadic, and sigma = tau + delta.  Q(k, j) is a
+    polynomial of degree k-1 in j, kept by its forward differences at
+    j = 0, its coefficients in the binomial basis C(j, r).  By the Laguerre
+    generating function sum_N L_N^{(1)}(x) s**N = (1-s)**-2 e^{-xs/(1-s)},
 
-    * ``_h[k][m] = C(k-1, m) L_{k-m-1}^{(m+1)}(2kt) (k-m-1)! 2**(tau (k-m-1))``;
-    * ``_q[k][j] = Q(k, j) (k-1)! 2**(tau (k-1))
-      = sum_m (2j)_m (-2**(tau+1))**m _h[k][m]``;
-    * ``row(n)[j] = sum_k C(2n, n-k) (n-1)!/(k-1)! D**k 2**(sigma (n-k)) _q[k][j]``,
+        Q(k, j) = [s**(k-1)] (1-s)**-2 e^{-2kts/(1-s)} ((1-s)/(1+s))**(2j),
 
-    so that ``b_n = 2 sum_j (-1)**j C(n, j) eps**j row(n)[j]
-    / ((n-1)! 2**(sigma n - tau))``.  Each is an integer built by Horner
-    steps whose multipliers are small or powers of two.  Lists are indexed
-    from 1; growth holds a lock, so threads may share one table.
+    and with ((1-s)/(1+s))**2 = 1 - 4s/(1+s)**2, then s -> -s,
+
+        Delta**r Q(k, 0) = (-4)**r [s**(k-1-r)] (1+s)**(-2r) sum_N L_N^{(1)}(2kt) s**N
+                         = (-1)**(k-1) 4**r [s**(k-1-r)] (1-s)**(-2r)
+                           sum_N (-1)**N L_N^{(1)}(2kt) s**N.
+
+    * ``_diffs[k][r] = D**k (k-1)! 2**(tau (k-1)) Delta**r Q(k, 0)`` for
+      r < k.  (-1)**N L_N^{(1)}(2kt) N! 2**(tau N), N < k, comes from the
+      integer three-term recurrence and is brought to the common scale
+      (k-1)! 2**(tau (k-1)); each division by (1-s)**2 is two prefix sums.
+    * ``row(n)[r] = sum_{k>r} C(2n, n-k) (n-1)!/(k-1)! 2**(sigma (n-k))
+      _diffs[k][r]`` for r < n, by Horner steps over ascending k with the
+      multiplier (k-1) 2**sigma.
+
+    With eps = E / e_d, sum_j C(n, j) (-eps)**j C(j, r)
+    = C(n, r) (-eps)**r (1-eps)**(n-r) gives
+    ``b_n = 2 sum_r C(n, r) (-E)**r (e_d-E)**(n-r) row(n)[r]
+    / (e_d**n (n-1)! 2**(sigma n - tau))``.  Lists are indexed from 1;
+    growth holds a lock, so threads may share one table.
     """
 
     def __init__(self, t: float):
@@ -127,51 +151,39 @@ class _TTable:
         self.D, d_den = math.exp(-t).as_integer_ratio()
         self.tau = t_den.bit_length() - 1
         self.sigma = self.tau + d_den.bit_length() - 1
-        self._h: list = [None]
-        self._q: list = [None]
+        self._diffs: list = [None]
         self._rows: list = [None]
         self._lock = threading.Lock()
 
-    def _laguerre_row(self, k: int) -> list:
-        """_h[k][m] for m < k: L_N^{(m+1)}(x) = sum_i C(k, N-i) (-x)**i / i!
-        with N = k-m-1, scaled by N! 2**(tau N), by Horner steps in -2kT."""
-        x = -2 * k * self.T
-        row = []
-        for m in range(k):
-            top = k - m - 1
-            acc = scale = 1
-            for i in range(top - 1, -1, -1):
-                scale = scale * (i + 1) << self.tau  # top! / i! 2**(tau (top-i))
-                acc = acc * x + binomial(k, top - i) * scale
-            row.append(binomial(k - 1, m) * acc)
+    def _diff_row(self, k: int) -> list:
+        """_diffs[k][r] for r < k, from (-1)**N L_N^{(1)}(2kt) N! 2**(tau N)."""
+        tau, x = self.tau, 2 * k * self.T  # x = 2kt 2**tau
+        series, prev = [1], 0
+        for N in range(k - 1):
+            u = (x - (2 * N + 2 << tau)) * series[N] - (N * (N + 1) << 2 * tau) * prev
+            prev = series[N]
+            series.append(u)
+        scale = 1
+        for N in range(k - 1, -1, -1):  # to (k-1)! 2**(tau (k-1))
+            series[N] *= scale
+            scale = scale * N << tau
+        dk = self.D**k if k % 2 else -(self.D**k)  # carries (-1)**(k-1)
+        row = [series[k - 1] * dk]
+        for r in range(1, k):  # divide by (1-s)**2, keeping k-r coefficients
+            series = list(accumulate(accumulate(series[: k - r])))
+            row.append(series[k - 1 - r] * dk << 2 * r)
         return row
-
-    def _q_value(self, k: int, j: int) -> int:
-        h = self._h[k]
-        step = -2 << self.tau
-        acc = h[k - 1]
-        for m in range(k - 2, -1, -1):
-            acc = h[m] + (2 * j + m) * step * acc
-        return acc
 
     def _grow(self):
         n = len(self._rows)
-        self._h.append(self._laguerre_row(n))
-        self._q.append([])
-        for k in range(1, n + 1):
-            qk = self._q[k]
-            qk.extend(self._q_value(k, j) for j in range(len(qk), n + 1))
-        weight = [0] * (n + 1)  # C(2n, n-k) (n-1)!/(k-1)!
-        falling = 1
-        for k in range(n, 0, -1):
-            weight[k] = binomial(2 * n, n - k) * falling
-            falling *= k - 1
+        self._diffs.append(self._diff_row(n))
+        weight = [binomial(2 * n, n - k) for k in range(n + 1)]
         row = []
-        for j in range(n + 1):
-            acc = weight[n] * self._q[n][j]
-            for k in range(n - 1, 0, -1):
-                acc = acc * self.D + (weight[k] * self._q[k][j] << self.sigma * (n - k))
-            row.append(acc * self.D)
+        for r in range(n):
+            acc = 0
+            for k in range(r + 1, n + 1):
+                acc = (acc * (k - 1) << self.sigma) + weight[k] * self._diffs[k][r]
+            row.append(acc)
         self._rows.append(row)
 
     def row(self, n: int) -> list:
@@ -189,8 +201,8 @@ def _t_table(t: float) -> _TTable:
 class _CoeffEngine:
     """Exact flow coefficients for one (kappa, t).
 
-    b_n is kept as an integer numerator over ``_den(n)``; a_n and S_n are
-    derived from those numerators, and each value becomes one Fraction.
+    b_n and S_n are kept as integer numerators over ``_den(n)``; a float is
+    one integer quotient, which rounds once, and an exact value one Fraction.
     """
 
     def __init__(self, params: FlowParams):
@@ -199,7 +211,6 @@ class _CoeffEngine:
         self.eps_num, self.eps_den = eps.numerator, eps.denominator
         table = _t_table(self.t)
         self.tau, self.sigma = table.tau, table.sigma
-        self._num: dict = {}
         self._b: dict = {}
         self._s: dict = {}
 
@@ -207,35 +218,44 @@ class _CoeffEngine:
         return self.eps_den**n * math.factorial(n - 1) << self.sigma * n - self.tau
 
     def _b_num(self, n: int) -> int:
-        """b_n * _den(n): the eps-sum by Horner steps in -E, eps = E / e_d."""
-        if n not in self._num:
-            row = _t_table(self.t).row(n)
-            acc, scale = row[n], 1
-            for j in range(n - 1, -1, -1):
-                scale *= self.eps_den
-                acc = acc * -self.eps_num + binomial(n, j) * row[j] * scale
-            self._num[n] = 2 * acc
-        return self._num[n]
-
-    def a_exact(self, n: int) -> Fraction:
-        return self.b_exact(n) / (n * 4**n)
-
-    def b_exact(self, n: int) -> Fraction:
+        """b_n * _den(n) = 2 sum_{r<n} C(n, r) x**r y**(n-r) row(n)[r] with
+        x = -E and y = e_d - E, eps = E / e_d.  The sum over lo <= r < hi is
+        split at mid into (sum over [lo, mid)) y**(hi-mid) and
+        x**(mid-lo) (sum over [mid, hi)), so the big products are balanced."""
         if n not in self._b:
-            self._b[n] = Fraction(self._b_num(n), self._den(n))
+            row = _t_table(self.t).row(n)
+            x, y = -self.eps_num, self.eps_den - self.eps_num
+            power = cache(pow)
+
+            def part(lo: int, hi: int) -> int:
+                if hi - lo == 1:
+                    return binomial(n, lo) * row[lo] * y
+                mid = (lo + hi) // 2
+                return part(lo, mid) * power(y, hi - mid) + power(x, mid - lo) * part(mid, hi)
+
+            self._b[n] = 2 * part(0, n)
         return self._b[n]
 
-    def s_exact(self, n: int) -> Fraction:
+    def _s_num(self, n: int) -> int:
+        """S_n * _den(n): the weighted b_k, each raised to _den(n)."""
         if n not in self._s:
-            # sum over k of the weighted b_k, each raised to _den(n)
             acc = 0
             for k in range(1, n + 1):
                 sign = -1 if (k + n) % 2 else 1
                 acc = (acc * (self.eps_den * (k - 1)) << self.sigma) + (
                     sign * invrel_weight_split(n, k) * self._b_num(k)
                 )
-            self._s[n] = Fraction(acc, self._den(n))
+            self._s[n] = acc
         return self._s[n]
+
+    def a_exact(self, n: int) -> Fraction:
+        return Fraction(self._b_num(n), self._den(n) * n << 2 * n)
+
+    def b_exact(self, n: int) -> Fraction:
+        return Fraction(self._b_num(n), self._den(n))
+
+    def s_exact(self, n: int) -> Fraction:
+        return Fraction(self._s_num(n), self._den(n))
 
 
 @lru_cache(maxsize=16)
@@ -243,29 +263,34 @@ def _engine(params: FlowParams) -> _CoeffEngine:
     return _CoeffEngine(params)
 
 
-def _check_index(n: int):
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"coefficient index must be a positive integer, got {n}")
+def _check_index(n) -> int:
+    """``n`` as an int, from any integer type but bool."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__") or n < 1:
+        raise ValueError(f"coefficient index must be a positive integer, got {n!r}")
+    return operator.index(n)
 
 
 def a_coeff(params: FlowParams, n: int) -> float:
     """Taylor coefficient a_n of the local inverse of the pre-inversion flow
     map about its critical value, by the nested Laguerre/binomial sum."""
-    _check_index(n)
-    return float(_engine(params).a_exact(n))
+    n = _check_index(n)
+    eng = _engine(params)
+    return eng._b_num(n) / (eng._den(n) * n << 2 * n)
 
 
 def b_coeff(params: FlowParams, n: int) -> float:
     """Rescaled coefficient b_n = n 4**n a_n."""
-    _check_index(n)
-    return float(_engine(params).b_exact(n))
+    n = _check_index(n)
+    eng = _engine(params)
+    return eng._b_num(n) / eng._den(n)
 
 
 def s_coeff(params: FlowParams, n: int) -> float:
     """Alternating binomial-weighted combination S_n of b_1..b_n; equals the
     n-th coefficient of z d/dz of the inverted-flow series."""
-    _check_index(n)
-    return float(_engine(params).s_exact(n))
+    n = _check_index(n)
+    eng = _engine(params)
+    return eng._s_num(n) / eng._den(n)
 
 
 def phi_inv_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
@@ -275,10 +300,10 @@ def phi_inv_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
     reduces exactly to the Herglotz transform of the time-2t spectral
     distribution of free unitary Brownian motion.
     """
-    _check_index(order)
+    order = _check_index(order)
     eng = _engine(params)
-    coeffs = [1.0] + [float(eng.s_exact(n) / n) for n in range(1, order + 1)]
-    return TruncatedSeries(0.0, coeffs)
+    coeffs = [eng._s_num(n) / (eng._den(n) * n) for n in range(1, order + 1)]
+    return TruncatedSeries(0.0, [1.0] + coeffs)
 
 
 def m_series_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
@@ -287,9 +312,10 @@ def m_series_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
     Constant term 0; the z**n coefficient is S_n, rounded once, as in the
     CLI ``M`` column.
     """
-    _check_index(order)
+    order = _check_index(order)
     eng = _engine(params)
-    return TruncatedSeries(0.0, [0.0] + [float(eng.s_exact(n)) for n in range(1, order + 1)])
+    coeffs = [eng._s_num(n) / eng._den(n) for n in range(1, order + 1)]
+    return TruncatedSeries(0.0, [0.0] + coeffs)
 
 
 def binom_transform(seq):

@@ -4,6 +4,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from jacobiflow import cli, maps
@@ -11,6 +12,7 @@ from jacobiflow.flow import (
     FlowParams,
     RationalPoly,
     _engine,
+    _t_table,
     _TTable,
     a_coeff,
     b_coeff,
@@ -26,6 +28,53 @@ from jacobiflow.flow import (
 )
 from jacobiflow.powerseries import series_revert
 from jacobiflow.specfun import binomial, laguerre
+
+
+def _reference_ttable(t, n_max):
+    """The point-value table: q[k][j] = Q(k, j) (k-1)! 2**(tau (k-1)) for
+    j <= n_max and rows[n][j] = sum_k C(2n, n-k) (n-1)!/(k-1)! D**k
+    2**(sigma (n-k)) q[k][j] for j <= n, as the engine built it before the
+    binomial basis."""
+    T, t_den = t.as_integer_ratio()
+    D, d_den = math.exp(-t).as_integer_ratio()
+    tau = t_den.bit_length() - 1
+    sigma = tau + d_den.bit_length() - 1
+    q, rows = [None], [None]
+    for k in range(1, n_max + 1):
+        x, h = -2 * k * T, []
+        for m in range(k):  # C(k-1, m) L_{k-m-1}^{(m+1)}(2kt) (k-m-1)! 2**(tau (k-m-1))
+            top = k - m - 1
+            acc = scale = 1
+            for i in range(top - 1, -1, -1):
+                scale = scale * (i + 1) << tau
+                acc = acc * x + binomial(k, top - i) * scale
+            h.append(binomial(k - 1, m) * acc)
+        row = []
+        for j in range(n_max + 1):
+            acc = h[k - 1]
+            for m in range(k - 2, -1, -1):
+                acc = h[m] + (2 * j + m) * (-2 << tau) * acc
+            row.append(acc)
+        q.append(row)
+    for n in range(1, n_max + 1):
+        row = []
+        for j in range(n + 1):
+            acc = 0
+            for k in range(n, 0, -1):
+                weight = binomial(2 * n, n - k) * math.factorial(n - 1) // math.factorial(k - 1)
+                acc = acc * D + (weight * q[k][j] << sigma * (n - k))
+            row.append(acc * D)
+        rows.append(row)
+    return q, rows
+
+
+def _reference_b_num(rows, kappa, n):
+    """b_n * _den(n) as 2 sum_j (-1)**j C(n, j) E**j e_d**(n-j) rows[n][j]."""
+    eps = Fraction(kappa) ** 2
+    return 2 * sum(
+        (-1) ** j * binomial(n, j) * eps.numerator**j * eps.denominator ** (n - j) * rows[n][j]
+        for j in range(n + 1)
+    )
 
 
 class TestFlowParams:
@@ -105,6 +154,16 @@ class TestACoeff:
     def test_index_validation(self):
         with pytest.raises(ValueError):
             a_coeff(FlowParams(0.0, 1.0), 0)
+
+    def test_index_takes_any_integer_type_but_bool(self):
+        p = FlowParams(0.3, 1.0)
+        for accessor, n in [(a_coeff, True), (b_coeff, False), (phi_inv_coeffs, True),
+                            (m_series_coeffs, 3.0), (s_coeff, "2")]:
+            with pytest.raises(ValueError, match="positive integer"):
+                accessor(p, n)
+        assert a_coeff(p, np.int64(5)) == a_coeff(p, 5)
+        assert phi_inv_coeffs(p, np.int64(8)).coeffs == phi_inv_coeffs(p, 8).coeffs
+        assert m_series_coeffs(p, np.uint8(4)).coeffs == m_series_coeffs(p, 4).coeffs
 
 
 class TestBCoeff:
@@ -235,6 +294,26 @@ class TestExactEngine:
             )
             assert eng.a_exact(n) == Fraction(2, 4**n * n) * total
 
+    @pytest.mark.parametrize("t", [1e-6, 0.5, 1.37, 2.5, 40.0, 800.0])
+    def test_b_num_matches_point_value_table(self, t):
+        _, rows = _reference_ttable(t, 48)
+        for kappa in (0.0, -0.61, 0.37, Fraction(1, 3), 0.999):
+            eng = _engine(FlowParams(kappa, t))
+            for n in range(1, 49):
+                assert eng._b_num(n) == _reference_b_num(rows, kappa, n)
+
+    @pytest.mark.parametrize("t", [1e-6, 1.37, 40.0])
+    def test_diffs_are_forward_differences_of_q(self, t):
+        q, _ = _reference_ttable(t, 24)
+        d = math.exp(-t).as_integer_ratio()[0]
+        table = _TTable(t)
+        table.row(24)
+        for k in range(1, 25):
+            diffs = [sum((-1) ** (r - i) * binomial(r, i) * q[k][i] for i in range(r + 1))
+                     for r in range(k + 1)]
+            assert table._diffs[k] == [d**k * diff for diff in diffs[:k]]
+            assert diffs[k] == 0  # Q(k, j) has degree k-1 in j
+
     def test_shared_table_under_threads(self):
         t, n_max = 0.6180339887, 14
         serial = _TTable(t)
@@ -253,6 +332,35 @@ class TestExactEngine:
                             assert row == want[n - 1]
         finally:
             sys.setswitchinterval(interval)
+
+
+
+class TestRoundedOnce:
+    """Every float is its exact value rounded once: an int/int quotient."""
+
+    @pytest.mark.parametrize("kappa,t", [(0.0, 1.0), (-0.61, 0.83), (0.37, 2.5), (0.5, 700.0)])
+    def test_table_columns(self, kappa, t):
+        eng = _engine(FlowParams(kappa, t))
+        rows = cli._table_rows(kappa, t, 48)
+        for n, row in enumerate(rows, start=1):
+            s = eng.s_exact(n)
+            assert row == {"n": n, "a_n": float(eng.a_exact(n)), "b_n": float(eng.b_exact(n)),
+                           "S_n": float(s), "phi_inv": float(s / n), "M": float(s)}
+        if t == 700.0:  # the tail of a_n is subnormal
+            assert 0 < abs(rows[-1]["a_n"]) < sys.float_info.min
+
+    @pytest.mark.parametrize("kappa", [0.0, -0.61, Fraction(1, 3)])
+    @pytest.mark.parametrize("t", [0.5, 700.0])
+    def test_library_accessors(self, kappa, t):
+        p = FlowParams(kappa, t)
+        eng = _engine(p)
+        inv, m = phi_inv_coeffs(p, 32), m_series_coeffs(p, 32)
+        for n in range(1, 33):
+            s = eng.s_exact(n)
+            assert a_coeff(p, n) == float(eng.a_exact(n))
+            assert b_coeff(p, n) == float(eng.b_exact(n))
+            assert s_coeff(p, n) == m.coeffs[n] == float(s)
+            assert inv.coeffs[n] == float(s / n)
 
 
 class TestBinomTransforms:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,6 +371,16 @@ class TestPinnedBytes:
     def test_stdout(self, argv, want, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out == want
+
+    def test_python_dash_m(self):
+        # python -m jacobiflow from a checkout, with src/ on the path only
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "jacobiflow", "coeffs", "--kappa", "0", "--t", "1.0", "--n", "3"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, self.COEFFS_CSV, "")
 
     CONTOUR_CSV = (
         "value_re,value_im,form,radius,samples,forms_residual\n"
