@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,12 +41,31 @@ from .powerseries import TruncatedSeries
 from .specfun import _exact_div, binomial, pochhammer
 
 
+def _exp_neg_t(t) -> tuple[int, int]:
+    """The anchor of every exact computation at time t: (D, delta) with the
+    once-rounded binary64 e^{-t} equal to D / 2**delta.
+
+    A t whose e^{-t} is subnormal or zero, t > 1022 ln 2 = 708.3964185322641,
+    is refused: that e^{-t} has fewer than 53 bits (none above 745.1), and
+    every digit computed from it would be wrong.
+    """
+    decay = math.exp(-t)
+    if not decay >= sys.float_info.min:
+        raise ValueError(
+            f"t must be at most 708.3964185322641, where e^-t is a normal float, got {t}"
+        )
+    big_d, d = decay.as_integer_ratio()
+    return big_d, d.bit_length() - 1
+
+
 @dataclass(frozen=True)
 class FlowParams:
     """Trace asymmetry kappa = 2 tau(P) - 1 and time t; eps = kappa**2.
 
     ``kappa`` may be a Fraction for exact workflows; ``epsilon`` is always
-    kappa**2 computed in kappa's own arithmetic.
+    kappa**2 computed in kappa's own arithmetic.  ``t`` lies in
+    (0, 708.3964185322641], where e^{-t} is a normal binary64 (see
+    ``_exp_neg_t``).
     """
 
     kappa: float
@@ -57,8 +77,7 @@ class FlowParams:
             raise ValueError(f"kappa must lie in (-1, 1), got {self.kappa}")
         if not self.t > 0:
             raise ValueError(f"t must be positive, got {self.t}")
-        if not self.t < math.inf:
-            raise ValueError(f"t must be finite, got {self.t}")
+        _exp_neg_t(self.t)
         object.__setattr__(self, "epsilon", self.kappa * self.kappa)
 
 
@@ -117,11 +136,12 @@ def invrel_weight_split(n: int, k: int) -> int:
 class _TTable:
     """The t-only integers of the coefficient sums, grown on demand.
 
-    With t = T / 2**tau and the once-rounded e^{-t} = D / 2**delta, both
-    binary64 and so dyadic, and sigma = tau + delta.  Q(k, j) is a
-    polynomial of degree k-1 in j, kept by its forward differences at
-    j = 0, its coefficients in the binomial basis C(j, r).  By the Laguerre
-    generating function sum_N L_N^{(1)}(x) s**N = (1-s)**-2 e^{-xs/(1-s)},
+    With t = T / 2**tau and the once-rounded e^{-t} = D / 2**delta
+    (``_exp_neg_t``), both binary64 and so dyadic, and sigma = tau + delta.
+    Q(k, j) is a polynomial of degree k-1 in j, kept by its forward
+    differences at j = 0, its coefficients in the binomial basis C(j, r).
+    By the Laguerre generating function
+    sum_N L_N^{(1)}(x) s**N = (1-s)**-2 e^{-xs/(1-s)},
 
         Q(k, j) = [s**(k-1)] (1-s)**-2 e^{-2kts/(1-s)} ((1-s)/(1+s))**(2j),
 
@@ -148,9 +168,9 @@ class _TTable:
 
     def __init__(self, t: float):
         self.T, t_den = t.as_integer_ratio()
-        self.D, d_den = math.exp(-t).as_integer_ratio()
+        self.D, delta = _exp_neg_t(t)
         self.tau = t_den.bit_length() - 1
-        self.sigma = self.tau + d_den.bit_length() - 1
+        self.sigma = self.tau + delta
         self._diffs: list = [None]
         self._rows: list = [None]
         self._lock = threading.Lock()
@@ -247,15 +267,6 @@ class _CoeffEngine:
                 )
             self._s[n] = acc
         return self._s[n]
-
-    def a_exact(self, n: int) -> Fraction:
-        return Fraction(self._b_num(n), self._den(n) * n << 2 * n)
-
-    def b_exact(self, n: int) -> Fraction:
-        return Fraction(self._b_num(n), self._den(n))
-
-    def s_exact(self, n: int) -> Fraction:
-        return Fraction(self._s_num(n), self._den(n))
 
 
 @lru_cache(maxsize=16)

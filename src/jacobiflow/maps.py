@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .flow import FlowParams
+from .flow import FlowParams, _check_index, _exp_neg_t
 from .powerseries import TruncatedSeries, series_sqrt
 from .specfun import laguerre
 
@@ -77,18 +77,18 @@ def k_series_coeff(t: float, n: int) -> float:
 
     The Laguerre factor alternates and cancels in binary64 for n beyond ~12,
     so it is evaluated in exact rationals at the dyadic argument and rounded
-    once, together with the exact n-th power of the rounded e^{-t} = D / d:
-    one integer quotient 2 D**n p / (d**n q n), with p / q the Laguerre value.
-    Python's int / int is correctly rounded, as float(Fraction) is.
+    once, together with the exact n-th power of the rounded e^{-t} =
+    D / 2**delta: one integer quotient 2 D**n p / (q n 2**(delta n)), with
+    p / q the Laguerre value.  Python's int / int is correctly rounded, as
+    float(Fraction) is.  A t above 708.3964185322641 is refused.
     """
-    if n < 1:
-        raise ValueError(f"coefficient index must be >= 1, got {n}")
+    n = _check_index(n)
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     t = float(t)
-    big_d, d = math.exp(-t).as_integer_ratio()
+    big_d, delta = _exp_neg_t(t)
     lag = laguerre(n - 1, 1, 2 * n * Fraction(t))
-    return 2 * big_d**n * lag.numerator / (d**n * lag.denominator * n)
+    return 2 * big_d**n * lag.numerator / (lag.denominator * n << delta * n)
 
 
 @lru_cache(maxsize=64)
@@ -257,7 +257,8 @@ def phi_series(params: FlowParams, order: int, exact: bool = False) -> Truncated
     if exact:
         one = Fraction(1)
         tval = Fraction(t)
-        expt = 1 / Fraction(math.exp(-t))
+        big_d, delta = _exp_neg_t(t)
+        expt = Fraction(1 << delta, big_d)
         kap2 = Fraction(params.kappa) ** 2
     else:
         one = 1.0 + 0j

@@ -6,12 +6,12 @@ p_k / q_k, a quotient of small integers, so a value of degree n costs O(n)
 multiplications.  The parameters (the Laguerre index, the Jacobi a and b,
 the Charlier x) are real: int, Fraction or float, a float taken exactly.
 
-An exact argument (int, Fraction, float taken exactly, or GaussianRational)
-is split as r / s, and the Horner steps
+An argument (int, Fraction, float taken exactly, or GaussianRational) is
+split as r / s, and ``_term_sum`` runs the Horner steps
 
     g_k = g_{k-1} p_k r,    acc_k = acc_{k-1} q_k s + g_k,    g_0 = acc_0 = 1,
 
-carry integer (or Gaussian) numerators.  acc_n = sum_k (p_1...p_k)
+on integer (or Gaussian) numerators.  acc_n = sum_k (p_1...p_k)
 (q_{k+1}...q_n) r^k s^(n-k) is the sum over its term 0, times
 (q_1...q_n) s^n; it needs no division, even where some q_k vanishes.  Each
 evaluator divides it once by a denominator known in advance, (q_1...q_n)
@@ -24,15 +24,20 @@ term is).  Passing Fraction (or GaussianRational) arguments therefore
 returns exact values, which is the ground truth the floating path is tested
 against.
 
-A binary64 complex argument is summed in complex floating point, lowest
-degree first: each exact coefficient, an integer quotient, is rounded once
-and multiplied by the binary64 power of the argument.
+Only ``jacobi_poly`` takes a binary64 complex argument, which the Jacobi
+generating check sends it; it sums in complex floating point, lowest degree
+first, each exact coefficient an integer quotient rounded once and
+multiplied by the binary64 power of the argument.  ``laguerre`` and
+``charlier`` refuse a Python complex with TypeError; pass a
+GaussianRational for their exact complex values.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .gaussian import GaussianRational
 
 
 def _exact_div(num, den):
@@ -52,11 +57,11 @@ def _ratio(v):
 
 
 def _split(v):
-    """(r, s) with v = r / s: integers for a real v, and v over the one of
-    its own ring for an exact complex v such as a GaussianRational."""
-    if isinstance(v, (int, Fraction, float)):
-        return _ratio(v)
-    return v, v**0
+    """(r, s) with v = r / s: integers for a real v, and v over one for a
+    GaussianRational."""
+    if isinstance(v, GaussianRational):
+        return v, GaussianRational(1)
+    return _ratio(v)
 
 
 def _to_float(num: int, den: int) -> float:
@@ -64,12 +69,16 @@ def _to_float(num: int, den: int) -> float:
     return -num / -den if den < 0 else num / den
 
 
-def _quotient(num, den, to_float: bool):
-    """The exact value num / den, rounded once to binary64 when to_float."""
-    if to_float and isinstance(num, int) and isinstance(den, int):
-        return _to_float(num, den)
-    out = _exact_div(num, den)
-    return float(out) if to_float else out
+def _term_sum(ratios: list, r, s, den: int, to_float: bool):
+    """The terminating sum with term ratios (p_k / q_k) (r / s), k = 1..n, as
+    acc_n / (den s**n), where den s**n is (q_1...q_n) s**n over term 0;
+    rounded once to binary64 when to_float."""
+    g = acc = r**0
+    for p, q in ratios:
+        g = g * (p * r)
+        acc = acc * (q * s) + g
+    den = den * s ** len(ratios)
+    return _to_float(acc, den) if to_float else _exact_div(acc, den)
 
 
 def pochhammer(a, k: int):
@@ -100,36 +109,19 @@ def laguerre(n: int, alpha, z):
     sum_k (-1)^k C(n, k) (alpha+k+1)_{n-k} z^k / n!.
 
     Works for any real (or Fraction) index alpha, including the negative
-    integer indices where L_m^(-m)(0) = 0 for m >= 1, and for complex z.
-    Real arguments are summed exactly and rounded once at the end.
+    integer indices where L_m^(-m)(0) = 0 for m >= 1, and for a real or
+    GaussianRational z.  Real arguments are summed exactly and rounded once
+    at the end.
     """
     if n < 0:
         raise ValueError(f"laguerre needs n >= 0, got {n}")
     p, d = _ratio(alpha)  # alpha = p / d
-    fact = math.factorial(n)
-    binary = isinstance(z, complex)
-    if binary:
-        dn = d**n
-        # coefficient k times d^n, from coefficient 0 = (alpha+1)_n
-        num = math.prod(range(p + d, p + n * d + 1, d))
-        total = z * 0 + num / dn  # term 0
-    else:
-        r, s = _split(z)
-        g = acc = r**0
-    for k in range(1, n + 1):
-        # coefficient k over coefficient k-1; qk = 0 only at alpha = -k,
-        # where every lower coefficient vanishes
-        pk, qk = (k - n - 1) * d, k * (p + k * d)
-        if binary:
-            num = num * pk // qk if qk else (-1) ** k * fact // math.factorial(k)
-            total = total + num / dn * z**k
-        else:
-            g = g * (pk * r)
-            acc = acc * (qk * s) + g
-    if binary:
-        return total / fact
+    r, s = _split(z)
+    # coefficient k over coefficient k-1; q_k = 0 only at alpha = -k, where
+    # every lower coefficient vanishes
+    ratios = [((k - n - 1) * d, k * (p + k * d)) for k in range(1, n + 1)]
     to_float = isinstance(alpha, float) or isinstance(z, float)
-    return _quotient(acc, fact * fact * (d * s) ** n, to_float)
+    return _term_sum(ratios, r, s, math.factorial(n) ** 2 * d**n, to_float)
 
 
 def charlier(n: int, x, a):
@@ -141,63 +133,38 @@ def charlier(n: int, x, a):
     if a == 0:
         raise ValueError("charlier parameter a must be nonzero")
     p, d = _ratio(x)  # x = p / d
-    binary = isinstance(a, complex)
-    if binary:
-        u = -1 / a
-        num = den = 1
-        total = a * 0 + 1  # term 0
-    else:
-        r, s = _split(a)
-        r, s = -s, r  # -1/a = r / s
-        g = acc = r**0
-    for j in range(1, n + 1):
-        # (-n)_j (-x)_j / j! over its predecessor
-        pj, qj = (j - 1 - n) * ((j - 1) * d - p), j * d
-        if binary:
-            num, den = num * pj, den * qj
-            total = total + num / den * u**j
-        else:
-            g = g * (pj * r)
-            acc = acc * (qj * s) + g
-    if binary:
-        return total
+    r, s = _split(a)
+    # (-n)_j (-x)_j / j! over its predecessor, times -1/a = -s / r
+    ratios = [((j - 1 - n) * ((j - 1) * d - p), j * d) for j in range(1, n + 1)]
     to_float = isinstance(x, float) or isinstance(a, float)
-    return _quotient(acc, d**n * math.factorial(n) * s**n, to_float)
+    return _term_sum(ratios, -s, r, d**n * math.factorial(n), to_float)
 
 
 def jacobi_poly(n: int, a, b, z):
     """Jacobi polynomial P_n^{a,b}(z) via the terminating 2F1 at (1-z)/2.
 
-    Accepts complex z (pass a GaussianRational z for exact complex
-    evaluation); real arguments are summed exactly and rounded at the end.
-    As with the 2F1 form, a in {-1, ..., -n} raises ZeroDivisionError.
+    Accepts a binary64 complex z, or a GaussianRational z for exact complex
+    evaluation; real arguments are summed exactly and rounded at the end.
+    For a in {-1, ..., -n} the 2F1 form divides by zero: exact arguments
+    still give P_n^{a,b}, a polynomial in a, but a complex z raises
+    ZeroDivisionError.
     """
     if n < 0:
         raise ValueError(f"jacobi_poly needs n >= 0, got {n}")
     (pa, da), (pb, db) = _ratio(a), _ratio(b)
-    if da == 1 and -n <= pa <= -1:
-        raise ZeroDivisionError(f"jacobi_poly: (a+1)_{n} vanishes at a = {a!r}")
     e, A, B = da * db, pa * db, pb * da  # a = A / e, b = B / e
     scale = e**n * math.factorial(n) ** 2  # (a+1)_n / n! = (q_1...q_n) / scale
-    binary = isinstance(z, complex)
-    if binary:
+    if isinstance(z, complex):
         half = (1 - z) / 2
         num = den = 1
         total = z * 0 + 1  # term 0
-    else:
-        r, s = _split(z)
-        r, s = s - r, 2 * s  # (1-z)/2 = r / s
-        g = acc = r**0
-    for m in range(1, n + 1):
-        # (-n)_m (n+a+b+1)_m / ((a+1)_m m!) over its predecessor
-        pm, qm = (m - 1 - n) * (e * (n + m) + A + B), (A + e * m) * m
-        if binary:
-            num, den = num * pm, den * qm
+        for m in range(1, n + 1):
+            # (-n)_m (n+a+b+1)_m / ((a+1)_m m!) over its predecessor
+            num *= (m - 1 - n) * (e * (n + m) + A + B)
+            den *= (A + e * m) * m
             total = total + _to_float(num, den) * half**m
-        else:
-            g = g * (pm * r)
-            acc = acc * (qm * s) + g
-    if binary:
         return _to_float(den, scale) * total
+    r, s = _split(z)
+    ratios = [((m - 1 - n) * (e * (n + m) + A + B), (A + e * m) * m) for m in range(1, n + 1)]
     to_float = any(isinstance(v, float) for v in (a, b, z))
-    return _quotient(acc, scale * s**n, to_float)
+    return _term_sum(ratios, s - r, 2 * s, scale, to_float)  # (1-z)/2 = (s-r) / 2s

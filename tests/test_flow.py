@@ -12,6 +12,7 @@ from jacobiflow.flow import (
     FlowParams,
     RationalPoly,
     _engine,
+    _exp_neg_t,
     _t_table,
     _TTable,
     a_coeff,
@@ -68,6 +69,13 @@ def _reference_ttable(t, n_max):
     return q, rows
 
 
+def _exact(eng, n):
+    """(a_n, b_n, S_n) as Fractions, from the engine's integer numerators."""
+    den = eng._den(n)
+    return (Fraction(eng._b_num(n), den * n << 2 * n), Fraction(eng._b_num(n), den),
+            Fraction(eng._s_num(n), den))
+
+
 def _reference_b_num(rows, kappa, n):
     """b_n * _den(n) as 2 sum_j (-1)**j C(n, j) E**j e_d**(n-j) rows[n][j]."""
     eps = Fraction(kappa) ** 2
@@ -89,11 +97,19 @@ class TestFlowParams:
     @pytest.mark.parametrize(
         "kappa,t",
         [(1.0, 1.0), (-1.0, 1.0), (0.5, 0.0), (0.5, -2.0),
-         (0.5, math.inf), (0.5, math.nan), (math.nan, 1.0)],
+         (0.5, math.inf), (0.5, math.nan), (math.nan, 1.0),
+         # e^-t subnormal or zero: the exact anchor would have fewer than 53 bits
+         (0.0, 708.3964185322642), (0.0, 740.0), (0.5, 800.0)],
     )
     def test_domain_validation(self, kappa, t):
         with pytest.raises(ValueError):
             FlowParams(kappa, t)
+
+    @pytest.mark.parametrize("t", [5e-324, 0.5, 700.0, 708.3964185322641])
+    def test_anchor_is_the_rounded_decay(self, t):
+        FlowParams(0.0, t)
+        big_d, delta = _exp_neg_t(t)
+        assert Fraction(big_d, 2**delta) == Fraction(math.exp(-t))
 
 
 class TestPnmPoly:
@@ -257,9 +273,10 @@ class TestExactEngine:
         rows = cli._table_rows(kappa, t, 40)
         m = m_series_coeffs(p, 40)
         for n, row in enumerate(rows, start=1):
-            assert b_coeff(p, n) == float(eng.b_exact(n))
-            assert row["M"] == float(eng.s_exact(n))
-            assert m.coeffs[n] == float(eng.s_exact(n))
+            _, b, s = _exact(eng, n)
+            assert b_coeff(p, n) == float(b)
+            assert row["M"] == float(s)
+            assert m.coeffs[n] == float(s)
 
     @pytest.mark.parametrize(
         "kappa,t", [(0.37, 1.23), (-0.61, 0.83), (Fraction(1, 3), 0.7), (0.0, 0.5)]
@@ -269,7 +286,7 @@ class TestExactEngine:
         oracle = series_revert(maps.big_phi_series(p, 10, exact=True))
         eng = _engine(p)
         for n in range(1, 11):
-            assert eng.s_exact(n) / n == oracle.coeffs[n]
+            assert _exact(eng, n)[2] / n == oracle.coeffs[n]
 
     @pytest.mark.parametrize("kappa,t", [(0.5, 1.0), (0.7, 0.5)])
     def test_matches_exact_reversion_oracle_to_order_24(self, kappa, t):
@@ -277,7 +294,7 @@ class TestExactEngine:
         oracle = series_revert(maps.big_phi_series(p, 24, exact=True))
         eng = _engine(p)
         for n in range(1, 25):
-            assert eng.s_exact(n) / n == oracle.coeffs[n]
+            assert _exact(eng, n)[2] / n == oracle.coeffs[n]
 
     def test_matches_laguerre_pnm_sum(self):
         # the nested sum in its original order, over specfun and pnm_poly
@@ -292,10 +309,14 @@ class TestExactEngine:
                 )
                 for k in range(1, n + 1)
             )
-            assert eng.a_exact(n) == Fraction(2, 4**n * n) * total
+            assert _exact(eng, n)[0] == Fraction(2, 4**n * n) * total
 
     @pytest.mark.parametrize("t", [1e-6, 0.5, 1.37, 2.5, 40.0, 800.0])
     def test_b_num_matches_point_value_table(self, t):
+        if math.exp(-t) < sys.float_info.min:  # e^-800 is 0.0: refused
+            with pytest.raises(ValueError):
+                FlowParams(0.0, t)
+            return
         _, rows = _reference_ttable(t, 48)
         for kappa in (0.0, -0.61, 0.37, Fraction(1, 3), 0.999):
             eng = _engine(FlowParams(kappa, t))
@@ -343,8 +364,8 @@ class TestRoundedOnce:
         eng = _engine(FlowParams(kappa, t))
         rows = cli._table_rows(kappa, t, 48)
         for n, row in enumerate(rows, start=1):
-            s = eng.s_exact(n)
-            assert row == {"n": n, "a_n": float(eng.a_exact(n)), "b_n": float(eng.b_exact(n)),
+            a, b, s = _exact(eng, n)
+            assert row == {"n": n, "a_n": float(a), "b_n": float(b),
                            "S_n": float(s), "phi_inv": float(s / n), "M": float(s)}
         if t == 700.0:  # the tail of a_n is subnormal
             assert 0 < abs(rows[-1]["a_n"]) < sys.float_info.min
@@ -356,9 +377,9 @@ class TestRoundedOnce:
         eng = _engine(p)
         inv, m = phi_inv_coeffs(p, 32), m_series_coeffs(p, 32)
         for n in range(1, 33):
-            s = eng.s_exact(n)
-            assert a_coeff(p, n) == float(eng.a_exact(n))
-            assert b_coeff(p, n) == float(eng.b_exact(n))
+            a, b, s = _exact(eng, n)
+            assert a_coeff(p, n) == float(a)
+            assert b_coeff(p, n) == float(b)
             assert s_coeff(p, n) == m.coeffs[n] == float(s)
             assert inv.coeffs[n] == float(s / n)
 

@@ -187,6 +187,10 @@ class TestKSeriesCoeff:
         ts = [5e-324, 1e-300, 1e-3, 0.5, 1.0, 2.5, 40.0, 745.0, 800.0]
         ts += [10 ** rng.uniform(-4, 2.9) for _ in range(20)]
         for t in ts:
+            if t > 708.3964185322641:  # e^-t subnormal or zero: refused
+                with pytest.raises(ValueError):
+                    k_series_coeff(t, 1)
+                continue
             for n in range(1, 61):
                 # hex() tells 0.0 from -0.0
                 assert k_series_coeff(t, n).hex() == _reference_k_series_coeff(t, n).hex(), (t, n)
@@ -202,6 +206,12 @@ class TestKSeriesCoeff:
             k_series_coeff(1.0, 0)
         with pytest.raises(ValueError):
             k_series_coeff(0.0, 1)
+
+    def test_index_is_checked(self):
+        for n in (True, 2.0, -1):
+            with pytest.raises(ValueError):
+                k_series_coeff(1.0, n)
+        assert k_series_coeff(1.0, np.int64(3)) == k_series_coeff(1.0, 3)
 
 
 class TestVDeformed:

@@ -50,7 +50,16 @@ class TestBinomial:
 
 class TestLaguerre:
     def test_degree_zero(self):
-        assert laguerre(0, 0.3, 2.5 + 1j) == 1
+        assert laguerre(0, 0.3, 2.5) == 1
+        assert laguerre(0, Fraction(3, 10), GaussianRational(5, 2)) == 1
+
+    def test_binary64_complex_rejected(self):
+        # only jacobi_poly takes a binary64 complex; a GaussianRational
+        # still gives the exact complex value
+        with pytest.raises(TypeError):
+            laguerre(3, 0.5, 1.5 + 1j)
+        z = GaussianRational(Fraction(3, 2), 1)
+        assert laguerre(3, Fraction(1, 2), z) == _reference_laguerre(3, Fraction(1, 2), z)
 
     def test_degree_one(self):
         alpha, z = 0.7, 0.4
@@ -100,6 +109,12 @@ class TestCharlier:
     def test_zero_parameter_rejected(self):
         with pytest.raises(ValueError):
             charlier(2, 1, 0)
+
+    def test_binary64_complex_rejected(self):
+        with pytest.raises(TypeError):
+            charlier(3, 2, 0.7 - 1.3j)
+        a = GaussianRational(Fraction(7, 10), Fraction(-13, 10))
+        assert charlier(3, 2, a) == _reference_charlier(3, 2, a)
 
     def test_laguerre_link_float(self):
         n, x, a = 3, 5, 0.7
@@ -293,17 +308,23 @@ class TestTermRatioBitIdentity:
             z = _argument(rng)
             param = _exact_parameter if isinstance(z, GaussianRational) else _parameter
             alpha, a, b = param(rng), param(rng), param(rng)
-            _assert_same(laguerre(n, alpha, z), _reference_laguerre(n, alpha, z))
             if not (-n <= a <= -1 and a == int(a)):
                 _assert_same(jacobi_poly(n, a, b, z), _reference_jacobi(n, a, b, z))
+            if isinstance(z, complex):  # binary64 complex goes to jacobi_poly only
+                with pytest.raises(TypeError):
+                    laguerre(n, alpha, z)
+                if z != 0:
+                    with pytest.raises(TypeError):
+                        charlier(n, _exact_parameter(rng), z)
+                continue
+            _assert_same(laguerre(n, alpha, z), _reference_laguerre(n, alpha, z))
             if z != 0:
-                # a float x with a complex a is covered by its own test below
-                x = _exact_parameter(rng) if isinstance(z, complex) else param(rng)
+                x = param(rng)
                 _assert_same(charlier(n, x, z), _reference_charlier(n, x, z))
 
     def test_negative_integer_index(self):
-        zs = (0, Fraction(0), 0.0, 0j, -0j, GaussianRational(0), Fraction(7, 3), -1.25,
-              0.5 - 2j, GaussianRational(Fraction(1, 2), Fraction(-1, 3)))
+        zs = (0, Fraction(0), 0.0, -0.0, GaussianRational(0), Fraction(7, 3), -1.25,
+              GaussianRational(Fraction(1, 2), Fraction(-1, 3)))
         for n in range(0, 9):
             for m in range(1, n + 2):
                 for alpha in (-m, Fraction(-m), float(-m)):
@@ -312,7 +333,7 @@ class TestTermRatioBitIdentity:
                             continue
                         _assert_same(laguerre(n, alpha, z), _reference_laguerre(n, alpha, z))
         for m in range(1, 11):  # L_m^(-m)(0) = 0
-            for z in (0, Fraction(0), 0.0, 0j):
+            for z in (0, Fraction(0), 0.0, GaussianRational(0)):
                 assert laguerre(m, -m, z) == 0
 
     def test_exact_zero_is_positive_zero(self):
@@ -344,20 +365,47 @@ class TestTermRatioBitIdentity:
                 _assert_same(g, w)
 
     def test_charlier_float_x_complex_a(self):
-        # with a float x the reference ends in float() of its complex total
-        # and raises, so it is given the exact x
+        # a binary64 complex a is refused; its exact embedding is summed
+        # exactly, with the float x taken exactly too
         for n in range(12):
             for x in (2.5, -1.0, 0.0):
                 a = 0.7 - 1.3j
-                _assert_same(charlier(n, x, a), _reference_charlier(n, Fraction(x), a))
+                with pytest.raises(TypeError):
+                    charlier(n, x, a)
+                exact_a = GaussianRational.from_complex(a)
+                _assert_same(charlier(n, Fraction(x), exact_a),
+                             _reference_charlier(n, Fraction(x), exact_a))
 
     def test_jacobi_vanishing_normalisation_raises(self):
-        for z in (Fraction(1, 3), 0.25, 0.1 + 0.2j, GaussianRational(1, 1)):
+        # the complex floating sum divides by (a+1)_m; exact arguments do not
+        for z in (0.1 + 0.2j, -0.5 + 0j):
             for a in (-1, -3, Fraction(-2), -2.0):
                 with pytest.raises(ZeroDivisionError):
                     jacobi_poly(3, a, 1, z)
                 with pytest.raises(ZeroDivisionError):
                     _reference_jacobi(3, a, 1, z)
+
+    def test_jacobi_vanishing_normalisation_exact(self):
+        # P_n^{a,b}(z) = sum_m C(n+a, n-m) C(n+b, m) ((z-1)/2)**m ((z+1)/2)**(n-m),
+        # a polynomial in a, also at a in {-1, ..., -n}
+        def gen_binom(x, j):
+            return math.prod((x - i for i in range(j)), start=Fraction(1)) / math.factorial(j)
+
+        def reference(n, a, b, z):
+            return sum(
+                gen_binom(n + a, n - m) * gen_binom(n + b, m) * ((z - 1) / 2) ** m
+                * ((z + 1) / 2) ** (n - m)
+                for m in range(n + 1)
+            )
+
+        zs = (Fraction(1, 3), -2, GaussianRational(Fraction(1, 2), Fraction(-3, 4)))
+        for n in range(1, 9):
+            for a in range(-n, 0):
+                for b in (0, 3, Fraction(-5, 2)):
+                    for z in zs:
+                        assert jacobi_poly(n, a, b, z) == reference(n, a, b, z), (n, a, b, z)
+                    assert jacobi_poly(n, Fraction(a), b, 0.25) == float(reference(n, a, b, Fraction(1, 4)))
+                    assert jacobi_poly(n, float(a), b, 0.25) == float(reference(n, a, b, Fraction(1, 4)))
 
     @pytest.mark.parametrize("call", [
         lambda: laguerre(3, 1 + 1j, 0.5),

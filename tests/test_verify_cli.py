@@ -141,6 +141,27 @@ class TestCliCoeffs:
             main(argv)
         assert err.value.code == 64
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--kappa", "0", "--t", "740", "--n", "40"],
+            ["coeffs", "--kappa", "0.5", "--t", "800"],
+            ["verify", "--kappa", "0.5", "--t", "708.3964185322642"],
+            ["integral", "--kappa", "0.5", "--t", "745.2", "--z", "0.1"],
+            ["integral", "--kappa", "0", "--t", "800", "--z", "0.1"],
+            ["sweep", "--kappa", "0.5", "--t", "1,800", "--out", "unused"],
+        ],
+    )
+    def test_subnormal_decay_is_a_usage_error(self, argv, capsys):
+        # above t = 708.3964185322641 the binary64 e^-t is subnormal or zero
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 64
+        out, errtext = capsys.readouterr()
+        assert out == ""
+        assert errtext.startswith("error: t must be at most 708.3964185322641")
+        assert errtext.count("\n") == 1
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("kappa = 0.5\nt = 1.0\nn_max = 2\nformat = json\n")
