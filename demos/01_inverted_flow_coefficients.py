@@ -6,7 +6,7 @@ coefficients of free unitary Brownian motion, and cross-checks the whole
 table against two oracles that never touch the closed formulas:
 
   1. Newton reversion (order doubling) of the flow-map series built purely
-     by power-series arithmetic, and
+     by power-series arithmetic over exact Fractions, and
   2. direct Lagrange coefficient extraction (1/n) [u^(n-1)] (u/phi(u))^n.
 """
 
@@ -52,7 +52,7 @@ print()
 print("=" * 72)
 print("3. Oracle 1: Newton reversion of the map series (no closed forms)")
 print("=" * 72)
-oracle = series_revert(big_phi_series(params, N, exact=True))
+oracle = series_revert(big_phi_series(params, N))
 closed = phi_inv_coeffs(params, N)
 worst = 0.0
 for n in range(N + 1):
@@ -64,7 +64,7 @@ print()
 print("=" * 72)
 print("4. Oracle 2: raw Lagrange extraction from the pre-inversion map")
 print("=" * 72)
-phis = phi_series(params, 2 * N, exact=True)
+phis = phi_series(params, 2 * N)
 ratio = TruncatedSeries(phis.base, phis.coeffs[1:] + [Fraction(0)]).reciprocal()
 power = ratio
 worst = 0.0

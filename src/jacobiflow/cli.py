@@ -97,10 +97,11 @@ def _load_config(path: str) -> dict:
 
 
 def _merge(args, config: dict):
-    """Command-line flags override config-file values; a config file's
-    format is held to the same choices as --format."""
+    """Command-line flags override config-file values, and a key fills only
+    an argument the subcommand defines; a config file's format is held to
+    the same choices as --format."""
     for key, dest in CONFIG_KEYS.items():
-        if getattr(args, dest, None) is None and key in config:
+        if key in config and hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, config[key])
     if args.format not in (None, *FORMATS):
         _usage_fail(f"format must be one of {FORMATS}, got {args.format!r}")

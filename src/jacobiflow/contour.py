@@ -375,16 +375,3 @@ def nonvanishing_check(params: FlowParams, z, spec: ContourSpec) -> VerifyEntry:
         "kernel-nonvanishing", max(0.0, NONVANISHING_FLOOR - min_abs), 0.0,
         min_abs=min_abs, floor=NONVANISHING_FLOOR, z=z, t=t,
     )
-
-
-def geom_ratio_check(params: FlowParams, z, spec: ContourSpec) -> VerifyEntry:
-    """Geometric-series ratio |w (1 - K) / (w - kappa)| must stay below one
-    on the contour for the kernel resummation to be valid."""
-    z = complex(z)
-    kap = float(params.kappa)
-    w, K = _kernel(float(params.t), z, spec, spec.samples)
-    max_ratio = float(np.max(np.abs(w * (1 - K) / (w - kap))))
-    return VerifyEntry.make(
-        "geometric-ratio", max(0.0, max_ratio - 1.0), 0.0,
-        max_ratio=max_ratio, z=z,
-    )

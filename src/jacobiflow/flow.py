@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate
 
-from .powerseries import TruncatedSeries
+from .powerseries import MAX_ORDER, TruncatedSeries
 from .specfun import _exact_div, binomial, pochhammer
 
 
@@ -281,6 +281,14 @@ def _check_index(n) -> int:
     return operator.index(n)
 
 
+def _check_order(order) -> int:
+    """A series order in [1, MAX_ORDER], checked before any coefficient is built."""
+    order = _check_index(order)
+    if order > MAX_ORDER:
+        raise ValueError(f"truncation order is capped at {MAX_ORDER}, got {order}")
+    return order
+
+
 def a_coeff(params: FlowParams, n: int) -> float:
     """Taylor coefficient a_n of the local inverse of the pre-inversion flow
     map about its critical value, by the nested Laguerre/binomial sum."""
@@ -311,7 +319,7 @@ def phi_inv_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
     reduces exactly to the Herglotz transform of the time-2t spectral
     distribution of free unitary Brownian motion.
     """
-    order = _check_index(order)
+    order = _check_order(order)
     eng = _engine(params)
     coeffs = [eng._s_num(n) / (eng._den(n) * n) for n in range(1, order + 1)]
     return TruncatedSeries(0.0, [1.0] + coeffs)
@@ -323,7 +331,7 @@ def m_series_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
     Constant term 0; the z**n coefficient is S_n, rounded once, as in the
     CLI ``M`` column.
     """
-    order = _check_index(order)
+    order = _check_order(order)
     eng = _engine(params)
     coeffs = [eng._s_num(n) / eng._den(n) for n in range(1, order + 1)]
     return TruncatedSeries(0.0, [0.0] + coeffs)

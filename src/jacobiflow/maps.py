@@ -83,7 +83,7 @@ def k_series_coeff(t: float, n: int) -> float:
     float(Fraction) is.  A t above 708.3964185322641 is refused.
     """
     n = _check_index(n)
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"time must be positive, got {t}")
     t = float(t)
     big_d, delta = _exp_neg_t(t)
@@ -245,39 +245,32 @@ def m_zero(t: float, z):
 # -- Taylor expansions about the critical point ------------------------------
 
 
-def phi_series(params: FlowParams, order: int, exact: bool = False) -> TruncatedSeries:
+def phi_series(params: FlowParams, order: int) -> TruncatedSeries:
     """Taylor expansion of :func:`phi` about z = 1, built purely by
     power-series arithmetic (independent of the coefficient formulas).
 
-    With ``exact=True`` the series is computed over Fractions, anchored at
-    the same once-rounded dyadic e^{-t} the coefficient engine uses, so the
-    only floating error in the comparison is the final rounding.
+    The coefficients are Fractions, anchored at the same once-rounded dyadic
+    e^{-t} the coefficient engine uses, so the only floating error in a
+    comparison with the engine is the final rounding.
     """
     t = float(params.t)
-    if exact:
-        one = Fraction(1)
-        tval = Fraction(t)
-        big_d, delta = _exp_neg_t(t)
-        expt = Fraction(1 << delta, big_d)
-        kap2 = Fraction(params.kappa) ** 2
-    else:
-        one = 1.0 + 0j
-        tval = complex(t)
-        expt = complex(math.exp(t))
-        kap2 = complex(float(params.kappa) ** 2)
-    zvar = TruncatedSeries.variable(one * 1, order, one=one)
+    big_d, delta = _exp_neg_t(t)
+    expt = Fraction(1 << delta, big_d)
+    one = Fraction(1)
+    zvar = TruncatedSeries.variable(one, order, one=one)
     expo = TruncatedSeries(
-        one * 1, [expt * tval**k / math.factorial(k) for k in range(order + 1)]
+        one, [expt * Fraction(t) ** k / math.factorial(k) for k in range(order + 1)]
     )
     xi_s = (zvar - 1) * (zvar + 1).reciprocal() * expo
     alpha_inv_s = 4 * xi_s * ((1 + xi_s) * (1 + xi_s)).reciprocal()
-    pref = zvar * zvar * (zvar * zvar - kap2).reciprocal()
+    pref = zvar * zvar * (zvar * zvar - Fraction(params.kappa) ** 2).reciprocal()
     return pref * alpha_inv_s
 
 
-def big_phi_series(params: FlowParams, order: int, exact: bool = False) -> TruncatedSeries:
-    """Taylor expansion of alpha(phi(z)) about z = 1; reverting it is the
-    independent oracle for the inverted-flow coefficients."""
-    v = phi_series(params, order, exact=exact)
+def big_phi_series(params: FlowParams, order: int) -> TruncatedSeries:
+    """Taylor expansion of alpha(phi(z)) about z = 1, exact like
+    :func:`phi_series`; reverting it is the independent oracle for the
+    inverted-flow coefficients."""
+    v = phi_series(params, order)
     root = series_sqrt(1 - v)
     return v * ((1 + root) * (1 + root)).reciprocal()

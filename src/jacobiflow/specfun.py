@@ -1,10 +1,10 @@
-"""Terminating hypergeometric evaluators: Pochhammer, binomial, Laguerre,
-Charlier and Jacobi polynomials.
+"""Terminating hypergeometric evaluators: Pochhammer, binomial, Laguerre
+and Jacobi polynomials.
 
 Each term of a sum comes from the previous one by its term ratio
 p_k / q_k, a quotient of small integers, so a value of degree n costs O(n)
-multiplications.  The parameters (the Laguerre index, the Jacobi a and b,
-the Charlier x) are real: int, Fraction or float, a float taken exactly.
+multiplications.  The parameters (the Laguerre index, the Jacobi a and b)
+are real: int, Fraction or float, a float taken exactly.
 
 An argument (int, Fraction, float taken exactly, or GaussianRational) is
 split as r / s, and ``_term_sum`` runs the Horner steps
@@ -16,20 +16,19 @@ on integer (or Gaussian) numerators.  acc_n = sum_k (p_1...p_k)
 (q_1...q_n) s^n; it needs no division, even where some q_k vanishes.  Each
 evaluator divides it once by a denominator known in advance, (q_1...q_n)
 s^n over term 0 simplified: n!^2 (d s)^n for Laguerre, e^n n!^2 s^n for
-Jacobi, d^n n! s^n for Charlier.  The value is that one exact quotient: a
-Fraction, rounded once to binary64 when an input is a float.  Exact sums
-have neither the cancellation of alternating terms nor the overflow of
-intermediate powers (the value is representable long before its largest
-term is).  Passing Fraction (or GaussianRational) arguments therefore
-returns exact values, which is the ground truth the floating path is tested
-against.
+Jacobi.  The value is that one exact quotient: a Fraction, rounded once to
+binary64 when an input is a float.  Exact sums have neither the
+cancellation of alternating terms nor the overflow of intermediate powers
+(the value is representable long before its largest term is).  Passing
+Fraction (or GaussianRational) arguments therefore returns exact values,
+which is the ground truth the floating path is tested against.
 
 Only ``jacobi_poly`` takes a binary64 complex argument, which the Jacobi
 generating check sends it; it sums in complex floating point, lowest degree
 first, each exact coefficient an integer quotient rounded once and
-multiplied by the binary64 power of the argument.  ``laguerre`` and
-``charlier`` refuse a Python complex with TypeError; pass a
-GaussianRational for their exact complex values.
+multiplied by the binary64 power of the argument.  ``laguerre`` refuses a
+Python complex with TypeError; pass a GaussianRational for its exact
+complex value.
 """
 
 from __future__ import annotations
@@ -122,22 +121,6 @@ def laguerre(n: int, alpha, z):
     ratios = [((k - n - 1) * d, k * (p + k * d)) for k in range(1, n + 1)]
     to_float = isinstance(alpha, float) or isinstance(z, float)
     return _term_sum(ratios, r, s, math.factorial(n) ** 2 * d**n, to_float)
-
-
-def charlier(n: int, x, a):
-    """Charlier polynomial C_n(x, a) = 2F0(-n, -x; -1/a) as a finite sum.
-
-    Real arguments are summed exactly and rounded once at the end."""
-    if n < 0:
-        raise ValueError(f"charlier needs n >= 0, got {n}")
-    if a == 0:
-        raise ValueError("charlier parameter a must be nonzero")
-    p, d = _ratio(x)  # x = p / d
-    r, s = _split(a)
-    # (-n)_j (-x)_j / j! over its predecessor, times -1/a = -s / r
-    ratios = [((j - 1 - n) * ((j - 1) * d - p), j * d) for j in range(1, n + 1)]
-    to_float = isinstance(x, float) or isinstance(a, float)
-    return _term_sum(ratios, -s, r, d**n * math.factorial(n), to_float)
 
 
 def jacobi_poly(n: int, a, b, z):

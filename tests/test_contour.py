@@ -14,7 +14,6 @@ from jacobiflow.contour import (
     admissible_contour,
     circle_quadrature,
     contour_nodes,
-    geom_ratio_check,
     jacobi_gen_check,
     laguerre_gen_check,
     m_integral,
@@ -253,12 +252,6 @@ class TestKernelChecks:
         spec = admissible_contour(p, 0.03)
         assert nonvanishing_check(p, 0.03, spec).passed
 
-    def test_geometric_ratio(self):
-        p = FlowParams(0.5, 1.0)
-        spec = admissible_contour(p, 0.03)
-        entry = geom_ratio_check(p, 0.03, spec)
-        assert entry.passed
-
 
 class TestSharedKernel:
     """K is solved once per distinct contour node and shared by the
@@ -292,7 +285,6 @@ class TestSharedKernel:
         cor = m_integral_detailed(params, z, "corollary")
         prop = m_integral_detailed(params, z, "proposition", spec=cor.contour)
         nonvanishing_check(params, z, cor.contour)
-        geom_ratio_check(params, z, cor.contour)
         assert prop.samples == cor.samples
         assert sum(sent) == cor.samples
 

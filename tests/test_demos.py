@@ -1,4 +1,5 @@
-"""Each script in demos/ runs to completion from a source checkout."""
+"""Each script in demos/ runs to completion from a source checkout, with
+warnings as errors, as pyproject sets them for the tests themselves."""
 
 import os
 import subprocess
@@ -22,7 +23,7 @@ def test_demo_runs(script):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error", str(script)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

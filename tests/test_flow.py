@@ -27,7 +27,7 @@ from jacobiflow.flow import (
     pnm_poly,
     s_coeff,
 )
-from jacobiflow.powerseries import series_revert
+from jacobiflow.powerseries import MAX_ORDER, series_revert
 from jacobiflow.specfun import binomial, laguerre
 
 
@@ -263,6 +263,14 @@ class TestSeries:
             with pytest.raises(ValueError):
                 m_series_coeffs(FlowParams(0.1, 1.0), order)
 
+    @pytest.mark.parametrize("build,t", [(phi_inv_coeffs, 1.128), (m_series_coeffs, 1.129)])
+    def test_order_cap_checked_before_the_work(self, build, t):
+        table = _t_table(t)
+        rows = len(table._rows)
+        with pytest.raises(ValueError, match=f"capped at {MAX_ORDER}"):
+            build(FlowParams(0.37, t), MAX_ORDER + 1)
+        assert len(table._rows) == rows
+
 
 class TestExactEngine:
     @pytest.mark.parametrize("kappa", [0.3, 0.7])
@@ -283,7 +291,7 @@ class TestExactEngine:
     )
     def test_matches_exact_reversion_oracle(self, kappa, t):
         p = FlowParams(kappa, t)
-        oracle = series_revert(maps.big_phi_series(p, 10, exact=True))
+        oracle = series_revert(maps.big_phi_series(p, 10))
         eng = _engine(p)
         for n in range(1, 11):
             assert _exact(eng, n)[2] / n == oracle.coeffs[n]
@@ -291,7 +299,7 @@ class TestExactEngine:
     @pytest.mark.parametrize("kappa,t", [(0.5, 1.0), (0.7, 0.5)])
     def test_matches_exact_reversion_oracle_to_order_24(self, kappa, t):
         p = FlowParams(kappa, t)
-        oracle = series_revert(maps.big_phi_series(p, 24, exact=True))
+        oracle = series_revert(maps.big_phi_series(p, 24))
         eng = _engine(p)
         for n in range(1, 25):
             assert _exact(eng, n)[2] / n == oracle.coeffs[n]

@@ -12,7 +12,7 @@ from jacobiflow.cli import main
 from jacobiflow.report import VerifyEntry, VerifyReport
 from jacobiflow.verify import run_checks
 from test_powerseries import _reference_mul_trunc
-from test_specfun import _reference_charlier, _reference_jacobi, _reference_laguerre
+from test_specfun import _reference_jacobi, _reference_laguerre
 
 
 class TestReport:
@@ -45,6 +45,44 @@ class TestRunChecks:
             run_checks(0.5, 1.0, "medium")
 
 
+class TestEntryNames:
+    """The ordered entry names of run_checks, so that a check dropped or
+    added shows up as a test diff."""
+
+    LEAD = (
+        "pochhammer-convention binomial-edges jacobi-symmetry jacobi-exact-complex "
+        "laguerre-exact-consistency series-roundtrip-complex series-reversion-exact "
+        "pnm-structure transform-roundtrip-exact invrel-forms-agree moment-expansion-constant"
+    ).split()
+    MIDDLE = (
+        "lagrange-inversion-oracle reversion-oracle kzero-closed-form m-series-two-routes "
+        "alpha-roundtrip herglotz-inverse-grid herglotz-positivity herglotz-conjugate-symmetry "
+        "herglotz-series-agreement herglotz-left-inverse v-deformed-values "
+        "v-deformed-positivity phi-critical-point psi-chain-identity flow-roundtrip-pointwise "
+        "kernel-identities branch-positivity-real-axis branch-polynomial-margin "
+        "quadrature-residues residue-oracle"
+    ).split()
+
+    @pytest.mark.parametrize(
+        "kappa,level,count",
+        [(0.5, "fast", 42), (0.5, "full", 50), (0.0, "fast", 37), (0.0, "full", 41)],
+    )
+    def test_ordered_names(self, kappa, level, count):
+        full = level == "full"
+        if kappa:
+            tail = ["kernel-nonvanishing", "geometric-ratio"] * (3 if full else 1) + [
+                "m-integral-vs-series", "m-integral-forms-agree", "branch-bound-estimate"]
+        else:
+            tail = ["mzero-closed-form"]
+        want = (
+            self.LEAD + ["evenness-in-kappa"] * (kappa != 0) + self.MIDDLE
+            + ["laguerre-generating"] * (5 if full else 3)
+            + ["jacobi-generating"] * (4 if full else 2) + tail
+        )
+        assert len(want) == count
+        assert [e.name for e in run_checks(kappa, 1.0, level).entries] == want
+
+
 class TestUnchangedReport:
     """The term-ratio evaluators leave every verify residual where the
     term-by-term sums put it."""
@@ -56,7 +94,6 @@ class TestUnchangedReport:
         references = {
             "laguerre": _reference_laguerre,
             "jacobi_poly": _reference_jacobi,
-            "charlier": _reference_charlier,
         }
         for module in (specfun, contour, maps, verify):
             for name, ref in references.items():
@@ -175,6 +212,27 @@ class TestCliCoeffs:
         assert main(["coeffs", "--config", str(cfg), "--n", "3"]) == 0
         out = capsys.readouterr().out
         assert len(out.strip().split("\n")) == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--kappa", "0.5", "--t", "1"],
+            ["integral", "--kappa", "0.5", "--t", "1", "--z", "0.03"],
+        ],
+    )
+    def test_config_fills_only_defined_arguments(self, argv, tmp_path, capsys):
+        # n_max fills --n, which verify and integral do not define
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_max=abc\n")
+        runs = []
+        for extra in ([], ["--config", str(cfg)]):
+            try:
+                code = main(argv + extra)
+            except SystemExit as exc:
+                code = exc.code
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
 
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -394,11 +452,13 @@ class TestPinnedBytes:
         assert capsys.readouterr().out == want
 
     def test_python_dash_m(self):
-        # python -m jacobiflow from a checkout, with src/ on the path only
+        # python -m jacobiflow from a checkout, with src/ on the path only and
+        # warnings as errors, as pyproject sets them for the tests themselves
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         proc = subprocess.run(
-            [sys.executable, "-m", "jacobiflow", "coeffs", "--kappa", "0", "--t", "1.0", "--n", "3"],
+            [sys.executable, "-W", "error", "-m", "jacobiflow",
+             "coeffs", "--kappa", "0", "--t", "1.0", "--n", "3"],
             cwd=root, env=env, capture_output=True, text=True, timeout=120,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, self.COEFFS_CSV, "")
