@@ -11,8 +11,10 @@ Floats are printed with 17 significant digits so every value round-trips
 to the exact binary64 bit pattern; identical inputs give byte-identical
 output.
 
-Exit codes: 0 success, 1 verification failure, 2 no admissible contour,
-3 numerical failure (a solver did not converge), 64 usage error.
+Config-file values are parsed as flags placed before the user's own, and
+``main`` alone maps exceptions to exit codes: 0 success, 1 verification
+failure or unwritable output, 2 no admissible contour, 3 numerical failure
+(a solver did not converge), 64 usage error.
 """
 
 from __future__ import annotations
@@ -76,12 +78,8 @@ def _usage_fail(message: str):
     sys.exit(USAGE_EXIT)
 
 
-def _load_config(path: str) -> dict:
+def _parse_config(text: str) -> dict:
     opts = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        _usage_fail(f"cannot read config file: {exc}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -94,17 +92,6 @@ def _load_config(path: str) -> dict:
             )
         opts[key] = value.strip()
     return opts
-
-
-def _merge(args, config: dict):
-    """Command-line flags override config-file values, and a key fills only
-    an argument the subcommand defines; a config file's format is held to
-    the same choices as --format."""
-    for key, dest in CONFIG_KEYS.items():
-        if key in config and hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, config[key])
-    if args.format not in (None, *FORMATS):
-        _usage_fail(f"format must be one of {FORMATS}, got {args.format!r}")
 
 
 def _parse_reals(text: str, flag: str) -> list[float]:
@@ -120,10 +107,10 @@ def _parse_reals(text: str, flag: str) -> list[float]:
 def _check_params(kappa: float, t: float, n: int | None = None) -> flow.FlowParams:
     try:
         params = flow.FlowParams(kappa, t)
+        if n is not None:
+            flow._check_order(n)
     except ValueError as exc:
         _usage_fail(str(exc))
-    if n is not None and not 1 <= n <= MAX_ORDER:
-        _usage_fail(f"n must lie in [1, {MAX_ORDER}], got {n}")
     return params
 
 
@@ -156,42 +143,35 @@ def _render_table(kappa: float, t: float, n_max: int, fmt: str) -> str:
     return _csv(rows)
 
 
-def _emit(text: str, out: str | None) -> int:
+def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-        return 0
-    try:
+    else:
         _write(out, text)
-    except OSError as exc:
-        sys.stderr.write(f"error: cannot write {out}: {exc}\n")
-        return 1
-    return 0
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
 def _cmd_coeffs(args) -> int:
-    kappa, t, n = float(args.kappa), float(args.t), int(args.n)
-    _check_params(kappa, t, n)
-    return _emit(_render_table(kappa, t, n, args.format), args.out)
+    _check_params(args.kappa, args.t, args.n)
+    _emit(_render_table(args.kappa, args.t, args.n, args.format), args.out)
+    return 0
 
 
 def _cmd_verify(args) -> int:
-    kappa, t = float(args.kappa), float(args.t)
-    _check_params(kappa, t)
-    report = run_checks(kappa, t, args.level)
+    _check_params(args.kappa, args.t)
+    report = run_checks(args.kappa, args.t, args.level)
     if args.format == "json":
         text = json.dumps(report.to_dict()) + "\n"
     else:
         text = report.format() + "\n"
-    if _emit(text, args.out):
-        return 1
+    _emit(text, args.out)
     return 0 if report.passed else 1
 
 
 def _cmd_integral(args) -> int:
-    kappa, t = float(args.kappa), float(args.t)
+    kappa, t = args.kappa, args.t
     params = _check_params(kappa, t)
     parts = _parse_reals(args.z, "--z")
     if len(parts) > 2:
@@ -203,13 +183,9 @@ def _cmd_integral(args) -> int:
     if kappa == 0.0:
         value, form, radius, samples, residual = maps.m_zero(t, z), "closed", 0.0, 0, 0.0
     else:
-        try:
-            main = contour.m_integral_detailed(params, z, args.form)
-            other_form = "proposition" if args.form == "corollary" else "corollary"
-            other = contour.m_integral_detailed(params, z, other_form, spec=main.contour)
-        except NoAdmissibleContourError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return CONTOUR_EXIT
+        main = contour.m_integral_detailed(params, z, args.form)
+        other_form = "proposition" if args.form == "corollary" else "corollary"
+        other = contour.m_integral_detailed(params, z, other_form, spec=main.contour)
         value, form, radius, samples = main.value, main.form, main.contour.radius, main.samples
         residual = abs(main.value - other.value)
     record = {
@@ -221,16 +197,16 @@ def _cmd_integral(args) -> int:
         "forms_residual": residual,
     }
     text = _json(record) + "\n" if args.format == "json" else _csv([record])
-    return _emit(text, args.out)
+    _emit(text, args.out)
+    return 0
 
 
 def _cmd_sweep(args) -> int:
     kappas = _parse_reals(args.kappa, "--kappa")
     ts = _parse_reals(args.t, "--t")
-    n = int(args.n)
     for kap in kappas:
         for t in ts:
-            _check_params(kap, t, n)
+            _check_params(kap, t, args.n)
     if args.out is None:
         _usage_fail("sweep needs --out DIR")
 
@@ -248,17 +224,13 @@ def _cmd_sweep(args) -> int:
     outdir = Path(args.out)
     ext = "json" if args.format == "json" else "csv"
     entries = []
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        for index, (kap, t) in enumerate(points):
-            name = f"table_{index:03d}.{ext}"
-            _write(outdir / name, _render_table(kap, t, n, args.format))
-            entries.append({"index": index, "kappa": kap, "t": t, "path": name})
-        manifest = {"entries": entries, "n_max": n, "version": 1}
-        _write(outdir / "manifest.json", _json(manifest) + "\n")
-    except OSError as exc:
-        sys.stderr.write(f"error: cannot write to {args.out}: {exc}\n")
-        return 1
+    outdir.mkdir(parents=True, exist_ok=True)
+    for index, (kap, t) in enumerate(points):
+        name = f"table_{index:03d}.{ext}"
+        _write(outdir / name, _render_table(kap, t, args.n, args.format))
+        entries.append({"index": index, "kappa": kap, "t": t, "path": name})
+    manifest = {"entries": entries, "n_max": args.n, "version": 1}
+    _write(outdir / "manifest.json", _json(manifest) + "\n")
     return 0
 
 
@@ -268,12 +240,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="jacobiflow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_n=True):
-        p.add_argument("--kappa", help="trace asymmetry in (-1, 1)")
-        p.add_argument("--t", help="time parameter, positive")
+    def common(p, with_n=True, real=float):
+        p.add_argument("--kappa", type=real, help="trace asymmetry in (-1, 1)")
+        p.add_argument("--t", type=real, help="time parameter, positive")
         if with_n:
-            p.add_argument("--n", help=f"table order, 1..{MAX_ORDER} (default 16)")
-        p.add_argument("--format", choices=FORMATS, help="output format (default csv)")
+            p.add_argument("--n", type=int, default=16,
+                           help=f"table order, 1..{MAX_ORDER} (default 16)")
+        p.add_argument("--format", choices=FORMATS, default="csv",
+                       help="output format (default csv)")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--config", help="key=value config file (flags override)")
 
@@ -293,37 +267,37 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_integral)
 
     p = sub.add_parser("sweep", help="tables over a (kappa, t) grid plus manifest")
-    common(p)
-    p.set_defaults(func=_cmd_sweep, multi=True)
+    common(p, real=str)  # comma lists, parsed by _cmd_sweep
+    p.set_defaults(func=_cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     if args.config:
-        _merge(args, _load_config(args.config))
+        try:
+            config = _parse_config(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            _usage_fail(f"cannot read config file: {exc}")
+        # after the subcommand and before the user's flags, which thus win
+        tokens = [f"--{dest}={config[key]}" for key, dest in CONFIG_KEYS.items()
+                  if key in config and hasattr(args, dest)]
+        args = parser.parse_args(argv[:1] + tokens + argv[1:])
     if args.kappa is None or args.t is None:
         _usage_fail("--kappa and --t are required (flag or config file)")
-    if not getattr(args, "multi", False):  # sweep parses its own comma lists
-        try:
-            args.kappa = float(args.kappa)
-            args.t = float(args.t)
-        except ValueError:
-            _usage_fail(f"kappa and t must be reals, got {args.kappa!r}, {args.t!r}")
-    if hasattr(args, "n"):
-        if args.n is None:
-            args.n = 16
-        try:
-            args.n = int(args.n)
-        except ValueError:
-            _usage_fail(f"n must be an integer, got {args.n!r}")
-    if getattr(args, "format", None) is None:
-        args.format = "csv"
     try:
         return args.func(args)
+    except NoAdmissibleContourError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return CONTOUR_EXIT
     except (maps.ConvergenceError, contour.QuadratureError) as exc:
         sys.stderr.write(f"error: numerical failure: {exc}\n")
         return NUMERICAL_EXIT
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {args.out}: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -165,10 +165,11 @@ def pkm_residue(k: int, m: int, params: FlowParams, spec: ContourSpec) -> float:
     if m == 0 and spec.radius >= abs(kap):
         raise ValueError("for m = 0 the circle must exclude the origin pole")
 
+    # kappa goes inside: QUAD_TOL is absolute, and the rest is of size 1/|kappa|
     def integrand(w):
-        return w ** (m - 1) * (1 - w * w) ** k / (w - kap) ** (m + 1)
+        return kap * w ** (m - 1) * (1 - w * w) ** k / (w - kap) ** (m + 1)
 
-    return (kap * circle_quadrature(integrand, spec)).real
+    return circle_quadrature(integrand, spec).real
 
 
 def _contour_admissible(t, kap, z, rho, samples):
@@ -208,13 +209,14 @@ def _contour_admissible(t, kap, z, rho, samples):
 def admissible_contour(params: FlowParams, z) -> ContourSpec:
     """Search a circle radius around kappa satisfying all kernel conditions.
 
-    Starts at min((1-|kappa|)/4, |kappa|/2) and halves, down to
-    ``MIN_RADIUS``, until every check passes on the default
-    ``ContourSpec.samples`` nodes.  Failure raises NoAdmissibleContourError,
-    whose ``trail`` pairs each radius tried with the first condition that
-    rejected it: "(i) ellipse" ... "(vi) geometric ratio", or "domain"
-    when a map left its domain on the circle.  The caller is then near the
-    kernel zero set and the representation genuinely stops being available.
+    Tries rho0 = min((1-|kappa|)/4, |kappa|/2) first, even below
+    ``MIN_RADIUS``, then halves while the radius is at least ``MIN_RADIUS``,
+    until every check passes on the default ``ContourSpec.samples`` nodes.
+    Failure raises NoAdmissibleContourError, whose ``trail`` pairs each
+    radius tried with the first condition that rejected it: "(i) ellipse"
+    ... "(vi) geometric ratio", or "domain" when a map left its domain on
+    the circle.  The caller is then near the kernel zero set and the
+    representation genuinely stops being available.
     A Herglotz solve that does not converge is a numerical failure, not
     this obstruction, and propagates as ConvergenceError.
     """
@@ -227,7 +229,7 @@ def admissible_contour(params: FlowParams, z) -> ContourSpec:
     t = float(params.t)
     rho = min((1 - abs(kap)) / 4, abs(kap) / 2)
     trail = []
-    while rho >= MIN_RADIUS:
+    while rho >= MIN_RADIUS or not trail:
         failed = _contour_admissible(t, kap, z, rho, ContourSpec.samples)
         if failed is None:
             return ContourSpec(complex(kap), rho)

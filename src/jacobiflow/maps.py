@@ -4,9 +4,10 @@ Principal branches everywhere: every square root validates its argument
 against the cut and fails loudly instead of switching sheets.  The inverse
 Herglotz problem (find Z in the right half-plane Jordan domain with
 xi(Z) = y) is solved by Newton iteration seeded from the Taylor series of
-the transform.  Arguments beyond |y| = 0.5 are reached by radial
-continuation: all of them walk outward along their own rays in lockstep,
-one array-wide Newton solve per step.
+the transform.  One loop serves every argument: a first array-wide Newton
+solve, seeded from the series, reaches y itself when |y| <= 0.5 and
+0.5 y/|y| otherwise; the points beyond |y| = 0.5 then walk outward along
+their own rays in lockstep, one array-wide Newton solve per step.
 """
 
 from __future__ import annotations
@@ -117,24 +118,6 @@ def _newton_solve(t, seeds, targets):
     return Z
 
 
-def _continuation(t, y):
-    # walk every point outward along its own ray from |y| = 0.5 in lockstep:
-    # the points still short of their |y| share the radius r, and each step
-    # is seeded by the previous solution
-    radius = np.abs(y)
-    phase = y / radius
-    r = CONTINUATION_START
-    target = r * phase
-    Z = _newton_solve(t, np.polyval(_seed_poly(t), target), target)
-    moving = radius > r
-    while moving.any():
-        r += CONTINUATION_STEP
-        target = np.minimum(r, radius[moving]) * phase[moving]
-        Z[moving] = _newton_solve(t, Z[moving], target)
-        moving = radius > r
-    return Z
-
-
 def herglotz_k(t: float, y):
     """Herglotz transform K of the time-2t free unitary Brownian motion:
     the unique point of the right-half-plane Jordan domain with xi(K(y)) = y.
@@ -145,15 +128,21 @@ def herglotz_k(t: float, y):
         raise ValueError(f"time must be positive and finite, got {t}")
     arr = np.asarray(y, dtype=complex)
     flat = arr.reshape(-1)
-    if not np.all(np.abs(flat) < 1):
+    radius = np.abs(flat)
+    if not np.all(radius < 1):
         raise DomainError("Herglotz transform needs |y| < 1")
-    out = np.empty(flat.shape, dtype=complex)
-    small = np.abs(flat) <= CONTINUATION_START
-    if small.any():
-        pts = flat[small]
-        out[small] = _newton_solve(t, np.polyval(_seed_poly(t), pts), pts)
-    if not small.all():
-        out[~small] = _continuation(t, flat[~small])
+    # far points start at radius r = 0.5 on their own ray; the points still
+    # short of their |y| then share the radius r, each step seeded by the last
+    r = CONTINUATION_START
+    far = moving = radius > r
+    phase = np.divide(flat, radius, out=np.zeros_like(flat), where=far)
+    target = np.where(far, r * phase, flat)
+    out = _newton_solve(t, np.polyval(_seed_poly(t), target), target)
+    while moving.any():
+        r += CONTINUATION_STEP
+        target = np.minimum(r, radius[moving]) * phase[moving]
+        out[moving] = _newton_solve(t, out[moving], target)
+        moving = radius > r
     if arr.ndim == 0:
         return complex(out[0])
     return out.reshape(arr.shape)

@@ -97,6 +97,18 @@ class TestPkmResidue:
                 want = (-1) ** m * float(pnm_poly(k, m)(eps))
                 assert pkm_residue(k, m, p, spec) == pytest.approx(want, abs=1e-10)
 
+    @pytest.mark.parametrize("kappa", [5e-4, 1e-5, 1e-7])
+    def test_small_kappa(self, kappa):
+        # the integrand is of size 1/kappa before its factor kappa; the
+        # quadrature's absolute tolerance must see the product
+        p = FlowParams(kappa, 1.0)
+        spec = ContourSpec(complex(kappa), kappa / 2, 64)
+        eps = Fraction(kappa) ** 2
+        for k in (1, 6, 12):
+            for m in (0, 4, 8):
+                want = (-1) ** m * float(pnm_poly(k, m)(eps))
+                assert pkm_residue(k, m, p, spec) == pytest.approx(want, abs=1e-10)
+
     def test_validation(self):
         p = FlowParams(0.5, 1.0)
         with pytest.raises(ValueError):
@@ -148,6 +160,19 @@ class TestAdmissibleContour:
         assert err.value.trail == [(rho0 / 2**k, "(vi) geometric ratio") for k in range(15)]
         assert rho0 / 2**15 < contour.MIN_RADIUS <= rho0 / 2**14
         assert str(err.value) == "no admissible circle around kappa=0.9 for z=(0.2+0j)"
+
+    def test_rho0_below_min_radius_is_tried(self):
+        # rho0 = |kappa| / 2 = 5e-8 lies below MIN_RADIUS and is admissible
+        p = FlowParams(1e-7, 1.0)
+        assert contour.MIN_RADIUS > 5e-8
+        assert admissible_contour(p, 0.03).radius == 5e-8
+        assert m_integral(p, 0.03) == pytest.approx(m_series_coeffs(p, 16)(0.03), abs=1e-14)
+
+    def test_rho0_below_min_radius_trail(self):
+        # at |kappa| <= 1e-8 condition (iv)'s absolute margin rejects rho0
+        with pytest.raises(NoAdmissibleContourError) as err:
+            admissible_contour(FlowParams(1e-9, 1.0), 0.05)
+        assert err.value.trail == [(5e-10, "(iv) kernel zero")]
 
     def test_failing_condition_is_named(self):
         # rho0 = 0.1 sends part of the circle to |y| >= 1; its half is admissible

@@ -165,6 +165,22 @@ class TestBatchedContinuation:
         assert calls[0] == 512
         assert len(calls) <= 2 + steps
 
+    def test_near_and_far_share_the_first_solve(self, monkeypatch):
+        # near points are solved at y, far ones at 0.5 y/|y| in the same
+        # call; y = 0 is never divided by its modulus, so nothing warns
+        calls = []
+        solve = maps._newton_solve
+
+        def counting(t, seeds, targets):
+            calls.append(len(targets))
+            return solve(t, seeds, targets)
+
+        monkeypatch.setattr(maps, "_newton_solve", counting)
+        ys = np.array([0, 0.3, -0.5, 0.5j, 0.7j, -0.95])
+        herglotz_k(1.0, ys)
+        assert calls[0] == 6
+        assert set(calls[1:]) <= {1, 2}
+
     def test_one_failing_point_fails_the_batch(self):
         # at t = 8 the absolute Newton tolerance cannot be met near the
         # positive real axis, while the left half of the circle converges

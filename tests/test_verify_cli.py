@@ -397,6 +397,119 @@ class TestCliSweep:
         assert (out / "table_000.csv").read_text() == single
 
 
+def _run(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+class TestFailureClasses:
+    """Every failure class a subcommand can reach ends in its exit code and
+    a fixed number of stderr lines, never in a traceback."""
+
+    USAGE = "usage: jacobiflow "
+
+    @pytest.mark.parametrize(
+        "argv,code,prefix,lines",
+        [
+            (["coeffs", "--kappa", "abc", "--t", "1"], 64, USAGE, 2),
+            (["coeffs", "--kappa", "0.5", "--t", "1", "--n", "1.5"], 64, USAGE, 2),
+            (["coeffs", "--kappa", "0.5", "--t", "1", "--format", "xml"], 64, USAGE, 2),
+            (["coeffs", "--kappa", "1.5", "--t", "1"], 64, "error: kappa must lie in", 1),
+            (["coeffs", "--kappa", "0.5", "--t", "1", "--n", "65"], 64,
+             "error: truncation order is capped at 64", 1),
+            (["coeffs", "--t", "1"], 64, "error: --kappa and --t are required", 1),
+            (["coeffs", "--kappa", "0.5", "--t", "1", "--config", "{tmp}/none.cfg"], 64,
+             "error: cannot read config file", 1),
+            (["coeffs", "--config", "{tmp}/latin1.cfg"], 64, "error: cannot read config file", 1),
+            (["coeffs", "--kappa", "0.5", "--t", "1", "--out", "{tmp}/missing/a.csv"], 1,
+             "error: cannot write {tmp}/missing/a.csv: ", 1),
+            (["verify", "--kappa", "0.5", "--t", "0"], 64, "error: t must be positive", 1),
+            (["verify", "--kappa", "0.4", "--t", "0.8", "--out", "{tmp}/missing/v.txt"], 1,
+             "error: cannot write {tmp}/missing/v.txt: ", 1),
+            (["verify", "--kappa", "1e-9", "--t", "1"], 2, "error: no admissible circle", 1),
+            (["verify", "--kappa", "0.5", "--t", "8"], 3, "error: numerical failure: ", 1),
+            (["integral", "--kappa", "0.5", "--t", "1", "--z", "1,1"], 64,
+             "error: z must lie in the open unit disc", 1),
+            (["integral", "--kappa", "0.5", "--t", "1", "--z", "0.1,0.1,0.1"], 64,
+             "error: --z expects re[,im]", 1),
+            (["integral", "--kappa", "0.5", "--t", "1", "--z", "0.03",
+              "--out", "{tmp}/missing/i.csv"], 1, "error: cannot write {tmp}/missing/i.csv: ", 1),
+            (["integral", "--kappa", "0.9", "--t", "0.5", "--z", "0.2"], 2,
+             "error: no admissible circle", 1),
+            (["integral", "--kappa", "0.5", "--t", "10", "--z", "0.03"], 3,
+             "error: numerical failure: ", 1),
+            (["sweep", "--kappa", "0.5,x", "--t", "1", "--out", "{tmp}/s"], 64,
+             "error: --kappa expects comma-separated reals", 1),
+            (["sweep", "--kappa", "0.5", "--t", "1"], 64, "error: sweep needs --out", 1),
+            (["sweep", "--kappa", "0.5", "--t", "1", "--n", "2", "--out", "{tmp}/file/s"], 1,
+             "error: cannot write {tmp}/file/s: ", 1),
+        ],
+    )
+    def test_exit_code_and_one_message(self, argv, code, prefix, lines, tmp_path, capsys,
+                                       monkeypatch):
+        monkeypatch.setenv("COLUMNS", "400")  # one usage line, whatever the terminal
+        (tmp_path / "file").write_text("")
+        (tmp_path / "latin1.cfg").write_bytes("kappa=0.5\nt=1\n# \u00e9\n".encode("latin-1"))
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        got, out, err = _run(argv, capsys)
+        assert (got, out) == (code, "")
+        assert err.startswith(prefix.format(tmp=tmp_path)), err
+        assert err.count("\n") == lines and err.endswith("\n")
+
+
+class TestOneParse:
+    """A config value goes through the same argparse conversion as the flag
+    it fills: same exit code, stdout and stderr, good value or bad."""
+
+    EXTRA = {"coeffs": [], "verify": [], "integral": ["--z", "0.03"],
+             "sweep": ["--out", "{dir}"]}
+    FLAGS = {"kappa": "--kappa", "t": "--t", "n_max": "--n", "format": "--format"}
+    GOOD = {"kappa": "0.5", "t": "1", "n_max": "3", "format": "json"}
+
+    def _run_in(self, command, source, out, capsys):
+        extra = [a.format(dir=out) for a in self.EXTRA[command]]
+        code, stdout, stderr = _run([command, *source, *extra], capsys)
+        files = sorted((p.name, p.read_bytes()) for p in out.iterdir()) if out.exists() else []
+        return code, stdout, stderr.replace(str(out), "DIR"), files
+
+    def _flags(self, command, values):
+        return [part for key, value in values.items()
+                if key != "n_max" or command in ("coeffs", "sweep")
+                for part in (self.FLAGS[key], value)]
+
+    def _config(self, tmp_path, values):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        return ["--config", str(cfg)]
+
+    @pytest.mark.parametrize("command", ["coeffs", "verify", "integral", "sweep"])
+    @pytest.mark.parametrize(
+        "bad", [{}, {"kappa": "abc"}, {"n_max": "1.5"}, {"format": "xml"}]
+    )
+    def test_config_equals_flags(self, command, bad, tmp_path, capsys):
+        values = {**self.GOOD, **bad}
+        from_config = self._run_in(command, self._config(tmp_path, values),
+                                   tmp_path / "config", capsys)
+        from_flags = self._run_in(command, self._flags(command, values),
+                                  tmp_path / "flags", capsys)
+        assert from_config == from_flags
+        skipped = command in ("verify", "integral") and "n_max" in bad
+        assert (from_config[0] == 0) == (not bad or skipped)
+
+    @pytest.mark.parametrize("command", ["coeffs", "verify", "integral", "sweep"])
+    def test_flags_override_config(self, command, tmp_path, capsys):
+        other = {"kappa": "0.3", "t": "2", "n_max": "5", "format": "csv"}
+        flags = self._flags(command, self.GOOD)
+        both = self._run_in(command, self._config(tmp_path, other) + flags,
+                            tmp_path / "both", capsys)
+        assert both[0] == 0
+        assert both == self._run_in(command, flags, tmp_path / "flags", capsys)
+
+
 class TestPinnedBytes:
     """Exact output bytes: 17 significant digits, key order, separators."""
 
