@@ -10,7 +10,8 @@ The doubled grids are nested: node 2k of the 2n-node grid is node k of the
 n-node grid, bit for bit, since 2 pi (2k) / 2n = 2 pi k / n exactly in
 binary64.  So the Herglotz kernel K is solved once per distinct node of a
 circle: each doubling solves only its new odd nodes, and the nodes with K
-are kept in a small bounded cache shared by the admissibility check, every
+and the root R = r_func(z, w), formed once with the kernel argument y, are
+kept in a small bounded cache shared by the admissibility check, every
 doubling of both integral forms, and the kernel checks.  The cached arrays
 are read-only.
 """
@@ -26,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .flow import FlowParams
-from .maps import DomainError, herglotz_k, r_func, y_func
+from .maps import DomainError, _y_and_r, herglotz_k, r_func
 from .report import VerifyEntry
 from .specfun import jacobi_poly, laguerre
 
@@ -46,6 +47,10 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, last_two=None):
         super().__init__(message)
         self.last_two = last_two
+
+
+class _OutsideDisc(DomainError):
+    """A node's kernel argument y left the open unit disc: condition (iii)."""
 
 
 class NoAdmissibleContourError(RuntimeError):
@@ -122,13 +127,22 @@ def circle_quadrature(f, spec: ContourSpec) -> complex:
 
 
 def _kernel(t: float, z: complex, spec: ContourSpec, n: int):
-    """Nodes w of the n-node grid of ``spec`` and K(y(z, w)) there, read-only."""
+    """Nodes w of the n-node grid of ``spec``, K(y(z, w)) and R = r_func(z, w)
+    there, all read-only."""
     # the key holds z's bit pattern, so z = x + 0j and x - 0j stay apart
     return _kernel_cached(t, struct.pack("<2d", z.real, z.imag), spec, n)
 
 
+def _solve_nodes(t, z, w):
+    """K and R on the nodes w; y is formed once, and R with it."""
+    y, R = _y_and_r(z, w)
+    if np.any(np.abs(y) >= 1):
+        raise _OutsideDisc("kernel argument left the unit disc on the circle")
+    return herglotz_k(t, y), R
+
+
 # eight grids hold the 256- and 512-node levels of a few points at once;
-# an entry of 512 nodes keeps 16 KB
+# an entry of 512 nodes keeps 24 KB
 @lru_cache(maxsize=8)
 def _kernel_cached(t, z_bits, spec, n):
     z = complex(*struct.unpack("<2d", z_bits))
@@ -136,13 +150,14 @@ def _kernel_cached(t, z_bits, spec, n):
     if n > spec.samples:
         # the even nodes are the n/2 grid's nodes; solve only the odd ones
         K = np.empty(n, dtype=complex)
-        K[0::2] = _kernel_cached(t, z_bits, spec, n // 2)[1]
-        K[1::2] = herglotz_k(t, y_func(z, w[1::2]))
+        R = np.empty(n, dtype=complex)
+        _, K[0::2], R[0::2] = _kernel_cached(t, z_bits, spec, n // 2)
+        K[1::2], R[1::2] = _solve_nodes(t, z, w[1::2])
     else:
-        K = herglotz_k(t, y_func(z, w))
-    w.flags.writeable = False
-    K.flags.writeable = False
-    return w, K
+        K, R = _solve_nodes(t, z, w)
+    for a in (w, K, R):
+        a.flags.writeable = False
+    return w, K, R
 
 
 def pkm_residue(k: int, m: int, params: FlowParams, spec: ContourSpec) -> float:
@@ -186,15 +201,14 @@ def _contour_admissible(t, kap, z, rho, samples):
     if np.any((v.real <= 0) & (np.abs(v.imag) <= 1e-12)):
         return "(ii) branch cut"
     try:
-        y = y_func(z, w)
-        # (iii) kernel argument inside the disc
-        if np.any(np.abs(y) >= 1):
-            return "(iii) kernel argument"
         K = _kernel(t, z, spec, samples)[1]
+    except _OutsideDisc:
+        # (iii) kernel argument inside the disc
+        return "(iii) kernel argument"
     except DomainError:
         return "domain"
-    # (iv) kernel zero set stays away from the circle
-    if np.min(np.abs(w * K - kap)) <= KERNEL_MARGIN:
+    # (iv) kernel zero set stays away from the circle, relative to |kappa|
+    if np.min(np.abs(w * K - kap)) <= KERNEL_MARGIN * abs(kap):
         return "(iv) kernel zero"
     # (v) origin excluded, needed whenever the 1/w integrand form is used
     if not rho < abs(kap):
@@ -278,13 +292,12 @@ def m_integral_detailed(
     max_ratio = [0.0]
 
     def level(n):
-        w, K = _kernel(t, z, spec, n)
+        w, K, rr = _kernel(t, z, spec, n)
         den = t * K * K + (2 - t)
         min_den[0] = min(min_den[0], float(np.min(np.abs(den))))
         max_ratio[0] = max(
             max_ratio[0], float(np.max(np.abs(w * (1 - K) / (w - kap))))
         )
-        rr = r_func(z, w)
         core = (K * K - 1) / (den * (w * K - kap))
         if form == "corollary":
             return w, K * core / rr

@@ -7,7 +7,14 @@ xi(Z) = y) is solved by Newton iteration seeded from the Taylor series of
 the transform.  One loop serves every argument: a first array-wide Newton
 solve, seeded from the series, reaches y itself when |y| <= 0.5 and
 0.5 y/|y| otherwise; the points beyond |y| = 0.5 then walk outward along
-their own rays in lockstep, one array-wide Newton solve per step.
+their own rays by predictor-corrector continuation (Allgower & Georg, ch. 2).
+Each step is seeded by the tangent predictor K + (y1 - y0)/xi'(K), with the
+slope xi'(K) left over from the Newton iteration that found K, and corrected
+by Newton.  Every point keeps its own step: the first is 0.5, which reaches
+y at once; a rejected step is halved for that point alone and an accepted
+one doubled, and below 1/64 the point fails.  All points still moving share
+one array-wide solve per round, and since no point's steps depend on the
+others, K(y) does not depend on the batch y arrives in.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 50
 SEED_TERMS = 20
 CONTINUATION_START = 0.5
-CONTINUATION_STEP = 0.05
+MAX_STEP = 0.5
+MIN_STEP = 1 / 64
 
 
 class DomainError(ValueError):
@@ -99,23 +107,26 @@ def _seed_poly(t: float):
 
 
 def _newton_solve(t, seeds, targets):
+    """Newton iteration for xi(Z) = targets from the seeds, each point on
+    its own: one that meets the tolerance stays put while the others go on.
+
+    Returns the iterates Z, the slopes xi'(Z) there, a mask of the points
+    that converged, and the number of iterations, each one evaluation of xi
+    on the batch (at most NEWTON_MAX_ITER + 1).
+    """
     Z = np.array(seeds, dtype=complex)
-    for _ in range(NEWTON_MAX_ITER + 1):
-        # xi and its derivative share e^{tZ} and Z + 1
-        E = np.exp(t * Z)
-        P = Z + 1
-        F = (Z - 1) / P * E - targets
-        done = np.abs(F) <= NEWTON_TOL
-        if done.all():
-            break
-        Z = np.where(done, Z, Z - F / (E * (2 + t * (Z * Z - 1)) / (P * P)))
-    else:
-        raise ConvergenceError(
-            "Newton inversion of the exponential map did not converge", last=Z
-        )
-    if np.any(Z.real <= 0):
-        raise ConvergenceError("Newton iterate left the right half-plane", last=Z)
-    return Z
+    # a stray iterate may overflow e^{tZ}; it then fails its own test only
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, NEWTON_MAX_ITER + 2):
+            # xi and its derivative share e^{tZ} and Z + 1
+            E = np.exp(t * Z)
+            P = Z + 1
+            F = (Z - 1) / P * E - targets
+            slope = E * (2 + t * (Z * Z - 1)) / (P * P)
+            done = np.abs(F) <= NEWTON_TOL
+            if done.all() or iterations > NEWTON_MAX_ITER:
+                return Z, slope, done, iterations
+            Z = np.where(done, Z, Z - F / slope)
 
 
 def herglotz_k(t: float, y):
@@ -123,6 +134,10 @@ def herglotz_k(t: float, y):
     the unique point of the right-half-plane Jordan domain with xi(K(y)) = y.
 
     Accepts complex scalars or arrays with entries in the open unit disc.
+    Raises ConvergenceError when the first Newton solve fails at a point, or
+    when a point's continuation step is rejected below ``MIN_STEP``: a step
+    is rejected when Newton fails, the iterate leaves the right half-plane,
+    or the corrector |Z - seed| exceeds the predictor increment |seed - K|.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
@@ -131,21 +146,42 @@ def herglotz_k(t: float, y):
     radius = np.abs(flat)
     if not np.all(radius < 1):
         raise DomainError("Herglotz transform needs |y| < 1")
-    # far points start at radius r = 0.5 on their own ray; the points still
-    # short of their |y| then share the radius r, each step seeded by the last
-    r = CONTINUATION_START
-    far = moving = radius > r
+    # far points start at radius 0.5 on their own ray
+    far = radius > CONTINUATION_START
     phase = np.divide(flat, radius, out=np.zeros_like(flat), where=far)
-    target = np.where(far, r * phase, flat)
-    out = _newton_solve(t, np.polyval(_seed_poly(t), target), target)
-    while moving.any():
-        r += CONTINUATION_STEP
-        target = np.minimum(r, radius[moving]) * phase[moving]
-        out[moving] = _newton_solve(t, out[moving], target)
-        moving = radius > r
+    reached = np.where(far, CONTINUATION_START * phase, flat)
+    K, slope, ok, _ = _newton_solve(t, np.polyval(_seed_poly(t), reached), reached)
+    if not ok.all():
+        raise ConvergenceError(
+            "Newton inversion of the exponential map did not converge", last=K
+        )
+    if np.any(K.real <= 0):
+        raise ConvergenceError("Newton iterate left the right half-plane", last=K)
+    # each far point walks on along its ray with a step of its own, from
+    # reached = xi(K) to target
+    r = np.full(flat.shape, CONTINUATION_START)
+    step = np.full(flat.shape, MAX_STEP)
+    moving = np.flatnonzero(far)
+    while moving.size:
+        r_next = np.minimum(r[moving] + step[moving], radius[moving])
+        target = np.where(r_next < radius[moving], r_next * phase[moving], flat[moving])
+        start = K[moving]
+        seed = start + (target - reached[moving]) / slope[moving]
+        Z, Z_slope, ok, _ = _newton_solve(t, seed, target)
+        ok &= (Z.real > 0) & (np.abs(Z - seed) <= np.abs(seed - start))
+        won, lost = moving[ok], moving[~ok]
+        K[won], slope[won], reached[won] = Z[ok], Z_slope[ok], target[ok]
+        r[won] = r_next[ok]
+        step[won] = np.minimum(2 * step[won], MAX_STEP)
+        step[lost] /= 2
+        if np.any(step[lost] < MIN_STEP):
+            raise ConvergenceError(
+                f"Herglotz continuation step fell below {MIN_STEP}", last=Z[~ok]
+            )
+        moving = moving[r[moving] < radius[moving]]
     if arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(arr.shape)
+        return complex(K[0])
+    return K.reshape(arr.shape)
 
 
 # -- flow maps ---------------------------------------------------------------
@@ -211,17 +247,23 @@ def r_func(z, w):
     return complex(out) if (zs.ndim == 0 and ws.ndim == 0) else out
 
 
-def y_func(z, w):
-    """Kernel argument 4 z (1 - w**2) / (1 + z + R)**2 fed to the Herglotz
-    transform; equals (1 + z - R)/(1 + z + R)."""
+def _y_and_r(z, w):
+    """The kernel argument y of :func:`y_func` and the root R = r_func(z, w)
+    it is formed from, both as arrays."""
     zs = np.asarray(z, dtype=complex)
     ws = np.asarray(w, dtype=complex)
-    rr = r_func(zs, ws)
+    rr = np.asarray(r_func(zs, ws))
     den = 1 + zs + rr
     if np.any(den == 0):
         raise DomainError("degenerate kernel denominator 1 + z + R = 0")
-    out = 4 * zs * (1 - ws * ws) / (den * den)
-    return complex(out) if (zs.ndim == 0 and ws.ndim == 0) else out
+    return 4 * zs * (1 - ws * ws) / (den * den), rr
+
+
+def y_func(z, w):
+    """Kernel argument 4 z (1 - w**2) / (1 + z + R)**2 fed to the Herglotz
+    transform; equals (1 + z - R)/(1 + z + R)."""
+    out = _y_and_r(z, w)[0]
+    return complex(out) if out.ndim == 0 else out
 
 
 def m_zero(t: float, z):

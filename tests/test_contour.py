@@ -22,7 +22,7 @@ from jacobiflow.contour import (
     pkm_residue,
 )
 from jacobiflow.flow import FlowParams, m_series_coeffs, pnm_poly
-from jacobiflow.maps import DomainError, herglotz_k, m_zero, y_func
+from jacobiflow.maps import DomainError, herglotz_k, m_zero, r_func, y_func
 
 
 class TestContourSpec:
@@ -169,10 +169,13 @@ class TestAdmissibleContour:
         assert m_integral(p, 0.03) == pytest.approx(m_series_coeffs(p, 16)(0.03), abs=1e-14)
 
     def test_rho0_below_min_radius_trail(self):
-        # at |kappa| <= 1e-8 condition (iv)'s absolute margin rejects rho0
-        with pytest.raises(NoAdmissibleContourError) as err:
-            admissible_contour(FlowParams(1e-9, 1.0), 0.05)
-        assert err.value.trail == [(5e-10, "(iv) kernel zero")]
+        # condition (iv)'s margin scales with |kappa|, so rho0 = |kappa|/2
+        # is admitted at |kappa| <= 1e-8 too
+        for kappa in (1e-9, 1e-12, 1e-15):
+            p = FlowParams(kappa, 1.0)
+            assert admissible_contour(p, 0.05).radius == kappa / 2
+            want = m_series_coeffs(p, 16)(0.05)
+            assert m_integral(p, 0.05) == pytest.approx(want, abs=1e-14)
 
     def test_failing_condition_is_named(self):
         # rho0 = 0.1 sends part of the circle to |y| >= 1; its half is admissible
@@ -326,19 +329,22 @@ class TestSharedKernel:
         spec = ContourSpec(0.2 + 0j, 0.1, 256)
         z = 0.7 + 0.1j
         contour._kernel_cached.cache_clear()
-        w, K = contour._kernel(1.7, z, spec, n)
+        w, K, R = contour._kernel(1.7, z, spec, n)
         direct_w = contour_nodes(spec, n)
         assert w.tobytes() == direct_w.tobytes()
         assert K.tobytes() == herglotz_k(1.7, y_func(z, direct_w)).tobytes()
+        assert R.tobytes() == r_func(z, direct_w).tobytes()
 
     def test_arrays_are_read_only(self):
         spec = ContourSpec(0.5 + 0j, 0.125, 256)
         for n in (256, 512):
-            w, K = contour._kernel(1.0, 0.03 + 0j, spec, n)
+            w, K, R = contour._kernel(1.0, 0.03 + 0j, spec, n)
             with pytest.raises(ValueError):
                 K[0] = 0
             with pytest.raises(ValueError):
                 w[1] = 0
+            with pytest.raises(ValueError):
+                R[2] = 0
 
     def test_signed_zero_points_stay_apart(self):
         spec = ContourSpec(0.5 + 0j, 0.125, 256)

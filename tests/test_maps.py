@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jacobiflow import maps
+from jacobiflow import contour, maps
+from jacobiflow.contour import m_integral
 from jacobiflow.flow import FlowParams, phi_inv_coeffs
 from jacobiflow.maps import (
     ConvergenceError,
@@ -149,45 +150,116 @@ class TestBatchedContinuation:
         single = np.array([[herglotz_k(1.3, complex(y)) for y in row] for row in ys])
         np.testing.assert_allclose(out, single, rtol=1e-14, atol=0)
 
-    def test_far_points_share_each_solve(self, monkeypatch):
-        calls = []
-        solve = maps._newton_solve
-
-        def counting(t, seeds, targets):
-            calls.append(len(targets))
-            return solve(t, seeds, targets)
-
-        monkeypatch.setattr(maps, "_newton_solve", counting)
+    def test_far_points_share_each_solve(self, count_solves):
+        # one solve at |y| or 0.5, then one predicted step of 0.5 takes every
+        # far point to its y when no step is rejected
         rng = np.random.default_rng(5)
         ys = rng.uniform(0.51, 0.99, 512) * np.exp(2j * np.pi * rng.uniform(size=512))
         herglotz_k(1.0, ys)
-        steps = math.ceil((0.99 - maps.CONTINUATION_START) / maps.CONTINUATION_STEP)
-        assert calls[0] == 512
-        assert len(calls) <= 2 + steps
+        assert [size for size, _ in count_solves] == [512, 512]
 
-    def test_near_and_far_share_the_first_solve(self, monkeypatch):
+    def test_near_and_far_share_the_first_solve(self, count_solves):
         # near points are solved at y, far ones at 0.5 y/|y| in the same
         # call; y = 0 is never divided by its modulus, so nothing warns
-        calls = []
-        solve = maps._newton_solve
-
-        def counting(t, seeds, targets):
-            calls.append(len(targets))
-            return solve(t, seeds, targets)
-
-        monkeypatch.setattr(maps, "_newton_solve", counting)
         ys = np.array([0, 0.3, -0.5, 0.5j, 0.7j, -0.95])
         herglotz_k(1.0, ys)
-        assert calls[0] == 6
-        assert set(calls[1:]) <= {1, 2}
+        assert [size for size, _ in count_solves] == [6, 2]
+
+    def test_integral_takes_four_solves(self, count_solves):
+        # two herglotz_k calls, the admissibility grid and the odd nodes of
+        # its one doubling, each a solve at |y| or 0.5 and one predicted step
+        contour._kernel_cached.cache_clear()
+        m_integral(FlowParams(0.2, 1.7), 0.7 + 0.1j)
+        contour._kernel_cached.cache_clear()
+        assert len(count_solves) <= 4
+        assert sum(iterations for _, iterations in count_solves) <= 15
+
+    def test_rejected_step_is_halved_for_its_point_only(self, count_solves):
+        # at t = 0.01 the step 0.5 -> 0.83 is rejected by the corrector test;
+        # y = 0.83 retries 0.5 -> 0.75 and 0.75 -> 0.83 alone, and every
+        # point keeps the bits of a call of its own
+        t = 0.01
+        ys = np.array([0.83, 0.6j, -0.7, 0.3 - 0.8j, 0.2])
+        batch = herglotz_k(t, ys)
+        assert [size for size, _ in count_solves] == [5, 4, 1, 1]
+        for y, k in zip(ys, batch):
+            count_solves.clear()
+            assert herglotz_k(t, complex(y)) == k
+            assert len(count_solves) == (4 if y == 0.83 else 1 if abs(y) <= 0.5 else 2)
 
     def test_one_failing_point_fails_the_batch(self):
-        # at t = 8 the absolute Newton tolerance cannot be met near the
-        # positive real axis, while the left half of the circle converges
+        # at t = 8 the absolute Newton tolerance cannot be met on part of
+        # the circle |y| = 0.9, while its left half converges
         good = 0.9 * np.exp(2j * np.pi * np.arange(5, 12) / 16)
         assert np.all(herglotz_k(8.0, good).real > 0)
         with pytest.raises(ConvergenceError):
-            herglotz_k(8.0, np.append(good, 0.9))
+            herglotz_k(8.0, np.append(good, 0.9 * cmath.exp(2j * math.pi / 16)))
+
+    @pytest.mark.parametrize("t", [8.0, 10.0, 20.0])
+    def test_hopeless_circle_still_fails(self, t):
+        with pytest.raises(ConvergenceError):
+            herglotz_k(t, 0.9 * np.exp(2j * np.pi * np.arange(16) / 16))
+
+    def test_real_point_at_large_time_converges(self):
+        # the predicted step from 0.5 reaches y = 0.9 at t = 8, on the root
+        # a 40-digit solve finds
+        mpmath = pytest.importorskip("mpmath")
+        K = herglotz_k(8.0, 0.9)
+        with mpmath.workdps(40):
+            root = mpmath.findroot(
+                lambda Z: (Z - 1) / (Z + 1) * mpmath.exp(8 * Z) - mpmath.mpf(0.9), K
+            )
+        assert abs(K - complex(root)) <= 5e-17
+
+    @pytest.mark.parametrize("t", [0.01, 0.1, 0.5, 1.0, 1.7, 2.5, 5.0])
+    def test_same_branch_as_fixed_steps(self, t):
+        # the adaptive continuation lands on the root the fixed steps of 0.05
+        # reach, to 1e-12 relative; where the two differ by more, the fixed
+        # steps are the ones off a 40-digit root
+        radii = np.array([0.0, 0.1, 0.3, 0.5, 0.6, 0.75, 0.9, 0.95, 0.99])
+        ys = (radii[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)).ravel()
+        new, ref = herglotz_k(t, ys), _reference_herglotz(t, ys)
+        off = np.flatnonzero(np.abs(new - ref) > 1e-12 * np.abs(ref))
+        assert len(off) <= 2
+        if off.size:
+            mpmath = pytest.importorskip("mpmath")
+        for i in off:
+            with mpmath.workdps(40):
+                root = complex(mpmath.findroot(
+                    lambda Z: (Z - 1) / (Z + 1) * mpmath.exp(t * Z) - mpmath.mpc(ys[i]), ref[i]
+                ))
+            assert abs(new[i] - root) <= 1e-12 * abs(root) < abs(ref[i] - root)
+
+
+def _reference_herglotz(t, ys):
+    """K by fixed continuation steps of 0.05 from radius 0.5, each seeded
+    with the last K, all far points in lockstep."""
+    flat = np.asarray(ys, dtype=complex).reshape(-1)
+    radius = np.abs(flat)
+
+    def solve(seeds, targets):
+        Z = np.array(seeds, dtype=complex)
+        for _ in range(maps.NEWTON_MAX_ITER + 1):
+            E = np.exp(t * Z)
+            P = Z + 1
+            F = (Z - 1) / P * E - targets
+            done = np.abs(F) <= maps.NEWTON_TOL
+            if done.all():
+                return Z
+            Z = np.where(done, Z, Z - F / (E * (2 + t * (Z * Z - 1)) / (P * P)))
+        raise ConvergenceError("reference Newton iteration did not converge")
+
+    r = 0.5
+    far = moving = radius > r
+    phase = np.divide(flat, radius, out=np.zeros_like(flat), where=far)
+    target = np.where(far, r * phase, flat)
+    out = solve(np.polyval(maps._seed_poly(t), target), target)
+    while moving.any():
+        r += 0.05
+        target = np.minimum(r, radius[moving]) * phase[moving]
+        out[moving] = solve(out[moving], target)
+        moving = radius > r
+    return out
 
 
 def _reference_k_series_coeff(t: float, n: int) -> float:

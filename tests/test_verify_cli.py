@@ -430,7 +430,8 @@ class TestFailureClasses:
             (["verify", "--kappa", "0.5", "--t", "0"], 64, "error: t must be positive", 1),
             (["verify", "--kappa", "0.4", "--t", "0.8", "--out", "{tmp}/missing/v.txt"], 1,
              "error: cannot write {tmp}/missing/v.txt: ", 1),
-            (["verify", "--kappa", "1e-9", "--t", "1"], 2, "error: no admissible circle", 1),
+            (["integral", "--kappa", "0.9", "--t", "0.5", "--z", "0.2", "--form", "proposition"],
+             2, "error: no admissible circle", 1),
             (["verify", "--kappa", "0.5", "--t", "8"], 3, "error: numerical failure: ", 1),
             (["integral", "--kappa", "0.5", "--t", "1", "--z", "1,1"], 64,
              "error: z must lie in the open unit disc", 1),
@@ -459,6 +460,16 @@ class TestFailureClasses:
         assert (got, out) == (code, "")
         assert err.startswith(prefix.format(tmp=tmp_path)), err
         assert err.count("\n") == lines and err.endswith("\n")
+
+
+class TestTinyKappa:
+    @pytest.mark.parametrize("kappa", ["1e-9", "1e-12", "1e-15"])
+    def test_verify_passes(self, kappa, capsys):
+        # condition (iv)'s margin is relative to |kappa|, so a circle is
+        # admitted at |kappa| <= 1e-8 too
+        got, out, err = _run(["verify", "--kappa", kappa, "--t", "1", "--level", "full"], capsys)
+        assert (got, err) == (0, "")
+        assert out.endswith("PASS  overall: 50/50 checks passed\n")
 
 
 class TestOneParse:
@@ -576,15 +587,17 @@ class TestPinnedBytes:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, self.COEFFS_CSV, "")
 
+    # 2.2e-16 from bench/reference.py's 40-digit m_value, 0.1172430845497794
+    # - 0.010635895931860689i
     CONTOUR_CSV = (
         "value_re,value_im,form,radius,samples,forms_residual\n"
-        "0.1172430845497795,-0.010635895931860682,corollary,0.10000000000000001,"
-        "512,2.9642967751672169e-17\n"
+        "0.11724308454977962,-0.010635895931860654,corollary,0.10000000000000001,"
+        "512,1.2494826774184999e-16\n"
     )
     CONTOUR_JSON = (
-        '{"value_re":0.1172430845497795,"value_im":-0.010635895931860682,'
+        '{"value_re":0.11724308454977962,"value_im":-0.010635895931860654,'
         '"form":"corollary","radius":0.10000000000000001,"samples":512,'
-        '"forms_residual":2.9642967751672169e-17}\n'
+        '"forms_residual":1.2494826774184999e-16}\n'
     )
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
