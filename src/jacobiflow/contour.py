@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,7 +43,9 @@ MIN_RADIUS = 1e-6
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature hit the sample cap; carries the last two values."""
+    """The circle quadrature failed in binary64: its radius is not a normal
+    float, the integrand was not finite at a node, or the doubling hit the
+    sample cap (then ``last_two`` carries the last two values)."""
 
     def __init__(self, message, last_two=None):
         super().__init__(message)
@@ -83,6 +86,14 @@ class ContourSpec:
             raise ValueError(f"samples must be a power of two >= 16, got {s}")
 
 
+def _circle(kap: float, rho: float, samples: int) -> ContourSpec:
+    """The circle of radius rho around kappa; a radius below the least normal
+    float cannot place the nodes, a numerical failure, not a ValueError."""
+    if rho < sys.float_info.min:
+        raise QuadratureError(f"the circle radius {rho} around kappa={kap} is not a normal float")
+    return ContourSpec(complex(kap), rho, samples)
+
+
 def contour_nodes(spec: ContourSpec, count: int | None = None) -> np.ndarray:
     n = spec.samples if count is None else count
     theta = 2.0 * np.pi * np.arange(n) / n
@@ -95,12 +106,14 @@ def _adaptive_quadrature(level, spec: ContourSpec):
     values = []
     n = spec.samples
     while n <= MAX_SAMPLES:
-        w, fw = level(n)
+        # an overflow or a zero division shows as a value that is not finite
+        with np.errstate(all="ignore"):
+            w, fw = level(n)
         fw = np.asarray(fw, dtype=complex)
         if fw.shape != w.shape:
             raise ValueError("integrand must return one value per node")
         if not np.all(np.isfinite(fw)):
-            raise ValueError("integrand is not finite at a sample point")
+            raise QuadratureError("integrand is not finite at a sample point")
         values.append(complex(np.sum(fw * (w - spec.center)) / n))
         if len(values) >= 2:
             delta = abs(values[-1] - values[-2])
@@ -190,7 +203,7 @@ def pkm_residue(k: int, m: int, params: FlowParams, spec: ContourSpec) -> float:
 def _contour_admissible(t, kap, z, rho, samples):
     """None if the circle of radius rho around kappa passes conditions
     (i)-(vi) on its nodes, else the name of the first one it fails."""
-    spec = ContourSpec(complex(kap), rho, samples)
+    spec = _circle(kap, rho, samples)
     w = contour_nodes(spec)
     # (i) image of w -> 1 - 2 w**2 inside the convergence ellipse
     u = 1 - 2 * w * w

@@ -38,7 +38,14 @@ from functools import cache, lru_cache
 from itertools import accumulate
 
 from .powerseries import MAX_ORDER, TruncatedSeries
-from .specfun import _exact_div, binomial, pochhammer
+from .specfun import binomial, pochhammer
+
+
+def _exact_div(num, den):
+    """num / den, as a Fraction whenever both sides are exact integers."""
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
+    return num / den
 
 
 def _exp_neg_t(t) -> tuple[int, int]:

@@ -6,14 +6,14 @@ function about an expansion point ``base``:
     f(z) = c_0 + c_1 (z - base) + ... + c_N (z - base)**N.
 
 Operations use nothing but ring arithmetic of the entries, so the same code
-runs over complex binary64, exact Fractions and GaussianRationals.  Exact
-inputs give exact outputs, which makes the rational mode the oracle for the
-floating one.  The one exception to the generic loop is the product of two
-all-Fraction lists: it writes each operand as integer numerators over one
-common denominator, convolves the integers and reduces each output
-coefficient once, which gives the same Fractions with one gcd per
-coefficient instead of about two per term.  Every other coefficient type,
-int mixed with Fraction included, runs the ring loop.
+runs over complex binary64 and exact Fractions.  Exact inputs give exact
+outputs, which makes the rational mode the oracle for the floating one.
+The one exception to the generic loop is the product of two all-Fraction
+lists: it writes each operand as integer numerators over one common
+denominator, convolves the integers and reduces each output coefficient
+once, which gives the same Fractions with one gcd per coefficient instead
+of about two per term.  Every other coefficient type, int mixed with
+Fraction included, runs the ring loop.
 
 Compositional inversion (:func:`series_revert`) is done by Newton iteration
 with order doubling.  It never touches any closed-form coefficient formula,

@@ -6,44 +6,33 @@ p_k / q_k, a quotient of small integers, so a value of degree n costs O(n)
 multiplications.  The parameters (the Laguerre index, the Jacobi a and b)
 are real: int, Fraction or float, a float taken exactly.
 
-An argument (int, Fraction, float taken exactly, or GaussianRational) is
-split as r / s, and ``_term_sum`` runs the Horner steps
+A real argument (int, Fraction, or float taken exactly) is split as r / s,
+and ``_term_sum`` runs the Horner steps
 
     g_k = g_{k-1} p_k r,    acc_k = acc_{k-1} q_k s + g_k,    g_0 = acc_0 = 1,
 
-on integer (or Gaussian) numerators.  acc_n = sum_k (p_1...p_k)
-(q_{k+1}...q_n) r^k s^(n-k) is the sum over its term 0, times
-(q_1...q_n) s^n; it needs no division, even where some q_k vanishes.  Each
-evaluator divides it once by a denominator known in advance, (q_1...q_n)
-s^n over term 0 simplified: n!^2 (d s)^n for Laguerre, e^n n!^2 s^n for
-Jacobi.  The value is that one exact quotient: a Fraction, rounded once to
-binary64 when an input is a float.  Exact sums have neither the
-cancellation of alternating terms nor the overflow of intermediate powers
-(the value is representable long before its largest term is).  Passing
-Fraction (or GaussianRational) arguments therefore returns exact values,
-which is the ground truth the floating path is tested against.
+on integer numerators.  acc_n = sum_k (p_1...p_k) (q_{k+1}...q_n) r^k
+s^(n-k) is the sum over its term 0, times (q_1...q_n) s^n; it needs no
+division, even where some q_k vanishes.  Each evaluator divides it once by
+a denominator known in advance, (q_1...q_n) s^n over term 0 simplified:
+n!^2 (d s)^n for Laguerre, e^n n!^2 s^n for Jacobi.  The value is that one
+exact quotient: a Fraction, rounded once to binary64 when an input is a
+float.  Exact sums have neither the cancellation of alternating terms nor
+the overflow of intermediate powers (the value is representable long before
+its largest term is).  Passing Fraction arguments therefore returns exact
+values, which is the ground truth the floating path is tested against.
 
 Only ``jacobi_poly`` takes a binary64 complex argument, which the Jacobi
 generating check sends it; it sums in complex floating point, lowest degree
 first, each exact coefficient an integer quotient rounded once and
 multiplied by the binary64 power of the argument.  ``laguerre`` refuses a
-Python complex with TypeError; pass a GaussianRational for its exact
-complex value.
+Python complex with TypeError.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from .gaussian import GaussianRational
-
-
-def _exact_div(num, den):
-    """num / den, as a Fraction whenever both sides are exact integers."""
-    if isinstance(num, int) and isinstance(den, int):
-        return Fraction(num, den)
-    return num / den
 
 
 def _ratio(v):
@@ -55,14 +44,6 @@ def _ratio(v):
     raise TypeError(f"expected a real int, Fraction or float, got {type(v).__name__}")
 
 
-def _split(v):
-    """(r, s) with v = r / s: integers for a real v, and v over one for a
-    GaussianRational."""
-    if isinstance(v, GaussianRational):
-        return v, GaussianRational(1)
-    return _ratio(v)
-
-
 def _to_float(num: int, den: int) -> float:
     """num / den rounded once; equals float(Fraction(num, den)), +0.0 included."""
     return -num / -den if den < 0 else num / den
@@ -72,12 +53,12 @@ def _term_sum(ratios: list, r, s, den: int, to_float: bool):
     """The terminating sum with term ratios (p_k / q_k) (r / s), k = 1..n, as
     acc_n / (den s**n), where den s**n is (q_1...q_n) s**n over term 0;
     rounded once to binary64 when to_float."""
-    g = acc = r**0
+    g = acc = 1
     for p, q in ratios:
         g = g * (p * r)
         acc = acc * (q * s) + g
     den = den * s ** len(ratios)
-    return _to_float(acc, den) if to_float else _exact_div(acc, den)
+    return _to_float(acc, den) if to_float else Fraction(acc, den)
 
 
 def pochhammer(a, k: int):
@@ -108,14 +89,13 @@ def laguerre(n: int, alpha, z):
     sum_k (-1)^k C(n, k) (alpha+k+1)_{n-k} z^k / n!.
 
     Works for any real (or Fraction) index alpha, including the negative
-    integer indices where L_m^(-m)(0) = 0 for m >= 1, and for a real or
-    GaussianRational z.  Real arguments are summed exactly and rounded once
-    at the end.
+    integer indices where L_m^(-m)(0) = 0 for m >= 1, and for a real z.
+    Arguments are summed exactly and rounded once at the end.
     """
     if n < 0:
         raise ValueError(f"laguerre needs n >= 0, got {n}")
     p, d = _ratio(alpha)  # alpha = p / d
-    r, s = _split(z)
+    r, s = _ratio(z)
     # coefficient k over coefficient k-1; q_k = 0 only at alpha = -k, where
     # every lower coefficient vanishes
     ratios = [((k - n - 1) * d, k * (p + k * d)) for k in range(1, n + 1)]
@@ -126,9 +106,9 @@ def laguerre(n: int, alpha, z):
 def jacobi_poly(n: int, a, b, z):
     """Jacobi polynomial P_n^{a,b}(z) via the terminating 2F1 at (1-z)/2.
 
-    Accepts a binary64 complex z, or a GaussianRational z for exact complex
-    evaluation; real arguments are summed exactly and rounded at the end.
-    For a in {-1, ..., -n} the 2F1 form divides by zero: exact arguments
+    Accepts a real or a binary64 complex z; real arguments are summed exactly
+    and rounded at the end.
+    For a in {-1, ..., -n} the 2F1 form divides by zero: real arguments
     still give P_n^{a,b}, a polynomial in a, but a complex z raises
     ZeroDivisionError.
     """
@@ -147,7 +127,7 @@ def jacobi_poly(n: int, a, b, z):
             den *= (A + e * m) * m
             total = total + _to_float(num, den) * half**m
         return _to_float(den, scale) * total
-    r, s = _split(z)
+    r, s = _ratio(z)
     ratios = [((m - 1 - n) * (e * (n + m) + A + B), (A + e * m) * m) for m in range(1, n + 1)]
     to_float = any(isinstance(v, float) for v in (a, b, z))
     return _term_sum(ratios, s - r, 2 * s, scale, to_float)  # (1-z)/2 = (s-r) / 2s

@@ -69,8 +69,9 @@ class TestCircleQuadrature:
             assert b < a / 10 or b < 1e-13
 
     def test_nonfinite_integrand_rejected(self):
+        # a numerical failure, as the sample cap is; exit 3 on the command line
         spec = ContourSpec(0j, 1.0, 16)
-        with pytest.raises(ValueError):
+        with pytest.raises(contour.QuadratureError, match="not finite"):
             circle_quadrature(lambda w: w * np.nan, spec)
 
 
@@ -183,6 +184,15 @@ class TestAdmissibleContour:
         assert contour._contour_admissible(2.0, 0.2, z, 0.1, 256) == "(iii) kernel argument"
         assert contour._contour_admissible(2.0, 0.2, z, 0.05, 256) is None
         assert admissible_contour(FlowParams(0.2, 2.0), z).radius == 0.05
+
+    @pytest.mark.parametrize("kappa", [5e-324, -1e-323, 3e-308])
+    def test_subnormal_radius_is_numerical(self, kappa):
+        # rho0 = |kappa|/2 is zero or subnormal: no circle to sample, and no
+        # obstruction either; a radius chosen by a caller stays a ValueError
+        with pytest.raises(contour.QuadratureError, match="not a normal float"):
+            admissible_contour(FlowParams(kappa, 1.0), 0.03)
+        with pytest.raises(ValueError):
+            ContourSpec(complex(kappa), 0.0)
 
 
 class TestMIntegral:

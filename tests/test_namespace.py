@@ -1,5 +1,6 @@
 """The top-level namespace holds what the demos and the README import, plus
-the error types and ``run_checks``; the rest lives in the submodules."""
+the error types and ``run_checks``; the rest lives in the submodules, each
+of which the README's Layout table names."""
 
 import ast
 import re
@@ -50,3 +51,11 @@ def test_demo_and_readme_imports_are_top_level():
         used |= _imported_from_top_level(block)
     assert used
     assert used <= TOP_LEVEL
+
+
+def test_readme_layout_lists_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^\| `jacobiflow\.(\w+)`", table, re.M))
+    modules = {path.stem for path in (ROOT / "src" / "jacobiflow").glob("*.py")}
+    assert listed == modules - {"__init__", "__main__"}

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from jacobiflow import flow, maps, powerseries
-from jacobiflow.gaussian import GaussianRational
 from jacobiflow.powerseries import (
     MAX_ORDER,
     NonInvertibleError,
@@ -54,9 +53,6 @@ _KINDS = {
     "complex": lambda a, b, rng: (
         [complex(float(x), -float(y)) for x, y in zip(a, a[::-1])],
         [complex(float(x), 0.5) for x in b]),
-    "gaussian": lambda a, b, rng: (
-        [GaussianRational(x, y) for x, y in zip(a, a[::-1])],
-        [GaussianRational(x, -x) for x in b]),
 }
 
 

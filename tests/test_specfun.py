@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from jacobiflow import maps
-from jacobiflow.gaussian import GaussianRational
 from jacobiflow.specfun import binomial, jacobi_poly, laguerre, pochhammer
+from jacobiflow.verify import _jacobi_taylor
 
 
 class TestPochhammer:
@@ -51,15 +51,12 @@ class TestBinomial:
 class TestLaguerre:
     def test_degree_zero(self):
         assert laguerre(0, 0.3, 2.5) == 1
-        assert laguerre(0, Fraction(3, 10), GaussianRational(5, 2)) == 1
+        assert laguerre(0, Fraction(3, 10), Fraction(5, 2)) == 1
 
     def test_binary64_complex_rejected(self):
-        # only jacobi_poly takes a binary64 complex; a GaussianRational
-        # still gives the exact complex value
+        # only jacobi_poly takes a binary64 complex
         with pytest.raises(TypeError):
             laguerre(3, 0.5, 1.5 + 1j)
-        z = GaussianRational(Fraction(3, 2), 1)
-        assert laguerre(3, Fraction(1, 2), z) == _reference_laguerre(3, Fraction(1, 2), z)
 
     def test_degree_one(self):
         alpha, z = 0.7, 0.4
@@ -119,12 +116,24 @@ class TestJacobi:
         rhs = (-1) ** n * jacobi_poly(n, b, a, -z)
         assert abs(lhs - rhs) < 1e-12
 
-    def test_exact_gaussian_rational(self):
-        z = GaussianRational(Fraction(3, 10), Fraction(1, 5))
-        for n in (2, 5, 9):
-            exact = complex(jacobi_poly(n, 0, 4, z))
-            approx = jacobi_poly(n, 0, 4, complex(z))
-            assert abs(approx - exact) / abs(exact) < 1e-12
+    def test_exact_complex_taylor_oracle(self):
+        # the exact value behind verify's jacobi-exact-complex entry, against
+        # the explicit sum on (re, im) pairs, which needs no derivative identity
+        points = ((Fraction(3, 10), Fraction(1, 5)), (Fraction(-5, 4), Fraction(2, 3)),
+                  (Fraction(7, 9), Fraction(0)))
+        for n in range(10):
+            pairs = [(0, 4), (Fraction(1, 2), Fraction(-1, 3)), (Fraction(-7, 3), 2)]
+            pairs += [(-j, Fraction(5, 2)) for j in range(1, n + 1)]
+            for a, b in pairs:
+                for x, y in points:
+                    got = _jacobi_taylor(n, a, b, x, y)
+                    assert got == _explicit_jacobi_pair(n, a, b, x, y), (n, a, b, x, y)
+                    if y == 0:
+                        assert got == (jacobi_poly(n, a, b, x), 0)
+        for n in (2, 5, 9):  # the binary64 complex path at the rounded point
+            re, im = _jacobi_taylor(n, 0, 4, Fraction(3, 10), Fraction(1, 5))
+            exact = complex(float(re), float(im))
+            assert abs(jacobi_poly(n, 0, 4, 0.3 + 0.2j) - exact) / abs(exact) < 1e-12
 
     def test_exact_rational_argument(self):
         val = jacobi_poly(2, 0, 2, Fraction(1, 3))
@@ -132,25 +141,6 @@ class TestJacobi:
         # hand expansion: sum_m (-2)_m (5)_m / ((1)_m m!) h^m = 1 - 10 h + 15 h^2
         h = (1 - Fraction(1, 3)) / 2
         assert val == 1 - 10 * h + 15 * h**2
-
-
-class TestGaussianRational:
-    def test_field_operations(self):
-        a = GaussianRational(Fraction(1, 2), Fraction(1, 3))
-        b = GaussianRational(Fraction(-2, 5), Fraction(1, 7))
-        assert complex((a + b) * (a - b)) == pytest.approx(complex(a) ** 2 - complex(b) ** 2)
-        assert (a / b) * b == a
-
-    def test_from_complex_is_exact(self):
-        z = 0.1 + 0.3j
-        g = GaussianRational.from_complex(z)
-        assert complex(g) == z
-        assert g.re == Fraction(0.1)
-
-    def test_powers(self):
-        g = GaussianRational(1, 1)
-        assert g**2 == GaussianRational(0, 2)
-        assert g**0 == GaussianRational(1)
 
 
 # -- the term-by-term sums the evaluators replaced, kept as references ---------
@@ -193,6 +183,37 @@ def _reference_jacobi(n, a, b, z):
     return float(out) if round_back and not isinstance(out, complex) else out
 
 
+def _gen_binom(x, j):
+    return math.prod((x - i for i in range(j)), start=Fraction(1)) / math.factorial(j)
+
+
+def _explicit_jacobi(n, a, b, z):
+    """P_n^{a,b}(z) = sum_m C(n+a, n-m) C(n+b, m) ((z-1)/2)**m ((z+1)/2)**(n-m),
+    a polynomial in a, also at a in {-1, ..., -n}."""
+    z = Fraction(z)
+    return sum(
+        _gen_binom(n + a, n - m) * _gen_binom(n + b, m) * ((z - 1) / 2) ** m
+        * ((z + 1) / 2) ** (n - m)
+        for m in range(n + 1)
+    )
+
+
+def _explicit_jacobi_pair(n, a, b, x, y):
+    """The same sum at z = x + iy, on (re, im) pairs of Fractions."""
+    def mul(p, q):
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    re = im = Fraction(0)
+    for m in range(n + 1):
+        term = (_gen_binom(n + a, n - m) * _gen_binom(n + b, m), Fraction(0))
+        for _ in range(m):
+            term = mul(term, ((x - 1) / 2, y / 2))
+        for _ in range(n - m):
+            term = mul(term, ((x + 1) / 2, y / 2))
+        re, im = re + term[0], im + term[1]
+    return re, im
+
+
 def _assert_same(got, want):
     """Equal values of equal type; floats and complexes bit for bit, so a
     signed zero counts too."""
@@ -215,7 +236,7 @@ def _parameter(rng):
 
 
 def _argument(rng):
-    kind = rng.randrange(6)
+    kind = rng.randrange(5)
     if kind == 0:
         return rng.randint(-5, 5)
     if kind == 1:
@@ -224,19 +245,8 @@ def _argument(rng):
         return rng.uniform(-4.0, 4.0) * rng.choice([1.0, 10.0, 0.01])
     if kind == 3:
         return complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-    if kind == 4:  # signed zeros in the parts
-        return complex(rng.choice([0.0, -0.0, 1.5, -2.0]), rng.choice([0.0, -0.0, 0.5]))
-    return GaussianRational(
-        Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
-        Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
-    )
-
-
-def _exact_parameter(rng):
-    """A parameter that is not a float: a float parameter with an exact
-    complex argument has no value in either version (float() of a
-    GaussianRational)."""
-    return rng.choice([rng.randint(-12, 12), Fraction(rng.randint(-40, 40), rng.randint(1, 9))])
+    # signed zeros in the parts
+    return complex(rng.choice([0.0, -0.0, 1.5, -2.0]), rng.choice([0.0, -0.0, 0.5]))
 
 
 class TestTermRatioBitIdentity:
@@ -245,8 +255,7 @@ class TestTermRatioBitIdentity:
         for _ in range(400):
             n = rng.randint(0, 24)
             z = _argument(rng)
-            param = _exact_parameter if isinstance(z, GaussianRational) else _parameter
-            alpha, a, b = param(rng), param(rng), param(rng)
+            alpha, a, b = _parameter(rng), _parameter(rng), _parameter(rng)
             if not (-n <= a <= -1 and a == int(a)):
                 _assert_same(jacobi_poly(n, a, b, z), _reference_jacobi(n, a, b, z))
             if isinstance(z, complex):  # binary64 complex goes to jacobi_poly only
@@ -254,21 +263,16 @@ class TestTermRatioBitIdentity:
                     laguerre(n, alpha, z)
             else:
                 _assert_same(laguerre(n, alpha, z), _reference_laguerre(n, alpha, z))
-            if z != 0:  # the draw of a removed check, kept so later inputs stay the same
-                (_exact_parameter if isinstance(z, complex) else param)(rng)
 
     def test_negative_integer_index(self):
-        zs = (0, Fraction(0), 0.0, -0.0, GaussianRational(0), Fraction(7, 3), -1.25,
-              GaussianRational(Fraction(1, 2), Fraction(-1, 3)))
+        zs = (0, Fraction(0), 0.0, -0.0, Fraction(7, 3), -1.25)
         for n in range(0, 9):
             for m in range(1, n + 2):
                 for alpha in (-m, Fraction(-m), float(-m)):
                     for z in zs:
-                        if isinstance(alpha, float) and isinstance(z, GaussianRational):
-                            continue
                         _assert_same(laguerre(n, alpha, z), _reference_laguerre(n, alpha, z))
         for m in range(1, 11):  # L_m^(-m)(0) = 0
-            for z in (0, Fraction(0), 0.0, GaussianRational(0)):
+            for z in (0, Fraction(0), 0.0):
                 assert laguerre(m, -m, z) == 0
 
     def test_exact_zero_is_positive_zero(self):
@@ -306,30 +310,19 @@ class TestTermRatioBitIdentity:
                     _reference_jacobi(3, a, 1, z)
 
     def test_jacobi_vanishing_normalisation_exact(self):
-        # P_n^{a,b}(z) = sum_m C(n+a, n-m) C(n+b, m) ((z-1)/2)**m ((z+1)/2)**(n-m),
-        # a polynomial in a, also at a in {-1, ..., -n}
-        def gen_binom(x, j):
-            return math.prod((x - i for i in range(j)), start=Fraction(1)) / math.factorial(j)
-
-        def reference(n, a, b, z):
-            return sum(
-                gen_binom(n + a, n - m) * gen_binom(n + b, m) * ((z - 1) / 2) ** m
-                * ((z + 1) / 2) ** (n - m)
-                for m in range(n + 1)
-            )
-
-        zs = (Fraction(1, 3), -2, GaussianRational(Fraction(1, 2), Fraction(-3, 4)))
+        # the explicit sum is a polynomial in a, also at a in {-1, ..., -n}
         for n in range(1, 9):
             for a in range(-n, 0):
                 for b in (0, 3, Fraction(-5, 2)):
-                    for z in zs:
-                        assert jacobi_poly(n, a, b, z) == reference(n, a, b, z), (n, a, b, z)
-                    assert jacobi_poly(n, Fraction(a), b, 0.25) == float(reference(n, a, b, Fraction(1, 4)))
-                    assert jacobi_poly(n, float(a), b, 0.25) == float(reference(n, a, b, Fraction(1, 4)))
+                    for z in (Fraction(1, 3), -2):
+                        assert jacobi_poly(n, a, b, z) == _explicit_jacobi(n, a, b, z), (n, a, b, z)
+                    want = float(_explicit_jacobi(n, a, b, Fraction(1, 4)))
+                    assert jacobi_poly(n, Fraction(a), b, 0.25) == want
+                    assert jacobi_poly(n, float(a), b, 0.25) == want
 
     @pytest.mark.parametrize("call", [
         lambda: laguerre(3, 1 + 1j, 0.5),
-        lambda: jacobi_poly(3, 0, GaussianRational(1, 1), 0.5),
+        lambda: jacobi_poly(3, 0, 1j, 0.5),
         lambda: jacobi_poly(3, 2j, 0, 1.5),
     ])
     def test_complex_parameters_rejected(self, call):

@@ -44,6 +44,13 @@ class TestRunChecks:
         with pytest.raises(ValueError):
             run_checks(0.5, 1.0, "medium")
 
+    @pytest.mark.parametrize("kappa,t", [(-0.99999, 0.001), (0.99999, 1.0), (0.9999999, 0.5)])
+    def test_critical_point_next_to_the_pole(self, kappa, t):
+        # phi's pole at |kappa| lies 1 - |kappa| from the critical point 1;
+        # the difference step shrinks with that distance
+        entry = next(e for e in run_checks(kappa, t).entries if e.name == "phi-critical-point")
+        assert entry.residual < 2e-6, entry
+
 
 class TestEntryNames:
     """The ordered entry names of run_checks, so that a check dropped or
@@ -448,6 +455,18 @@ class TestFailureClasses:
             (["sweep", "--kappa", "0.5", "--t", "1"], 64, "error: sweep needs --out", 1),
             (["sweep", "--kappa", "0.5", "--t", "1", "--n", "2", "--out", "{tmp}/file/s"], 1,
              "error: cannot write {tmp}/file/s: ", 1),
+            # a circle around a tiny kappa overflows its integrand, or its
+            # radius is not a normal float: numerical failures, not exit 2
+            (["verify", "--kappa", "1e-200", "--t", "1"], 3, "error: numerical failure: ", 1),
+            (["integral", "--kappa", "1e-300", "--t", "1", "--z", "0.03,0.01"], 3,
+             "error: numerical failure: ", 1),
+            (["integral", "--kappa", "1e-300", "--t", "1e-300", "--z", "0.03,0.01"], 3,
+             "error: numerical failure: ", 1),
+            (["verify", "--kappa", "5e-324", "--t", "1"], 3, "error: numerical failure: ", 1),
+            (["integral", "--kappa", "5e-324", "--t", "1", "--z", "0.03,0.01"], 3,
+             "error: numerical failure: ", 1),
+            (["integral", "--kappa", "1e-323", "--t", "1", "--z", "0.03"], 3,
+             "error: numerical failure: ", 1),
         ],
     )
     def test_exit_code_and_one_message(self, argv, code, prefix, lines, tmp_path, capsys,
