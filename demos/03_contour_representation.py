@@ -3,9 +3,11 @@
 The series M(z) = z d/dz of the inverted flow admits an integral over a
 small circle around kappa whose kernel is built from the Herglotz transform.
 This script finds admissible circles, evaluates both integrand forms, and
-compares with the truncated series; it then pushes z outward until the
-kernel zero set obstructs every admissible circle, which the library
-surfaces as an explicit error rather than a silently wrong value.
+compares with the truncated series; it then pushes z outward until no
+radius among rho0 and its halvings passes the kernel conditions, which the
+library surfaces as an explicit error rather than a silently wrong value.
+A wider circle may still pass there, so the error is not an analytic
+obstruction.
 """
 
 from jacobiflow import (
@@ -51,7 +53,7 @@ print(entry.format_line())
 
 print()
 print("=" * 72)
-print("4. The obstruction: near the kernel zero set no circle works")
+print("4. A failed search: no radius among rho0 and its halvings passes")
 print("=" * 72)
 hard = FlowParams(0.9, 0.5)
 for z in (0.02, 0.05, 0.1, 0.2):
@@ -59,5 +61,4 @@ for z in (0.02, 0.05, 0.1, 0.2):
         spec = admissible_contour(hard, z)
         print(f"z = {z}: admissible radius {spec.radius:.5f}")
     except NoAdmissibleContourError:
-        print(f"z = {z}: no admissible circle; the zero set of "
-              "w K(y(z, w)) - kappa blocks every radius")
+        print(f"z = {z}: no radius among rho0 and its halvings passes (i)-(vi)")

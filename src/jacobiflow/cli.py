@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -36,6 +37,8 @@ NUMERICAL_EXIT = 3
 # config-file key -> argument it fills
 CONFIG_KEYS = {"kappa": "kappa", "t": "t", "n_max": "n", "format": "format"}
 FORMATS = ("csv", "json")
+# a value such as -1e-3, -0.5,0.5 or -inf, which argparse reads as an option
+_NEGATIVE_VALUE = re.compile(r"-([0-9.]|inf|nan)", re.IGNORECASE)
 
 
 def _num(x: float) -> str:
@@ -272,9 +275,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _glue_values(argv: list[str]) -> list[str]:
+    """--flag -1e-3 as --flag=-1e-3: every flag but --help takes one value."""
+    glued = []
+    for word in argv:
+        prev = glued[-1] if glued else ""
+        if (prev.startswith("--") and "=" not in prev and prev != "--help"
+                and _NEGATIVE_VALUE.match(word)):
+            glued[-1] = f"{prev}={word}"
+        else:
+            glued.append(word)
+    return glued
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _glue_values(sys.argv[1:] if argv is None else list(argv))
     args = parser.parse_args(argv)
     if args.config:
         try:

@@ -57,12 +57,12 @@ class _OutsideDisc(DomainError):
 
 
 class NoAdmissibleContourError(RuntimeError):
-    """No circle radius satisfies all kernel conditions at this point.
+    """No radius among rho0 and its halvings passes (i)-(vi) at this point.
 
-    Surfacing this (instead of retrying forever) is deliberate: the failure
-    marks the obstruction to extending the derivative series further into
-    the disc.  ``trail`` lists every radius tried, in order, with the first
-    condition that rejected it (see :func:`admissible_contour`).
+    The search tries no radius above rho0, so this does not prove that no
+    admissible circle exists, nor that M stops being analytic there.
+    ``trail`` lists every radius tried, in order, with the first condition
+    that rejected it (see :func:`admissible_contour`).
     """
 
     def __init__(self, message, trail=()):
@@ -242,10 +242,10 @@ def admissible_contour(params: FlowParams, z) -> ContourSpec:
     Failure raises NoAdmissibleContourError, whose ``trail`` pairs each
     radius tried with the first condition that rejected it: "(i) ellipse"
     ... "(vi) geometric ratio", or "domain" when a map left its domain on
-    the circle.  The caller is then near the kernel zero set and the
-    representation genuinely stops being available.
+    the circle.  Then no radius among rho0 and its halvings passes
+    (i)-(vi); a wider circle may still pass.
     A Herglotz solve that does not converge is a numerical failure, not
-    this obstruction, and propagates as ConvergenceError.
+    this search failure, and propagates as ConvergenceError.
     """
     kap = float(params.kappa)
     if kap == 0.0:

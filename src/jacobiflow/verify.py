@@ -1,9 +1,10 @@
 """Full cross-validation suite: every closed form against its independent
 oracle, every branch and kernel condition on explicit grids.
 
-``run_checks`` drives the same checks the test suite pins, packaged so the
-command line can re-run them for arbitrary parameters.  ``fast`` keeps the
-grids small; ``full`` runs acceptance-sized ones.
+``run_checks`` is the one definition of each named check: the test suite
+asserts its entries over a grid of parameters, and the command line re-runs
+them for arbitrary ones.  ``fast`` keeps the grids small; ``full`` runs
+acceptance-sized ones.
 """
 
 from __future__ import annotations
@@ -207,10 +208,7 @@ def _check_oracles(rep: VerifyReport, params: flow.FlowParams, full: bool):
     # direct S_n route
     derived = series_derive(flow.phi_inv_coeffs(params, 12))
     mser = flow.m_series_coeffs(params, 12)
-    worst = max(
-        abs(a - b) / max(abs(b), 1e-300)
-        for a, b in zip(derived.coeffs, mser.coeffs[1:])
-    )
+    worst = max(_rel(a, b) for a, b in zip(derived.coeffs, mser.coeffs[1:]))
     rep.check("m-series-two-routes", worst, 1e-12,
               first_coeff=mser.coeffs[1], note="sum starts at n=1")
 

@@ -1,7 +1,9 @@
 """Acceptance criteria for the package, one test per criterion.
 
 Each test prints a single pass/fail line with the measured residual and the
-pinned tolerance (run pytest with -s to see them), then asserts.
+pinned tolerance (run pytest with -s to see them), then asserts.  Where a
+criterion is a named check of ``jacobiflow.verify``, its line reports the
+worst entry of that check over the criterion's (kappa, t) grid.
 """
 
 from fractions import Fraction
@@ -10,10 +12,11 @@ import numpy as np
 import pytest
 
 from jacobiflow import cli, contour, flow, maps
-from jacobiflow.powerseries import series_revert
+from conftest import entries
 
 KAPPAS = (0.3, 0.5, 0.7)
 TIMES = (0.5, 1.0, 2.5)
+GRID = [(kap, t) for kap in KAPPAS for t in TIMES]
 POINTS = (0.02, 0.03 + 0.01j, 0.05)
 
 
@@ -26,72 +29,43 @@ def _report(name, residual, tolerance, detail=""):
     assert ok, line
 
 
+def _worst(name, grid, level="full"):
+    """The largest residual of the verify entries called name over grid."""
+    return max(e.residual for kap, t in grid for e in entries(name, kap, t, level))
+
+
 @pytest.fixture(scope="module")
 def integral_runs():
-    """Contour-integral evaluations shared by criteria 4 and 9."""
+    """Both forms of the contour integral at every point of criterion 9."""
     runs = []
-    for kap in KAPPAS:
-        for t in TIMES:
-            p = flow.FlowParams(kap, t)
-            series = flow.m_series_coeffs(p, 16)
-            for z in POINTS:
-                cor = contour.m_integral_detailed(p, z, "corollary")
-                prop = contour.m_integral_detailed(p, z, "proposition", spec=cor.contour)
-                runs.append((kap, t, z, cor, prop, series(z)))
+    for kap, t in GRID:
+        p = flow.FlowParams(kap, t)
+        for z in POINTS:
+            cor = contour.m_integral_detailed(p, z, "corollary")
+            runs.append((cor, contour.m_integral_detailed(p, z, "proposition", spec=cor.contour)))
     return runs
 
 
 def test_criterion_01_symmetric_closed_form():
-    worst = 0.0
-    for t in TIMES:
-        inv = flow.phi_inv_coeffs(flow.FlowParams(0.0, t), 16)
-        for n in range(1, 17):
-            want = maps.k_series_coeff(t, n)
-            # the n = 2 coefficient vanishes identically at t = 1/2
-            worst = max(worst, abs(inv.coeffs[n] - want) / max(abs(want), 1e-300))
-    _report("criterion-01 symmetric-closed-form", worst, 1e-10,
+    _report("criterion-01 symmetric-closed-form", _worst("kzero-closed-form", GRID), 1e-10,
             "inverted-flow coefficients vs Herglotz coefficients, n <= 16")
 
 
 def test_criterion_02_reversion_oracle():
-    worst = 0.0
-    for kap in KAPPAS:
-        for t in TIMES:
-            p = flow.FlowParams(kap, t)
-            oracle = series_revert(maps.big_phi_series(p, 12))
-            closed = flow.phi_inv_coeffs(p, 12)
-            for a, b in zip(oracle.coeffs, closed.coeffs):
-                worst = max(worst, abs(float(a) - b) / max(abs(b), 1e-300))
-    _report("criterion-02 reversion-oracle", worst, 1e-9,
+    _report("criterion-02 reversion-oracle", _worst("reversion-oracle", GRID), 1e-9,
             "closed coefficients vs Newton reversion of the map series, n <= 12")
 
 
 def test_criterion_03_residue_oracle():
-    worst = 0.0
-    for kap in (0.3, 0.6, 0.9):
-        p = flow.FlowParams(kap, 1.0)
-        spec = contour.ContourSpec(complex(kap), kap / 2, 64)
-        eps = Fraction(kap) ** 2
-        for k in range(1, 13):
-            for m in range(0, 9):
-                got = contour.pkm_residue(k, m, p, spec)
-                want = (-1) ** m * float(flow.pnm_poly(k, m)(eps))
-                worst = max(worst, abs(got - want))
+    worst = _worst("residue-oracle", [(kap, 1.0) for kap in (0.3, 0.6, 0.9)])
     _report("criterion-03 residue-oracle", worst, 1e-10,
             "quadrature vs exact polynomials, k <= 12, m <= 8")
 
 
-def test_criterion_04_integral_vs_series(integral_runs):
-    worst_series = 0.0
-    worst_forms = 0.0
-    for _, _, _, cor, prop, series_value in integral_runs:
-        worst_series = max(
-            worst_series, abs(cor.value - series_value) / abs(series_value)
-        )
-        worst_forms = max(worst_forms, abs(cor.value - prop.value))
-    _report("criterion-04a integral-vs-series", worst_series, 1e-6,
+def test_criterion_04_integral_vs_series():
+    _report("criterion-04a integral-vs-series", _worst("m-integral-vs-series", GRID), 1e-6,
             "corollary form vs 16-term series at three points per (kappa, t)")
-    _report("criterion-04b integral-forms-agree", worst_forms, 1e-9)
+    _report("criterion-04b integral-forms-agree", _worst("m-integral-forms-agree", GRID), 1e-9)
 
 
 def test_criterion_05_generating_identities():
@@ -116,12 +90,8 @@ def test_criterion_06_exact_combinatorics():
     seq = [Fraction(rng.randint(-50, 50), rng.randint(1, 11)) for _ in range(30)]
     back = flow.inv_binom_transform(flow.binom_transform(seq))
     worst = max(abs(a - b) for a, b in zip(back, seq))
-    forms = 0
-    for n in range(1, 31):
-        for k in range(0, n + 1):
-            if flow.invrel_weight(n, k) != flow.invrel_weight_split(n, k):
-                forms = 1
-    _report("criterion-06 exact-combinatorics", float(worst + forms), 0.0,
+    forms = _worst("invrel-forms-agree", [(0.5, 1.0)], "fast")
+    _report("criterion-06 exact-combinatorics", float(worst) + forms, 0.0,
             "transform round-trip, length 30; both weight forms agree")
 
 
@@ -151,7 +121,7 @@ def test_criterion_08_moment_expansion():
 def test_criterion_09_kernel_nonvanishing(integral_runs):
     floor = min(
         min(cor.min_kernel_denominator, prop.min_kernel_denominator)
-        for _, _, _, cor, prop, _ in integral_runs
+        for cor, prop in integral_runs
     )
     _report("criterion-09 kernel-nonvanishing", max(0.0, 1e-6 - floor), 0.0,
             f"min |t K^2 + (2-t)| over all quadrature nodes = {floor:.3f}")

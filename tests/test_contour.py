@@ -2,7 +2,6 @@ import cmath
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,8 +20,9 @@ from jacobiflow.contour import (
     nonvanishing_check,
     pkm_residue,
 )
-from jacobiflow.flow import FlowParams, m_series_coeffs, pnm_poly
+from jacobiflow.flow import FlowParams, m_series_coeffs
 from jacobiflow.maps import DomainError, herglotz_k, m_zero, r_func, y_func
+from conftest import assert_entries
 
 
 class TestContourSpec:
@@ -90,25 +90,13 @@ class TestPkmResidue:
 
     @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
     def test_matches_exact_polynomials(self, kappa):
-        p = FlowParams(kappa, 1.0)
-        spec = ContourSpec(complex(kappa), kappa / 2, 64)
-        eps = Fraction(kappa) ** 2
-        for k in (1, 5, 12):
-            for m in (0, 3, 8):
-                want = (-1) ** m * float(pnm_poly(k, m)(eps))
-                assert pkm_residue(k, m, p, spec) == pytest.approx(want, abs=1e-10)
+        assert_entries("residue-oracle", kappa, 1.0, "full")
 
     @pytest.mark.parametrize("kappa", [5e-4, 1e-5, 1e-7])
     def test_small_kappa(self, kappa):
         # the integrand is of size 1/kappa before its factor kappa; the
         # quadrature's absolute tolerance must see the product
-        p = FlowParams(kappa, 1.0)
-        spec = ContourSpec(complex(kappa), kappa / 2, 64)
-        eps = Fraction(kappa) ** 2
-        for k in (1, 6, 12):
-            for m in (0, 4, 8):
-                want = (-1) ** m * float(pnm_poly(k, m)(eps))
-                assert pkm_residue(k, m, p, spec) == pytest.approx(want, abs=1e-10)
+        assert_entries("residue-oracle", kappa, 1.0, "full")
 
     def test_validation(self):
         p = FlowParams(0.5, 1.0)
@@ -162,6 +150,12 @@ class TestAdmissibleContour:
         assert rho0 / 2**15 < contour.MIN_RADIUS <= rho0 / 2**14
         assert str(err.value) == "no admissible circle around kappa=0.9 for z=(0.2+0j)"
 
+    def test_failed_search_misses_a_wider_circle(self):
+        # the search above only halves from rho0, yet a wider circle passes
+        # (i)-(vi) at the same point: exit 2 is not an analytic obstruction
+        rho = math.sqrt(0.0417 * 0.152)
+        assert contour._contour_admissible(0.5, 0.9, 0.2, rho, 256) is None
+
     def test_rho0_below_min_radius_is_tried(self):
         # rho0 = |kappa| / 2 = 5e-8 lies below MIN_RADIUS and is admissible
         p = FlowParams(1e-7, 1.0)
@@ -197,11 +191,7 @@ class TestAdmissibleContour:
 
 class TestMIntegral:
     def test_forms_agree(self):
-        p = FlowParams(0.5, 1.0)
-        z = 0.03
-        cor = m_integral(p, z, "corollary")
-        prop = m_integral(p, z, "proposition")
-        assert abs(cor - prop) < 1e-9
+        assert_entries("m-integral-forms-agree", 0.5, 1.0)
 
     def test_matches_series(self):
         p = FlowParams(0.5, 1.0)
@@ -286,9 +276,7 @@ class TestKernelChecks:
 
     @pytest.mark.parametrize("t", [1.0, 3.0])
     def test_nonvanishing_along_admissible(self, t):
-        p = FlowParams(0.5, t)
-        spec = admissible_contour(p, 0.03)
-        assert nonvanishing_check(p, 0.03, spec).passed
+        assert_entries("kernel-nonvanishing", 0.5, t)
 
 
 class TestSharedKernel:

@@ -1,5 +1,10 @@
+import cmath
+import hashlib
 import json
+import math
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +16,7 @@ from jacobiflow import cli, contour, maps, powerseries, specfun, verify
 from jacobiflow.cli import main
 from jacobiflow.report import VerifyEntry, VerifyReport
 from jacobiflow.verify import run_checks
+from conftest import entries, report
 from test_powerseries import _reference_mul_trunc
 from test_specfun import _reference_jacobi, _reference_laguerre
 
@@ -33,12 +39,10 @@ class TestReport:
 
 class TestRunChecks:
     def test_fast_suite_passes(self):
-        rep = run_checks(0.5, 1.0, "fast")
-        assert rep.passed, rep.format()
+        assert report(0.5, 1.0, "fast").passed, report(0.5, 1.0, "fast").format()
 
     def test_symmetric_suite_passes(self):
-        rep = run_checks(0.0, 1.0, "fast")
-        assert rep.passed, rep.format()
+        assert report(0.0, 1.0, "fast").passed, report(0.0, 1.0, "fast").format()
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
@@ -48,7 +52,7 @@ class TestRunChecks:
     def test_critical_point_next_to_the_pole(self, kappa, t):
         # phi's pole at |kappa| lies 1 - |kappa| from the critical point 1;
         # the difference step shrinks with that distance
-        entry = next(e for e in run_checks(kappa, t).entries if e.name == "phi-critical-point")
+        [entry] = entries("phi-critical-point", kappa, t)
         assert entry.residual < 2e-6, entry
 
 
@@ -87,7 +91,7 @@ class TestEntryNames:
             + ["jacobi-generating"] * (4 if full else 2) + tail
         )
         assert len(want) == count
-        assert [e.name for e in run_checks(kappa, 1.0, level).entries] == want
+        assert [e.name for e in report(kappa, 1.0, level).entries] == want
 
 
 class TestUnchangedReport:
@@ -96,8 +100,7 @@ class TestUnchangedReport:
 
     @pytest.mark.parametrize("kappa,t", [(0.44, 1.78), (0.0, 1.0)])
     def test_reference_sums_give_the_same_report(self, kappa, t, monkeypatch):
-        maps._seed_poly.cache_clear()
-        got = run_checks(kappa, t, "fast").to_dict()
+        got = report(kappa, t, "fast").to_dict()
         references = {
             "laguerre": _reference_laguerre,
             "jacobi_poly": _reference_jacobi,
@@ -284,26 +287,21 @@ class TestCliCoeffs:
         assert not (tmp_path / "tables").exists()
 
 
-@pytest.fixture(scope="module")
-def fast_report():
-    return run_checks(0.4, 0.8, "fast")
-
-
 class TestCliVerify:
     def test_exit_zero_on_pass(self, capsys):
         assert main(["verify", "--kappa", "0.4", "--t", "0.8", "--level", "fast"]) == 0
         out = capsys.readouterr().out
         assert "overall" in out and "FAIL" not in out
 
-    def test_json_format(self, capsys, fast_report):
+    def test_json_format(self, capsys):
         assert main(["verify", "--kappa", "0.4", "--t", "0.8", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out) == fast_report.to_dict()
+        assert json.loads(capsys.readouterr().out) == report(0.4, 0.8, "fast").to_dict()
 
-    def test_out_writes_the_text_report(self, tmp_path, capsys, fast_report):
+    def test_out_writes_the_text_report(self, tmp_path, capsys):
         path = tmp_path / "verify.txt"
         assert main(["verify", "--kappa", "0.4", "--t", "0.8", "--out", str(path)]) == 0
         assert capsys.readouterr().out == ""
-        assert path.read_text(encoding="utf-8") == fast_report.format() + "\n"
+        assert path.read_text(encoding="utf-8") == report(0.4, 0.8, "fast").format() + "\n"
 
     def test_unwritable_out(self, tmp_path, capsys):
         path = tmp_path / "missing" / "verify.json"
@@ -481,6 +479,64 @@ class TestFailureClasses:
         assert err.count("\n") == lines and err.endswith("\n")
 
 
+class TestSeededSweep:
+    """Random extreme inputs through every subcommand, in both flag forms:
+    each run ends in a documented exit code, and its stderr is empty on
+    exit 0 and otherwise one line; a failing verify names its entry."""
+
+    # a verify draw takes 0.3 to 2 s (exact Laguerre sums at a tiny t), a
+    # draw of any other subcommand 20 ms at most
+    COMMANDS = ("coeffs", "integral", "sweep") * 6 + ("verify",)
+
+    def test_every_outcome_is_classified(self, tmp_path, capsys):
+        rng = random.Random(17)
+
+        def log_uniform(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        for i, command in enumerate(self.COMMANDS):
+            kappas = [repr(rng.choice((-1, 1)) * log_uniform(1e-300, 1 - 1e-12))
+                      for _ in range(2 if command == "sweep" else 1)]
+            values = {"--kappa": ",".join(kappas), "--t": repr(log_uniform(1e-300, 708.39))}
+            if command == "integral":
+                z = cmath.rect(math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+                values["--z"] = f"{z.real!r},{z.imag!r}"
+            if command == "sweep":
+                values.update({"--n": "4", "--out": str(tmp_path / str(i))})
+            argv = [command]
+            for flag, value in values.items():
+                argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+            code, out, err = _run(argv, capsys)
+            assert code in (0, 1, 2, 3, 64) and "Traceback" not in err, (argv, code, err)
+            if code == 0 or (code, command) == (1, "verify"):
+                assert err == "", (argv, err)
+            else:
+                assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+            if (code, command) == (1, "verify"):
+                assert re.search(r"^FAIL  (?!overall:)\S+:", out, re.M), (argv, out)
+
+
+class TestNegativeValues:
+    """argparse reads -1e-3 or -0.5,0.5 as an option of its own; after a
+    flag it is that flag's value, as in --flag=-1e-3."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--t", "1", "--n", "3", "--kappa", "-1e-3"],
+            ["coeffs", "--kappa", "0.5", "--t", "-1e-3"],
+            ["verify", "--kappa", "0.5", "--t", "-1e-3"],
+            ["integral", "--kappa", "0.5", "--t", "1", "--z", "-1e-3,0.01"],
+            ["sweep", "--t", "1", "--n", "2", "--out", "{tmp}", "--kappa", "-0.5,0.5"],
+        ],
+    )
+    def test_spaced_equals_glued(self, argv, tmp_path, capsys):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        spaced = _run(argv, capsys)
+        assert spaced == _run(argv[:-2] + ["=".join(argv[-2:])], capsys)
+        assert spaced[0] == (64 if argv[-2] == "--t" else 0), spaced
+
+
 class TestTinyKappa:
     @pytest.mark.parametrize("kappa", ["1e-9", "1e-12", "1e-15"])
     def test_verify_passes(self, kappa, capsys):
@@ -631,3 +687,12 @@ class TestPinnedBytes:
         assert main(["sweep", "--kappa", "0.0,0.5", "--t", "0.5,1.0", "--n", "2",
                      "--out", str(out)]) == 0
         assert (out / "manifest.json").read_text(encoding="utf-8") == self.MANIFEST
+
+    # every residual, tolerance and context of the full report, bit for bit
+    VERIFY_FULL_JSON_SHA256 = "47ffff50bfd24c5e16ea8f6ed1094624cc35eaf05b346f48b9c6d9ab6d8df37c"
+
+    def test_verify_stdout(self, capsys):
+        argv = ["verify", "--kappa", "0.5", "--t", "1", "--level", "full", "--format", "json"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == self.VERIFY_FULL_JSON_SHA256
