@@ -237,6 +237,12 @@ class TestSeries:
         for n in range(1, 11):
             assert m.coeffs[n] == s_coeff(p, n)
 
+    def test_symmetric_closed_form_value(self):
+        t = 1.0
+        m = m_series_coeffs(FlowParams(0.0, t), 16)
+        z = 0.05
+        assert m(z) == pytest.approx(maps.m_zero(t, z), abs=1e-12)
+
     def test_composition_with_flow_map_series_is_identity(self):
         from jacobiflow.powerseries import series_compose
 

@@ -38,8 +38,12 @@ class TestAlpha:
         assert alpha_inv(0.0) == 0
         assert alpha_inv(1 / 3) == pytest.approx(0.75, rel=1e-15)
 
-    def test_roundtrips(self):
-        assert_entries("alpha-roundtrip", 0.5, 1.0)
+    @pytest.mark.parametrize("z", [-0.5, 0.2 + 0.4j])
+    def test_roundtrip_through_cut_plane(self, z):
+        assert alpha_inv(alpha(z)) == pytest.approx(z, abs=1e-13)
+
+    def test_roundtrip_through_disc(self):
+        assert alpha(alpha_inv(0.3j)) == pytest.approx(0.3j, abs=1e-13)
 
     @pytest.mark.parametrize("z", [1.0, 1.5, 100.0])
     def test_cut_rejected(self, z):
