@@ -9,11 +9,13 @@ so results are bit-reproducible regardless of how callers parallelize.
 The doubled grids are nested: node 2k of the 2n-node grid is node k of the
 n-node grid, bit for bit, since 2 pi (2k) / 2n = 2 pi k / n exactly in
 binary64.  So the Herglotz kernel K is solved once per distinct node of a
-circle: each doubling solves only its new odd nodes, and the nodes with K
-and the root R = r_func(z, w), formed once with the kernel argument y, are
-kept in a small bounded cache shared by the admissibility check, every
-doubling of both integral forms, and the kernel checks.  The cached arrays
-are read-only.
+circle.  Two levels must agree, so an accepted circle always needs the
+first doubling: its 2n nodes are solved in one call, and the n-node level
+is their even half, a strided view.  Each later doubling solves only its
+new odd nodes.  The nodes with K and the root R = r_func(z, w), formed once
+with the kernel argument y, are kept in a small bounded cache shared by the
+admissibility check, every doubling of both integral forms, and the kernel
+checks.  The cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -155,12 +157,17 @@ def _solve_nodes(t, z, w):
 
 
 # eight grids hold the 256- and 512-node levels of a few points at once;
-# an entry of 512 nodes keeps 24 KB
+# an entry of 512 nodes keeps 24 KB, one of 256 nodes is a view into it
 @lru_cache(maxsize=8)
 def _kernel_cached(t, z_bits, spec, n):
+    if n == spec.samples:
+        # every accepted circle needs the first doubling: solve it in one
+        # call, and take this grid as its even nodes
+        w, K, R = _kernel_cached(t, z_bits, spec, 2 * n)
+        return w[0::2], K[0::2], R[0::2]
     z = complex(*struct.unpack("<2d", z_bits))
     w = contour_nodes(spec, n)
-    if n > spec.samples:
+    if n > 2 * spec.samples:
         # the even nodes are the n/2 grid's nodes; solve only the odd ones
         K = np.empty(n, dtype=complex)
         R = np.empty(n, dtype=complex)
@@ -213,6 +220,9 @@ def _contour_admissible(t, kap, z, rho, samples):
     v = (1 - z) ** 2 + 4 * w * w * z
     if np.any((v.real <= 0) & (np.abs(v.imag) <= 1e-12)):
         return "(ii) branch cut"
+    # K comes from one solve on the first doubled grid, which an accepted
+    # circle's quadrature needs next; (iii) holds on all its nodes, and
+    # (iv) and (vi) read K on the even ones, these samples
     try:
         K = _kernel(t, z, spec, samples)[1]
     except _OutsideDisc:
@@ -238,7 +248,8 @@ def admissible_contour(params: FlowParams, z) -> ContourSpec:
 
     Tries rho0 = min((1-|kappa|)/4, |kappa|/2) first, even below
     ``MIN_RADIUS``, then halves while the radius is at least ``MIN_RADIUS``,
-    until every check passes on the default ``ContourSpec.samples`` nodes.
+    until every check passes on the default ``ContourSpec.samples`` nodes;
+    (iii) is checked on the twice as many nodes of the first doubling.
     Failure raises NoAdmissibleContourError, whose ``trail`` pairs each
     radius tried with the first condition that rejected it: "(i) ellipse"
     ... "(vi) geometric ratio", or "domain" when a map left its domain on

@@ -65,6 +65,17 @@ def _exp_neg_t(t) -> tuple[int, int]:
     return big_d, d.bit_length() - 1
 
 
+def _laguerre_scaled(x: int, tau: int, count: int) -> list:
+    """(-1)**N L_N^{(1)}(x / 2**tau) N! 2**(tau N) for N < count, all
+    integers, by the three-term recurrence of the Laguerre polynomials."""
+    series, prev = [1], 0
+    for N in range(count - 1):
+        u = (x - (2 * N + 2 << tau)) * series[N] - (N * (N + 1) << 2 * tau) * prev
+        prev = series[N]
+        series.append(u)
+    return series
+
+
 @dataclass(frozen=True)
 class FlowParams:
     """Trace asymmetry kappa = 2 tau(P) - 1 and time t; eps = kappa**2.
@@ -184,12 +195,8 @@ class _TTable:
 
     def _diff_row(self, k: int) -> list:
         """_diffs[k][r] for r < k, from (-1)**N L_N^{(1)}(2kt) N! 2**(tau N)."""
-        tau, x = self.tau, 2 * k * self.T  # x = 2kt 2**tau
-        series, prev = [1], 0
-        for N in range(k - 1):
-            u = (x - (2 * N + 2 << tau)) * series[N] - (N * (N + 1) << 2 * tau) * prev
-            prev = series[N]
-            series.append(u)
+        tau = self.tau
+        series = _laguerre_scaled(2 * k * self.T, tau, k)
         scale = 1
         for N in range(k - 1, -1, -1):  # to (k-1)! 2**(tau (k-1))
             series[N] *= scale

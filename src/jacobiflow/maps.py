@@ -4,7 +4,10 @@ Principal branches everywhere: every square root validates its argument
 against the cut and fails loudly instead of switching sheets.  The inverse
 Herglotz problem (find Z in the right half-plane Jordan domain with
 xi(Z) = y) is solved by Newton iteration seeded from the Taylor series of
-the transform.  One loop serves every argument: a first array-wide Newton
+the transform.  The seed's coefficients equal :func:`k_series_coeff`'s bit
+for bit, but each is one integer quotient built from the three-term
+Laguerre recurrence the coefficient engine runs, with no exact Laguerre sum
+(``_seed_poly``).  One loop serves every argument: a first array-wide Newton
 solve, seeded from the series, reaches y itself when |y| <= 0.5 and
 0.5 y/|y| otherwise; the points beyond |y| = 0.5 then walk outward along
 their own rays by predictor-corrector continuation (Allgower & Georg, ch. 2).
@@ -26,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .flow import FlowParams, _check_index, _exp_neg_t
+from .flow import FlowParams, _check_index, _exp_neg_t, _laguerre_scaled
 from .powerseries import TruncatedSeries, series_sqrt
 from .specfun import laguerre
 
@@ -102,8 +105,23 @@ def k_series_coeff(t: float, n: int) -> float:
 
 @lru_cache(maxsize=64)
 def _seed_poly(t: float):
-    coeffs = [k_series_coeff(t, n) for n in range(1, SEED_TERMS + 1)]
-    return np.array(list(reversed(coeffs)) + [1.0], dtype=complex)
+    """The Taylor polynomial of K to order SEED_TERMS, highest power first.
+
+    Its n-th coefficient is k_series_coeff(t, n), bit for bit: the same
+    rational 2 D**n L / (n! 2**(tau (n-1) + delta n)) rounded once, with
+    t = T / 2**tau and L = L_{n-1}^{(1)}(2nt) (n-1)! 2**(tau (n-1)) an
+    integer from the Laguerre recurrence instead of an exact Laguerre sum.
+    """
+    t = float(t)
+    big_t, t_den = t.as_integer_ratio()
+    tau = t_den.bit_length() - 1
+    big_d, delta = _exp_neg_t(t)
+    coeffs = []
+    for n in range(1, SEED_TERMS + 1):
+        lag = _laguerre_scaled(2 * n * big_t, tau, n)[-1]  # carries (-1)**(n-1)
+        num = 2 * big_d**n * (lag if n % 2 else -lag)
+        coeffs.append(num / (math.factorial(n) << tau * (n - 1) + delta * n))
+    return np.array(coeffs[::-1] + [1.0], dtype=complex)
 
 
 def _newton_solve(t, seeds, targets):

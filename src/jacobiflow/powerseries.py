@@ -194,13 +194,17 @@ def _recip_trunc(a, order):
 
 
 def _compose_trunc(f, g, order):
-    """Coefficients of f(g(w)) to ``order``; g must have zero constant term."""
+    """Coefficients of f(g(w)) to ``order``; g must have zero constant term.
+
+    The Horner step that adds f[k] is followed by k more factors of g, each
+    raising the lowest power by one, so it is carried to order - k only.
+    """
     zero = g[0] * 0
-    acc = [f[-1]] + [zero] * order
+    acc = [f[-1]]
     for k in range(len(f) - 2, -1, -1):
-        acc = _mul_trunc(acc, g, order)
+        acc = _mul_trunc(acc, g, order - k)
         acc[0] = acc[0] + f[k]
-    return acc
+    return acc + [zero] * (order + 1 - len(acc))
 
 
 # -- public operations -------------------------------------------------------
@@ -263,17 +267,15 @@ def series_revert(f: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_sqrt(f: TruncatedSeries) -> TruncatedSeries:
-    """Square root of a series with constant term 1 (principal branch)."""
-    if f.coeffs[0] != 1:
+    """Square root of a series with constant term 1 (principal branch), by
+    the recurrence 2 s_n = f_n - sum_{0<i<n} s_i s_{n-i}."""
+    c = f.coeffs
+    if c[0] != 1:
         raise ValueError("series square root requires constant term 1")
-    zero = f._zero()
-    one = zero + 1
-    half = one / 2
-    s = TruncatedSeries(f.base, [one] + [zero] * f.order)
-    m = 1
-    while True:
-        s = (s + f / s) * half
-        if m >= f.order:
-            break
-        m *= 2
-    return s
+    s = [c[0]]
+    for n in range(1, f.order + 1):
+        acc = c[n]
+        for i in range(1, n):
+            acc = acc - s[i] * s[n - i]
+        s.append(acc / 2)
+    return f._like(s)

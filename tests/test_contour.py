@@ -315,10 +315,12 @@ class TestSharedKernel:
         assert sum(sent) == cor.samples
 
     def test_rejected_radii_cost_one_grid_each(self, monkeypatch):
+        # each radius tried solves its first doubled grid in one call, the
+        # grid an accepted circle's quadrature would need next
         sent = self._count_points(monkeypatch)
         with pytest.raises(NoAdmissibleContourError) as err:
             admissible_contour(FlowParams(0.9, 0.5), 0.2)
-        assert sent == [256] * len(err.value.trail)
+        assert sent == [2 * ContourSpec.samples] * len(err.value.trail)
 
     @pytest.mark.parametrize("n", [256, 512, 1024, 2048])
     def test_nested_grid_matches_a_direct_solve(self, n):

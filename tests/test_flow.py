@@ -139,13 +139,13 @@ class TestACoeff:
     def test_first_coefficient_symmetric(self):
         for t in (0.5, 1.0, 2.5):
             assert a_coeff(FlowParams(0.0, t), 1) == pytest.approx(
-                math.exp(-t) / 2, rel=1e-15
+                math.exp(-t) / 2, rel=1e-15, abs=0
             )
 
     def test_first_coefficient_general(self):
         # single term k=1, m=0: (1 - eps) e^{-t} / 2
         p = FlowParams(0.6, 1.3)
-        assert a_coeff(p, 1) == pytest.approx((1 - 0.36) * math.exp(-1.3) / 2, rel=1e-13)
+        assert a_coeff(p, 1) == pytest.approx((1 - 0.36) * math.exp(-1.3) / 2, rel=1e-13, abs=0)
 
     def test_symmetric_case_matches_plain_sum(self):
         # only m = 0 survives at kappa = 0
@@ -158,7 +158,7 @@ class TestACoeff:
                 * float(laguerre(k - 1, 1, 2 * k * Fraction(t)))
                 for k in range(1, n + 1)
             )
-            assert b_coeff(p, n) == pytest.approx(plain, rel=1e-12)
+            assert b_coeff(p, n) == pytest.approx(plain, rel=1e-12, abs=0)
 
     def test_even_in_kappa(self):
         # the entry compares a_n at (0.4, 1) and (-0.4, 1), whatever the report's t
@@ -186,7 +186,9 @@ class TestBCoeff:
             assert b_coeff(p, n) == n * 4**n * a_coeff(p, n)
 
     def test_first_symmetric(self):
-        assert b_coeff(FlowParams(0.0, 1.0), 1) == pytest.approx(2 * math.exp(-1), rel=1e-15)
+        assert b_coeff(FlowParams(0.0, 1.0), 1) == pytest.approx(
+            2 * math.exp(-1), rel=1e-15, abs=0
+        )
 
     def test_continuity_at_kappa_zero(self):
         b_small = b_coeff(FlowParams(1e-6, 1.0), 3)
@@ -210,7 +212,7 @@ class TestSCoeff:
         p = FlowParams(0.0, t)
         for n in (1, 4, 9, 16):
             want = n * maps.k_series_coeff(t, n)
-            assert s_coeff(p, n) == pytest.approx(want, rel=1e-12)
+            assert s_coeff(p, n) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestSeries:
@@ -221,7 +223,7 @@ class TestSeries:
         t = 1.0
         inv = phi_inv_coeffs(FlowParams(0.0, t), 10)
         for n in range(1, 11):
-            assert inv.coeffs[n] == pytest.approx(maps.k_series_coeff(t, n), rel=1e-12)
+            assert inv.coeffs[n] == pytest.approx(maps.k_series_coeff(t, n), rel=1e-12, abs=0)
 
     def test_m_series_is_z_ddz(self):
         p = FlowParams(0.35, 0.9)
@@ -229,7 +231,7 @@ class TestSeries:
         m = m_series_coeffs(p, 8)
         assert m.coeffs[0] == 0.0
         for n in range(1, 9):
-            assert m.coeffs[n] == pytest.approx(n * inv.coeffs[n], rel=1e-15)
+            assert m.coeffs[n] == pytest.approx(n * inv.coeffs[n], rel=1e-15, abs=0)
 
     def test_m_series_matches_direct_s_route(self):
         p = FlowParams(0.5, 1.0)
@@ -444,7 +446,7 @@ class TestJacobiMoments:
                 binomial(2 * n, n)
                 + 2 * sum(binomial(2 * n, n - k) * moments[k - 1] for k in range(1, n + 1))
             )
-            assert 2 * jac[n - 1] == pytest.approx(direct, rel=1e-14)
+            assert 2 * jac[n - 1] == pytest.approx(direct, rel=1e-14, abs=0)
 
     def test_length_validation(self):
         with pytest.raises(ValueError):

@@ -34,6 +34,15 @@ def _reference_mul_trunc(a, b, order):
     return out
 
 
+def _reference_compose_trunc(f, g, order):
+    """Horner's rule for f(g) with every step carried to the full order."""
+    acc = [f[-1]] + [g[0] * 0] * order
+    for k in range(len(f) - 2, -1, -1):
+        acc = powerseries._mul_trunc(acc, g, order)
+        acc[0] = acc[0] + f[k]
+    return acc
+
+
 def _random_fraction(rng):
     # zeros, negatives and unrelated denominators
     if rng.random() < 0.2:
@@ -90,6 +99,22 @@ class TestMulTruncKernel:
         want = build().coeffs
         assert got == want
         assert all(type(c) is Fraction for c in got + want)
+
+
+class TestComposeTruncKernel:
+    @pytest.mark.parametrize("kind", ["fraction", "float", "complex"])
+    def test_matches_full_order_horner(self, kind):
+        # the step that adds f[k] is carried to order - k only
+        rng = random.Random(1414)
+        for order in (0, 1, 2, 5, 12, 24):
+            for _ in range(4):
+                f = [_random_fraction(rng) for _ in range(order + 1)]
+                g = [_random_fraction(rng) for _ in range(order + 1)]
+                f, g = _KINDS[kind](f, g, rng)
+                g[0] = g[0] * 0
+                got = powerseries._compose_trunc(f, g, order)
+                assert got == _reference_compose_trunc(f, g, order), order
+                assert len(got) == order + 1
 
 
 class TestConstruction:

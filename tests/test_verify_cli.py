@@ -124,7 +124,8 @@ class TestUnchangedReport:
 class TestHerglotzCalls:
     def test_full_suite_batches_the_herglotz_grid(self, monkeypatch):
         # the radius x angle grid and its conjugates go in one array call
-        # each; the points sent stay exactly those of one call per point
+        # each, and so does each contour's first doubled grid; the points
+        # sent stay exactly those of one call per point
         calls = []
         solve = maps.herglotz_k
 
@@ -137,7 +138,7 @@ class TestHerglotzCalls:
         contour._kernel_cached.cache_clear()
         assert run_checks(0.44, 1.78, "full").passed
         contour._kernel_cached.cache_clear()
-        assert len(calls) <= 60
+        assert len(calls) <= 56
         assert sum(calls) == 1707
 
 
@@ -334,7 +335,7 @@ class TestCliIntegral:
         assert data["form"] == "closed"
         from jacobiflow.maps import m_zero
 
-        assert data["value_re"] == pytest.approx(m_zero(1.0, 0.05).real, rel=1e-12)
+        assert data["value_re"] == pytest.approx(m_zero(1.0, 0.05).real, rel=1e-12, abs=0)
 
     def test_obstruction_exit_code(self, capsys):
         assert main(["integral", "--kappa", "0.9", "--t", "0.5", "--z", "0.2"]) == 2
