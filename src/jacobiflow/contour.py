@@ -32,7 +32,7 @@ import numpy as np
 from .flow import FlowParams
 from .maps import DomainError, _y_and_r, herglotz_k, r_func
 from .report import VerifyEntry
-from .specfun import jacobi_poly, laguerre
+from .specfun import laguerre
 
 QUAD_TOL = 1e-12
 MAX_SAMPLES = 2**16
@@ -46,8 +46,9 @@ MIN_RADIUS = 1e-6
 
 class QuadratureError(RuntimeError):
     """The circle quadrature failed in binary64: its radius is not a normal
-    float, the integrand was not finite at a node, or the doubling hit the
-    sample cap (then ``last_two`` carries the last two values)."""
+    float, the integrand was not finite at a node, a doubling put a node
+    outside the kernel's domain, or the doubling hit the sample cap (then
+    ``last_two`` carries the last two values)."""
 
     def __init__(self, message, last_two=None):
         super().__init__(message)
@@ -108,9 +109,13 @@ def _adaptive_quadrature(level, spec: ContourSpec):
     values = []
     n = spec.samples
     while n <= MAX_SAMPLES:
-        # an overflow or a zero division shows as a value that is not finite
-        with np.errstate(all="ignore"):
-            w, fw = level(n)
+        try:
+            # an overflow or a zero division shows as a value that is not finite
+            with np.errstate(all="ignore"):
+                w, fw = level(n)
+        except DomainError as exc:
+            # a doubling's new nodes, which no admissibility check has seen
+            raise QuadratureError(f"{exc} at {n} nodes") from exc
         fw = np.asarray(fw, dtype=complex)
         if fw.shape != w.shape:
             raise ValueError("integrand must return one value per node")
@@ -372,21 +377,42 @@ def laguerre_gen_check(m: int, t: float, y, n_terms: int = 120, tol: float = 1e-
     )
 
 
+def _jacobi_row(n_max: int, a: int, b: int, x):
+    """P_0^{a,b}(x), ..., P_{n_max}^{a,b}(x) for integers a, b >= 0 and a
+    binary64 real or complex x, by the forward three-term recurrence (DLMF
+    18.9.2)
+
+        2 (n+1) (n+a+b+1) c P_{n+1}
+            = (c+1) (c (c+2) x + a**2 - b**2) P_n - 2 (n+a) (n+b) (c+2) P_{n-1},
+
+    with c = 2n + a + b.  Each integer factor is exact, so a step rounds
+    only its few products; no alternating sum cancels."""
+    row = [x * 0 + 1, ((a + b + 2) * x + a - b) / 2]
+    for n in range(1, n_max):
+        c = 2 * n + a + b
+        nxt = (c + 1) * (c * (c + 2) * x + a * a - b * b) * row[n]
+        nxt -= 2 * (n + a) * (n + b) * (c + 2) * row[n - 1]
+        row.append(nxt / (2 * (n + 1) * (n + a + b + 1) * c))
+    return row[: n_max + 1]
+
+
 def jacobi_gen_check(j: int, z, w, n_terms: int = 150, tol: float = 1e-8) -> VerifyEntry:
     """Residual of the Jacobi generating identity
 
         z**j sum_n P_n^{0,2j}(1 - 2 w**2) z**n
             = (4z)**j / (R (1 + z + R)**(2j)),
 
-    together with its variant shifted by one degree (extra factor z)."""
+    together with its variant shifted by one degree (extra factor z).  The
+    P_n come in one row from the binary64 recurrence of :func:`_jacobi_row`;
+    the verify entry ``jacobi-exact-complex`` tests that row against exact
+    values."""
     if j < 1:
         raise ValueError("j must be positive")
     z = complex(z)
     w = complex(w)
     if abs(z) > 0.3:
         raise DomainError("partial sums converge reliably only for |z| <= 0.3")
-    arg = 1 - 2 * w * w
-    vals = [jacobi_poly(n, 0, 2 * j, arg) for n in range(n_terms + 1)]
+    vals = _jacobi_row(n_terms, 0, 2 * j, 1 - 2 * w * w)
     acc = 0j
     for v in reversed(vals):
         acc = acc * z + v

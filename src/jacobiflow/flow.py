@@ -41,13 +41,6 @@ from .powerseries import MAX_ORDER, TruncatedSeries
 from .specfun import binomial, pochhammer
 
 
-def _exact_div(num, den):
-    """num / den, as a Fraction whenever both sides are exact integers."""
-    if isinstance(num, int) and isinstance(den, int):
-        return Fraction(num, den)
-    return num / den
-
-
 def _exp_neg_t(t) -> tuple[int, int]:
     """The anchor of every exact computation at time t: (D, delta) with the
     once-rounded binary64 e^{-t} equal to D / 2**delta.
@@ -392,8 +385,8 @@ def jacobi_moments(unitary_moments, params: FlowParams, order: int):
             start=u[0] * 0,
         )
         out.append(
-            _exact_div(binomial(2 * n, n), 2 ** (2 * n + 1))
-            + _exact_div(params.kappa, 2)
-            + _exact_div(1, 4**n) * tail
+            Fraction(binomial(2 * n, n), 2 ** (2 * n + 1))
+            + params.kappa * Fraction(1, 2)
+            + Fraction(1, 4**n) * tail
         )
     return out

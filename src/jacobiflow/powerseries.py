@@ -67,9 +67,6 @@ class TruncatedSeries:
         zero = one * 0
         return cls(base, [base + zero, one] + [zero] * (order - 1))
 
-    def _zero(self):
-        return self.coeffs[0] * 0
-
     def _like(self, coeffs):
         return TruncatedSeries(self.base, coeffs)
 
@@ -107,27 +104,6 @@ class TruncatedSeries:
         return self._like([a * other for a in self.coeffs])
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_aligned(other)
-            return self * other.reciprocal()
-        return self._like([a / other for a in self.coeffs])
-
-    def __rtruediv__(self, other):
-        return other * self.reciprocal()
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("series powers need a nonnegative integer exponent")
-        out = self._like([self._zero() + 1] + [self._zero()] * self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def reciprocal(self):
         """Multiplicative inverse 1/f, requires a nonzero constant term."""

@@ -22,10 +22,7 @@ the overflow of intermediate powers (the value is representable long before
 its largest term is).  Passing Fraction arguments therefore returns exact
 values, which is the ground truth the floating path is tested against.
 
-Only ``jacobi_poly`` takes a binary64 complex argument, which the Jacobi
-generating check sends it; it sums in complex floating point, lowest degree
-first, each exact coefficient an integer quotient rounded once and
-multiplied by the binary64 power of the argument.  ``laguerre`` refuses a
+``laguerre`` and ``jacobi_poly`` take real arguments only and refuse a
 Python complex with TypeError.
 """
 
@@ -44,11 +41,6 @@ def _ratio(v):
     raise TypeError(f"expected a real int, Fraction or float, got {type(v).__name__}")
 
 
-def _to_float(num: int, den: int) -> float:
-    """num / den rounded once; equals float(Fraction(num, den)), +0.0 included."""
-    return -num / -den if den < 0 else num / den
-
-
 def _term_sum(ratios: list, r, s, den: int, to_float: bool):
     """The terminating sum with term ratios (p_k / q_k) (r / s), k = 1..n, as
     acc_n / (den s**n), where den s**n is (q_1...q_n) s**n over term 0;
@@ -58,7 +50,8 @@ def _term_sum(ratios: list, r, s, den: int, to_float: bool):
         g = g * (p * r)
         acc = acc * (q * s) + g
     den = den * s ** len(ratios)
-    return _to_float(acc, den) if to_float else Fraction(acc, den)
+    # den > 0, so the int quotient is float(Fraction(acc, den)), +0.0 included
+    return acc / den if to_float else Fraction(acc, den)
 
 
 def pochhammer(a, k: int):
@@ -106,27 +99,15 @@ def laguerre(n: int, alpha, z):
 def jacobi_poly(n: int, a, b, z):
     """Jacobi polynomial P_n^{a,b}(z) via the terminating 2F1 at (1-z)/2.
 
-    Accepts a real or a binary64 complex z; real arguments are summed exactly
-    and rounded at the end.
-    For a in {-1, ..., -n} the 2F1 form divides by zero: real arguments
-    still give P_n^{a,b}, a polynomial in a, but a complex z raises
-    ZeroDivisionError.
+    Accepts a real z, summed exactly and rounded at the end.  For a in
+    {-1, ..., -n} the 2F1 form has a vanishing denominator, and the sum
+    still gives P_n^{a,b}, a polynomial in a.
     """
     if n < 0:
         raise ValueError(f"jacobi_poly needs n >= 0, got {n}")
     (pa, da), (pb, db) = _ratio(a), _ratio(b)
     e, A, B = da * db, pa * db, pb * da  # a = A / e, b = B / e
     scale = e**n * math.factorial(n) ** 2  # (a+1)_n / n! = (q_1...q_n) / scale
-    if isinstance(z, complex):
-        half = (1 - z) / 2
-        num = den = 1
-        total = z * 0 + 1  # term 0
-        for m in range(1, n + 1):
-            # (-n)_m (n+a+b+1)_m / ((a+1)_m m!) over its predecessor
-            num *= (m - 1 - n) * (e * (n + m) + A + B)
-            den *= (A + e * m) * m
-            total = total + _to_float(num, den) * half**m
-        return _to_float(den, scale) * total
     r, s = _ratio(z)
     ratios = [((m - 1 - n) * (e * (n + m) + A + B), (A + e * m) * m) for m in range(1, n + 1)]
     to_float = any(isinstance(v, float) for v in (a, b, z))

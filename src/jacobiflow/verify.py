@@ -49,16 +49,23 @@ def _check_specfun(rep: VerifyReport, full: bool):
     res = abs(binomial(5, 7)) + abs(binomial(4, 2) - 6) + abs(binomial(40, 20) - 137846528820)
     rep.check("binomial-edges", res, 0.0)
 
-    n, a, b, z = 4, 2, 0, 0.3 + 0.2j
-    res = abs(jacobi_poly(n, a, b, z) - (-1) ** n * jacobi_poly(n, b, a, -z))
+    # P_n^{a,b}(z) = (-1)^n P_n^{b,a}(-z), the recurrence at z against the
+    # exact value at -z (the recurrence alone is symmetric bit for bit)
+    n, a, b, x, y = 4, 2, 0, Fraction(3, 10), Fraction(1, 5)
+    re, im = _jacobi_taylor(n, b, a, -x, -y)
+    mirror = (-1) ** n * complex(float(re), float(im))
+    res = abs(contour._jacobi_row(n, a, b, complex(x, y))[n] - mirror)
     rep.check("jacobi-symmetry", res, 1e-12, n=n, a=a, b=b)
 
+    # the recurrence behind the Jacobi generating checks, at 0.3 + 0.2i and
+    # at their complex argument 1 - 2 (0.5 + 0.1i)^2 = 0.52 - 0.2i
     worst = 0.0
-    for n in (3, 6, 9):
-        re, im = _jacobi_taylor(n, 0, 4, Fraction(3, 10), Fraction(1, 5))
-        exact = complex(float(re), float(im))
-        approx = jacobi_poly(n, 0, 4, 0.3 + 0.2j)
-        worst = max(worst, abs(approx - exact) / abs(exact))
+    for x, y in ((Fraction(3, 10), Fraction(1, 5)), (Fraction(13, 25), Fraction(-1, 5))):
+        row = contour._jacobi_row(60, 0, 4, complex(x, y))
+        for n in (20, 60):
+            re, im = _jacobi_taylor(n, 0, 4, x, y)
+            exact = complex(float(re), float(im))
+            worst = max(worst, abs(row[n] - exact) / abs(exact))
     rep.check("jacobi-exact-complex", worst, 1e-12)
 
     rng = random.Random(1905)

@@ -2,6 +2,7 @@ import cmath
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from jacobiflow.contour import (
 )
 from jacobiflow.flow import FlowParams, m_series_coeffs
 from jacobiflow.maps import DomainError, herglotz_k, m_zero, r_func, y_func
+from jacobiflow.specfun import jacobi_poly
 from conftest import assert_entries
 
 
@@ -255,6 +257,15 @@ class TestGeneratingChecks:
     def test_jacobi_complex_argument(self):
         entry = jacobi_gen_check(2, 0.15, 0.5 + 0.1j, n_terms=150, tol=1e-8)
         assert entry.passed
+
+    @pytest.mark.parametrize("x", [0.28, -0.7])
+    def test_jacobi_row_matches_exact_real_path(self, x):
+        # 0.28 = 1 - 2 (0.6)^2 is the argument of the real generating check
+        for b in (2, 4, 6, 8):
+            row = contour._jacobi_row(150, 0, b, x)
+            for n, got in enumerate(row):
+                want = float(jacobi_poly(n, 0, b, Fraction(x)))
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (n, b, got, want)
 
     def test_jacobi_zero_point(self):
         entry = jacobi_gen_check(2, 0.0, 0.4, n_terms=20, tol=1e-15)

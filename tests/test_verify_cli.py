@@ -466,6 +466,14 @@ class TestFailureClasses:
              "error: numerical failure: ", 1),
             (["integral", "--kappa", "1e-323", "--t", "1", "--z", "0.03"], 3,
              "error: numerical failure: ", 1),
+            # a doubling beyond the admissibility grid puts a node's kernel
+            # argument outside the unit disc
+            (["integral", "--kappa=-0.3513548798481762", "--t", "2.6113509658179055",
+              "--z", "0.5615114504579707,-0.44298765052345496"], 3,
+             "error: numerical failure: ", 1),
+            (["integral", "--kappa", "0.45119595864816286", "--t", "1.6551909559023368",
+              "--z", "0.6130674614296436,-0.5379044737059789"], 3,
+             "error: numerical failure: ", 1),
         ],
     )
     def test_exit_code_and_one_message(self, argv, code, prefix, lines, tmp_path, capsys,
@@ -690,7 +698,7 @@ class TestPinnedBytes:
         assert (out / "manifest.json").read_text(encoding="utf-8") == self.MANIFEST
 
     # every residual, tolerance and context of the full report, bit for bit
-    VERIFY_FULL_JSON_SHA256 = "47ffff50bfd24c5e16ea8f6ed1094624cc35eaf05b346f48b9c6d9ab6d8df37c"
+    VERIFY_FULL_JSON_SHA256 = "d15eb8b71dd16391088a0ae8d5e2cefab1294ef58390f309204e3978af061f84"
 
     def test_verify_stdout(self, capsys):
         argv = ["verify", "--kappa", "0.5", "--t", "1", "--level", "full", "--format", "json"]
