@@ -186,11 +186,9 @@ def _cmd_integral(args) -> int:
     if kappa == 0.0:
         value, form, radius, samples, residual = maps.m_zero(t, z), "closed", 0.0, 0, 0.0
     else:
-        main = contour.m_integral_detailed(params, z, args.form)
-        other_form = "proposition" if args.form == "corollary" else "corollary"
-        other = contour.m_integral_detailed(params, z, other_form, spec=main.contour)
-        value, form, radius, samples = main.value, main.form, main.contour.radius, main.samples
-        residual = abs(main.value - other.value)
+        res = contour.m_integral_detailed(params, z)
+        form, radius, samples = args.form, res.contour.radius, res.samples
+        value, residual = getattr(res, form), abs(res.corollary - res.proposition)
     record = {
         "value_re": value.real,
         "value_im": value.imag,

@@ -14,14 +14,13 @@ first doubling: its 2n nodes are solved in one call, and the n-node level
 is their even half, a strided view.  Each later doubling solves only its
 new odd nodes.  The nodes with K and the root R = r_func(z, w), formed once
 with the kernel argument y, are kept in a small bounded cache shared by the
-admissibility check, every doubling of both integral forms, and the kernel
-checks.  The cached arrays are read-only.
+admissibility check, every doubling of the integral (both forms in one
+pass), and the kernel checks.  The cached arrays are read-only.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 import struct
 import sys
 from dataclasses import dataclass
@@ -32,7 +31,6 @@ import numpy as np
 from .flow import FlowParams
 from .maps import DomainError, _y_and_r, herglotz_k, r_func
 from .report import VerifyEntry
-from .specfun import laguerre
 
 QUAD_TOL = 1e-12
 MAX_SAMPLES = 2**16
@@ -46,13 +44,8 @@ MIN_RADIUS = 1e-6
 
 class QuadratureError(RuntimeError):
     """The circle quadrature failed in binary64: its radius is not a normal
-    float, the integrand was not finite at a node, a doubling put a node
-    outside the kernel's domain, or the doubling hit the sample cap (then
-    ``last_two`` carries the last two values)."""
-
-    def __init__(self, message, last_two=None):
-        super().__init__(message)
-        self.last_two = last_two
+    float, an integrand was not finite at a node, a doubling put a node
+    outside the kernel's domain, or the doubling hit the sample cap."""
 
 
 class _OutsideDisc(DomainError):
@@ -104,33 +97,36 @@ def contour_nodes(spec: ContourSpec, count: int | None = None) -> np.ndarray:
 
 
 def _adaptive_quadrature(level, spec: ContourSpec):
-    """(1/2 pi i) contour integral by doubling; ``level(n)`` returns the
-    n nodes and the integrand's values there.  Returns (value, samples, delta)."""
-    values = []
+    """(1/2 pi i) contour integrals of several integrands over one circle, by
+    doubling; ``level(n)`` returns the n nodes and a tuple of the
+    integrands' values there.  All stop at the first doubling where each
+    has moved by less than ``QUAD_TOL``.  Returns (values, samples, delta),
+    with delta the largest of the last moves."""
+    previous = None
     n = spec.samples
     while n <= MAX_SAMPLES:
         try:
             # an overflow or a zero division shows as a value that is not finite
             with np.errstate(all="ignore"):
-                w, fw = level(n)
+                w, fws = level(n)
         except DomainError as exc:
             # a doubling's new nodes, which no admissibility check has seen
             raise QuadratureError(f"{exc} at {n} nodes") from exc
-        fw = np.asarray(fw, dtype=complex)
-        if fw.shape != w.shape:
-            raise ValueError("integrand must return one value per node")
-        if not np.all(np.isfinite(fw)):
-            raise QuadratureError("integrand is not finite at a sample point")
-        values.append(complex(np.sum(fw * (w - spec.center)) / n))
-        if len(values) >= 2:
-            delta = abs(values[-1] - values[-2])
+        values = []
+        for fw in fws:
+            fw = np.asarray(fw, dtype=complex)
+            if fw.shape != w.shape:
+                raise ValueError("integrand must return one value per node")
+            if not np.all(np.isfinite(fw)):
+                raise QuadratureError("integrand is not finite at a sample point")
+            values.append(complex(np.sum(fw * (w - spec.center)) / n))
+        if previous is not None:
+            delta = max(abs(a - b) for a, b in zip(values, previous))
             if delta < QUAD_TOL:
-                return values[-1], n, delta
+                return values, n, delta
+        previous = values
         n *= 2
-    raise QuadratureError(
-        f"quadrature did not converge within {MAX_SAMPLES} samples",
-        last_two=(values[-2], values[-1]),
-    )
+    raise QuadratureError(f"quadrature did not converge within {MAX_SAMPLES} samples")
 
 
 def circle_quadrature(f, spec: ContourSpec) -> complex:
@@ -141,9 +137,9 @@ def circle_quadrature(f, spec: ContourSpec) -> complex:
 
     def level(n):
         w = contour_nodes(spec, n)
-        return w, f(w)
+        return w, (f(w),)
 
-    return _adaptive_quadrature(level, spec)[0]
+    return _adaptive_quadrature(level, spec)[0][0]
 
 
 def _kernel(t: float, z: complex, spec: ContourSpec, n: int):
@@ -212,10 +208,10 @@ def pkm_residue(k: int, m: int, params: FlowParams, spec: ContourSpec) -> float:
     return circle_quadrature(integrand, spec).real
 
 
-def _contour_admissible(t, kap, z, rho, samples):
+def _contour_admissible(t, kap, z, rho):
     """None if the circle of radius rho around kappa passes conditions
     (i)-(vi) on its nodes, else the name of the first one it fails."""
-    spec = _circle(kap, rho, samples)
+    spec = _circle(kap, rho, ContourSpec.samples)
     w = contour_nodes(spec)
     # (i) image of w -> 1 - 2 w**2 inside the convergence ellipse
     u = 1 - 2 * w * w
@@ -229,7 +225,7 @@ def _contour_admissible(t, kap, z, rho, samples):
     # circle's quadrature needs next; (iii) holds on all its nodes, and
     # (iv) and (vi) read K on the even ones, these samples
     try:
-        K = _kernel(t, z, spec, samples)[1]
+        K = _kernel(t, z, spec, spec.samples)[1]
     except _OutsideDisc:
         # (iii) kernel argument inside the disc
         return "(iii) kernel argument"
@@ -273,7 +269,7 @@ def admissible_contour(params: FlowParams, z) -> ContourSpec:
     rho = min((1 - abs(kap)) / 4, abs(kap) / 2)
     trail = []
     while rho >= MIN_RADIUS or not trail:
-        failed = _contour_admissible(t, kap, z, rho, ContourSpec.samples)
+        failed = _contour_admissible(t, kap, z, rho)
         if failed is None:
             return ContourSpec(complex(kap), rho)
         trail.append((rho, failed))
@@ -285,10 +281,10 @@ def admissible_contour(params: FlowParams, z) -> ContourSpec:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Value of the contour integral plus the diagnostics collected along it."""
+    """Both forms of the contour integral on one circle, and its diagnostics."""
 
-    value: complex
-    form: str
+    corollary: complex
+    proposition: complex
     contour: ContourSpec
     samples: int
     quadrature_delta: float
@@ -296,61 +292,63 @@ class IntegralResult:
     geom_ratio_max: float
 
 
-def m_integral_detailed(
-    params: FlowParams, z, form: str = "corollary", spec: ContourSpec | None = None
-) -> IntegralResult:
-    """Contour-integral evaluation of the derivative series M at a point.
-
-    ``corollary`` integrates K (K**2-1) / ([t K**2 + (2-t)][w K - kappa] R),
-    which has no singularity at w = 0 and is the default; ``proposition``
-    keeps the kappa/(w R) weight and is retained for cross-validation.
-    Both carry the (1 - z) prefactor.
-    """
-    if form not in ("proposition", "corollary"):
-        raise ValueError(f"unknown integral form {form!r}")
+def m_integral_detailed(params: FlowParams, z) -> IntegralResult:
+    """M at z from the contour integral on the admissible circle, in both
+    forms from one run of doublings.  ``corollary`` integrates
+    K (K**2-1) / ([t K**2 + (2-t)][w K - kappa] R), with no singularity at
+    w = 0; ``proposition`` keeps the kappa/(w R) weight, as a cross-check.
+    Both carry the (1 - z) prefactor.  The grids are nested, so the
+    diagnostics read on the last grid cover every level."""
     kap = float(params.kappa)
     if kap == 0.0:
         raise ValueError("kappa = 0 has the closed form maps.m_zero")
     z = complex(z)
     if not abs(z) < 1:
         raise DomainError("evaluation point must lie in the open unit disc")
-    if spec is None:
-        spec = admissible_contour(params, z)
+    spec = admissible_contour(params, z)
     t = float(params.t)
-    min_den = [math.inf]
-    max_ratio = [0.0]
 
     def level(n):
         w, K, rr = _kernel(t, z, spec, n)
-        den = t * K * K + (2 - t)
-        min_den[0] = min(min_den[0], float(np.min(np.abs(den))))
-        max_ratio[0] = max(
-            max_ratio[0], float(np.max(np.abs(w * (1 - K) / (w - kap))))
-        )
-        core = (K * K - 1) / (den * (w * K - kap))
-        if form == "corollary":
-            return w, K * core / rr
-        return w, core / (w * rr)
+        core = (K * K - 1) / ((t * K * K + (2 - t)) * (w * K - kap))
+        return w, (K * core / rr, core / (w * rr))
 
-    value, samples, delta = _adaptive_quadrature(level, spec)
-    scale = (1 - z) * (kap if form == "proposition" else 1.0)
+    (cor, prop), samples, delta = _adaptive_quadrature(level, spec)
+    w, K, _ = _kernel(t, z, spec, samples)
     return IntegralResult(
-        value=scale * value,
-        form=form,
+        corollary=(1 - z) * cor,
+        proposition=(1 - z) * kap * prop,
         contour=spec,
         samples=samples,
         quadrature_delta=delta,
-        min_kernel_denominator=min_den[0],
-        geom_ratio_max=max_ratio[0],
+        min_kernel_denominator=float(np.min(np.abs(t * K * K + (2 - t)))),
+        geom_ratio_max=float(np.max(np.abs(w * (1 - K) / (w - kap)))),
     )
 
 
 def m_integral(params: FlowParams, z, form: str = "corollary") -> complex:
-    """Value of the contour-integral representation of M at the point z."""
-    return m_integral_detailed(params, z, form).value
+    """M at z from the contour integral in one form of :func:`m_integral_detailed`."""
+    if form not in ("proposition", "corollary"):
+        raise ValueError(f"unknown integral form {form!r}")
+    return getattr(m_integral_detailed(params, z), form)
 
 
 # -- generating-function and kernel checks ------------------------------------
+
+
+def _laguerre_diagonal(m: int, t: float, n_terms: int) -> np.ndarray:
+    """L_d^{(a)}(2 j t), a = m + 1 and d = j - a, for j = a, ..., n_terms: one
+    pass of the forward recurrence in the degree (DLMF 18.9.13) at every
+    x = 2 j t at once, (d+1) L_{d+1} = (2d + a + 1 - x) L_d - (d + a) L_{d-1}.
+    Degrees past the one read at an x may overflow there, to no harm."""
+    a = m + 1
+    x = 2.0 * np.arange(a, n_terms + 1) * t
+    prev, cur, out = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(x.size):
+            out[d] = cur[d]
+            prev, cur = cur, ((2 * d + a + 1 - x) * cur - (d + a) * prev) / (d + 1)
+    return out
 
 
 def laguerre_gen_check(m: int, t: float, y, n_terms: int = 120, tol: float = 1e-8) -> VerifyEntry:
@@ -359,7 +357,8 @@ def laguerre_gen_check(m: int, t: float, y, n_terms: int = 120, tol: float = 1e-
         2**(m+1) sum_{j>m} L_{j-m-1}^{(m+1)}(2jt) (e^{-t} y)^j
             = (K**2-1)/(t K**2 + 2-t) (K-1)**m,   K = K(y),
 
-    from an n_terms partial sum on the left."""
+    from an n_terms partial sum on the left, whose L come from the binary64
+    recurrence of :func:`_laguerre_diagonal`."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     y = complex(y)
@@ -367,8 +366,8 @@ def laguerre_gen_check(m: int, t: float, y, n_terms: int = 120, tol: float = 1e-
         raise DomainError("check needs |y| < 0.95")
     decay = cmath.exp(-t) * y
     lhs = 0j
-    for j in range(m + 1, n_terms + 1):
-        lhs += laguerre(j - m - 1, m + 1, 2.0 * j * t) * decay**j
+    for j, lag in enumerate(_laguerre_diagonal(m, t, n_terms).tolist(), m + 1):
+        lhs += lag * decay**j
     lhs *= 2 ** (m + 1)
     K = herglotz_k(t, y)
     rhs = (K * K - 1) / (t * K * K + (2 - t)) * (K - 1) ** m

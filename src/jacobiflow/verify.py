@@ -26,6 +26,17 @@ def _rel(a, b) -> float:
     return abs(a - b) / max(abs(b), 1e-300)
 
 
+def _lagrange_inverse(f: TruncatedSeries) -> list:
+    """Coefficients 1, ..., order of the compositional inverse of the exact
+    series f = c_1 w + c_2 w**2 + ..., by Lagrange: (1/n) [w^(n-1)] (w/f)^n."""
+    ratio = TruncatedSeries(f.base, f.coeffs[1:] + [Fraction(0)]).reciprocal()
+    power, out = ratio, [ratio.coeffs[0]]
+    for n in range(2, f.order + 1):
+        power = power * ratio
+        out.append(power.coeffs[n - 1] / n)
+    return out
+
+
 # -- special functions ---------------------------------------------------------
 
 
@@ -115,13 +126,9 @@ def _check_powerseries(rep: VerifyReport, full: bool):
     ident = series_compose(f, g)
     want = [Fraction(0), Fraction(1)] + [Fraction(0)] * 10
     worst = max(abs(a - b) for a, b in zip(ident.coeffs, want))
-    # reversion against the closed Lagrange extraction (1/n) [w^(n-1)] (w/f)^n
-    ratio = TruncatedSeries(Fraction(0), coeffs[1:] + [Fraction(0)]).reciprocal()
-    power = ratio
-    for n in range(1, 12):
-        lagr = power.coeffs[n - 1] / n
+    # reversion against the closed Lagrange extraction
+    for n, lagr in enumerate(_lagrange_inverse(f), 1):
         worst = max(worst, abs(lagr - g.coeffs[n]))
-        power = power * ratio
     rep.check("series-reversion-exact", float(worst), 0.0)
 
 
@@ -182,15 +189,9 @@ def _check_oracles(rep: VerifyReport, params: flow.FlowParams, full: bool):
     n_max = 10 if full else 6
     # truncated products leave the low coefficients alone, so the series is
     # built only to the order the extraction reads
-    phis = maps.phi_series(params, n_max)
-    ratio = TruncatedSeries(phis.base, phis.coeffs[1:] + [Fraction(0)]).reciprocal()
-    power = ratio
     worst = 0.0
-    for n in range(1, n_max + 1):
-        lagrange = float(power.coeffs[n - 1] / n)
-        worst = max(worst, _rel(lagrange, flow.a_coeff(params, n)))
-        if n < n_max:
-            power = power * ratio
+    for n, lagrange in enumerate(_lagrange_inverse(maps.phi_series(params, n_max)), 1):
+        worst = max(worst, _rel(float(lagrange), flow.a_coeff(params, n)))
     rep.check("lagrange-inversion-oracle", worst, 1e-9, n_max=n_max)
 
     order = 12 if full else 8
@@ -386,13 +387,12 @@ def _check_contour(rep: VerifyReport, params: flow.FlowParams, full: bool):
     worst_series = 0.0
     worst_forms = 0.0
     for z in zs:
-        res_c = contour.m_integral_detailed(params, z, "corollary")
-        res_p = contour.m_integral_detailed(params, z, "proposition", spec=res_c.contour)
-        worst_series = max(worst_series, _rel(res_c.value, mser(z)))
-        worst_forms = max(worst_forms, abs(res_c.value - res_p.value))
-        rep.add(contour.nonvanishing_check(params, z, res_c.contour))
+        res = contour.m_integral_detailed(params, z)
+        worst_series = max(worst_series, _rel(res.corollary, mser(z)))
+        worst_forms = max(worst_forms, abs(res.corollary - res.proposition))
+        rep.add(contour.nonvanishing_check(params, z, res.contour))
         # condition (vi) over every doubling, not just the nodes it was tested on
-        ratio = res_c.geom_ratio_max
+        ratio = res.geom_ratio_max
         rep.check("geometric-ratio", max(0.0, ratio - 1.0), 0.0, max_ratio=ratio, z=complex(z))
     rep.check("m-integral-vs-series", worst_series, 1e-6, points=len(zs))
     rep.check("m-integral-forms-agree", worst_forms, 1e-9, points=len(zs))

@@ -23,7 +23,7 @@ from jacobiflow.contour import (
 )
 from jacobiflow.flow import FlowParams, m_series_coeffs
 from jacobiflow.maps import DomainError, herglotz_k, m_zero, r_func, y_func
-from jacobiflow.specfun import jacobi_poly
+from jacobiflow.specfun import jacobi_poly, laguerre
 from conftest import assert_entries
 
 
@@ -156,7 +156,7 @@ class TestAdmissibleContour:
         # the search above only halves from rho0, yet a wider circle passes
         # (i)-(vi) at the same point: exit 2 is not an analytic obstruction
         rho = math.sqrt(0.0417 * 0.152)
-        assert contour._contour_admissible(0.5, 0.9, 0.2, rho, 256) is None
+        assert contour._contour_admissible(0.5, 0.9, 0.2, rho) is None
 
     def test_rho0_below_min_radius_is_tried(self):
         # rho0 = |kappa| / 2 = 5e-8 lies below MIN_RADIUS and is admissible
@@ -177,8 +177,8 @@ class TestAdmissibleContour:
     def test_failing_condition_is_named(self):
         # rho0 = 0.1 sends part of the circle to |y| >= 1; its half is admissible
         z = 0.9 * cmath.exp(1j * math.pi / 4)
-        assert contour._contour_admissible(2.0, 0.2, z, 0.1, 256) == "(iii) kernel argument"
-        assert contour._contour_admissible(2.0, 0.2, z, 0.05, 256) is None
+        assert contour._contour_admissible(2.0, 0.2, z, 0.1) == "(iii) kernel argument"
+        assert contour._contour_admissible(2.0, 0.2, z, 0.05) is None
         assert admissible_contour(FlowParams(0.2, 2.0), z).radius == 0.05
 
     @pytest.mark.parametrize("kappa", [5e-324, -1e-323, 3e-308])
@@ -228,9 +228,37 @@ class TestMIntegral:
 
     @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0.1, math.nan)])
     def test_nan_point_rejected(self, z):
-        spec = ContourSpec(0.5 + 0j, 0.1)
         with pytest.raises(DomainError):
-            m_integral_detailed(FlowParams(0.5, 1.0), z, spec=spec)
+            m_integral_detailed(FlowParams(0.5, 1.0), z)
+
+    @pytest.mark.parametrize("kappa,t,z", [(0.5, 1.0, 0.03), (0.2, 1.7, 0.7 + 0.1j)])
+    def test_one_form_is_a_field_of_both(self, kappa, t, z):
+        p = FlowParams(kappa, t)
+        res = m_integral_detailed(p, z)
+        for form in ("corollary", "proposition"):
+            # repr round-trips a binary64 pair, signed zeros included
+            assert repr(m_integral(p, z, form)) == repr(getattr(res, form))
+        # the form is checked before any work: 1.5 would be a DomainError
+        with pytest.raises(ValueError, match="unknown integral form"):
+            m_integral(p, 1.5, "other")
+
+    @pytest.mark.parametrize(
+        "kappa,t,z,levels", [(0.2, 1.7, 0.7 + 0.1j, 2), (-0.26, 0.8, -0.35 + 0.1j, 4)]
+    )
+    def test_diagnostics_cover_every_level(self, kappa, t, z, levels):
+        # the doubled grids are nested, so the extremes over every level,
+        # from the first grid up to res.samples, are those of the last one
+        res = m_integral_detailed(FlowParams(kappa, t), z)
+        dens, ratios = [], []
+        n = res.contour.samples
+        while n <= res.samples:
+            w, K, _ = contour._kernel(t, complex(z), res.contour, n)
+            dens.append(float(np.min(np.abs(t * K * K + (2 - t)))))
+            ratios.append(float(np.max(np.abs(w * (1 - K) / (w - kappa)))))
+            n *= 2
+        assert len(dens) == levels
+        assert res.min_kernel_denominator == min(dens)
+        assert res.geom_ratio_max == max(ratios)
 
 
 class TestGeneratingChecks:
@@ -245,6 +273,16 @@ class TestGeneratingChecks:
     def test_laguerre_shifted_index(self):
         entry = laguerre_gen_check(2, 0.8, 0.3, n_terms=120, tol=1e-8)
         assert entry.passed
+
+    def test_laguerre_recurrence_overflows_quietly(self):
+        # at t = 100 the high degrees overflow, and must do so without a
+        # warning: the tests turn warnings into errors
+        row = contour._laguerre_diagonal(4, 100.0, 120)
+        assert row.shape == (116,)
+        for d in range(4):
+            want = float(laguerre(d, 5, 2.0 * (d + 5) * 100.0))
+            assert abs(row[d] - want) <= 1e-13 * abs(want)
+        assert not np.all(np.isfinite(row))
 
     def test_laguerre_domain(self):
         with pytest.raises(DomainError):
@@ -292,7 +330,7 @@ class TestKernelChecks:
 
 class TestSharedKernel:
     """K is solved once per distinct contour node and shared by the
-    admissibility check, every doubling of both forms and the kernel checks."""
+    admissibility check, every doubling of the integral and the kernel checks."""
 
     @staticmethod
     def _count_points(monkeypatch):
@@ -319,11 +357,9 @@ class TestSharedKernel:
     def test_one_solve_per_distinct_node(self, kappa, t, z, monkeypatch):
         sent = self._count_points(monkeypatch)
         params = FlowParams(kappa, t)
-        cor = m_integral_detailed(params, z, "corollary")
-        prop = m_integral_detailed(params, z, "proposition", spec=cor.contour)
-        nonvanishing_check(params, z, cor.contour)
-        assert prop.samples == cor.samples
-        assert sum(sent) == cor.samples
+        res = m_integral_detailed(params, z)
+        nonvanishing_check(params, z, res.contour)
+        assert sum(sent) == res.samples
 
     def test_rejected_radii_cost_one_grid_each(self, monkeypatch):
         # each radius tried solves its first doubled grid in one call, the
