@@ -121,22 +121,10 @@ def _check_params(kappa: float, t: float, n: int | None = None) -> flow.FlowPara
 
 
 def _table_rows(kappa: float, t: float, n_max: int) -> list[dict]:
-    params = flow.FlowParams(kappa, t)
-    inv = flow.phi_inv_coeffs(params, n_max)
-    rows = []
-    for n in range(1, n_max + 1):
-        s_n = flow.s_coeff(params, n)  # M_n = n (S_n / n) = S_n, rounded once
-        rows.append(
-            {
-                "n": n,
-                "a_n": flow.a_coeff(params, n),
-                "b_n": flow.b_coeff(params, n),
-                "S_n": s_n,
-                "phi_inv": inv.coeffs[n],
-                "M": s_n,
-            }
-        )
-    return rows
+    rows = flow._engine(flow.FlowParams(kappa, t)).table(n_max)
+    # M_n = n (S_n / n) = S_n, rounded once
+    return [{"n": n, "a_n": a_n, "b_n": b_n, "S_n": s_n, "phi_inv": inv, "M": s_n}
+            for n, (a_n, b_n, s_n, inv) in enumerate(rows, start=1)]
 
 
 def _render_table(kappa: float, t: float, n_max: int, fmt: str) -> str:
@@ -224,12 +212,12 @@ def _cmd_sweep(args) -> int:
 
     outdir = Path(args.out)
     ext = "json" if args.format == "json" else "csv"
-    entries = []
+    entries = [{"index": index, "kappa": kap, "t": t, "path": f"table_{index:03d}.{ext}"}
+               for index, (kap, t) in enumerate(points)]
     outdir.mkdir(parents=True, exist_ok=True)
-    for index, (kap, t) in enumerate(points):
-        name = f"table_{index:03d}.{ext}"
-        _write(outdir / name, _render_table(kap, t, args.n, args.format))
-        entries.append({"index": index, "kappa": kap, "t": t, "path": name})
+    # t-major, so each t-table is built once; files keep their grid-order names
+    for e in sorted(entries, key=lambda entry: entry["t"]):
+        _write(outdir / e["path"], _render_table(e["kappa"], e["t"], args.n, args.format))
     manifest = {"entries": entries, "n_max": args.n, "version": 1}
     _write(outdir / "manifest.json", _json(manifest) + "\n")
     return 0

@@ -21,9 +21,12 @@ sums run on integer numerators over known denominators:
 * sum_j C(n, j) (-eps)**j C(j, r) = C(n, r) (-eps)**r (1-eps)**(n-r) turns
   the eps-sum into a sum over r < n, so b_n = n 4**n a_n is one integer over
   a known denominator; S_n is another, derived from the b_k.
+* Per (kappa, t) the engine keeps rows of the powers of -E and e_d - E
+  (eps = E / e_d) up to half the order; the rows C(n, r) and the signed
+  weights of S_n depend on n alone and are cached per order.
 
-Each public coefficient is one integer quotient, which Python rounds to
-binary64 exactly once, the same value as float(Fraction(num, den)).
+A table is one pass, ``_CoeffEngine.table``.  Each coefficient is one integer
+quotient, which Python rounds to binary64 once: float(Fraction(num, den)).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .powerseries import MAX_ORDER, TruncatedSeries
 from .specfun import binomial, pochhammer
@@ -144,6 +147,20 @@ def invrel_weight_split(n: int, k: int) -> int:
     return binomial(n + k, n - k) + binomial(n + k - 1, n - k - 1)
 
 
+@cache
+def _binomial_row(n: int) -> list:
+    """C(n, r) for r <= n."""
+    return [math.comb(n, r) for r in range(n + 1)]
+
+
+@cache
+def _weight_row(n: int) -> list:
+    """(-1)**(k+n) invrel_weight_split(n, k) for k <= n, the signed weights
+    of S_n; at k = n the second binomial vanishes and the weight is 1."""
+    return [(-1) ** (k + n) * (math.comb(n + k, n - k) + math.comb(n + k - 1, n - k - 1))
+            for k in range(n)] + [1]
+
+
 class _TTable:
     """The t-only integers of the coefficient sums, grown on demand.
 
@@ -230,6 +247,7 @@ class _CoeffEngine:
 
     b_n and S_n are kept as integer numerators over ``_den(n)``; a float is
     one integer quotient, which rounds once, and an exact value one Fraction.
+    Power rows grow in ``_powers``; ``table`` makes a whole table in one pass.
     """
 
     def __init__(self, params: FlowParams):
@@ -238,42 +256,60 @@ class _CoeffEngine:
         self.eps_num, self.eps_den = eps.numerator, eps.denominator
         table = _t_table(self.t)
         self.tau, self.sigma = table.tau, table.sigma
+        self._pows = ([1], [1])
         self._b: dict = {}
         self._s: dict = {}
 
     def _den(self, n: int) -> int:
         return self.eps_den**n * math.factorial(n - 1) << self.sigma * n - self.tau
 
+    def _powers(self, m: int) -> tuple:
+        """(x**i, y**i for i <= m).  The rows are rebound, never changed in
+        place, and each caller returns the rows it read or built."""
+        pows = self._pows
+        if len(pows[0]) <= m:
+            pows = self._pows = tuple(list(accumulate(repeat(v, m), operator.mul, initial=1))
+                                      for v in (-self.eps_num, self.eps_den - self.eps_num))
+        return pows
+
     def _b_num(self, n: int) -> int:
-        """b_n * _den(n) = 2 sum_{r<n} C(n, r) x**r y**(n-r) row(n)[r] with
-        x = -E and y = e_d - E, eps = E / e_d.  The sum over lo <= r < hi is
-        split at mid into (sum over [lo, mid)) y**(hi-mid) and
-        x**(mid-lo) (sum over [mid, hi)), so the big products are balanced."""
+        """b_n * _den(n) = 2 y sum_{r<n} C(n, r) x**r y**(n-1-r) row(n)[r]
+        with x = -E and y = e_d - E, eps = E / e_d.  The sum over
+        lo <= r < hi is split at mid into (sum over [lo, mid)) y**(hi-mid)
+        and x**(mid-lo) (sum over [mid, hi)), so the big products are
+        balanced; the powers, up to ceil(n/2), come from ``_powers``."""
         if n not in self._b:
-            row = _t_table(self.t).row(n)
-            x, y = -self.eps_num, self.eps_den - self.eps_num
-            power = cache(pow)
+            row, binom = _t_table(self.t).row(n), _binomial_row(n)
+            xs, ys = self._powers((n + 1) // 2)
 
             def part(lo: int, hi: int) -> int:
                 if hi - lo == 1:
-                    return binomial(n, lo) * row[lo] * y
+                    return binom[lo] * row[lo]
                 mid = (lo + hi) // 2
-                return part(lo, mid) * power(y, hi - mid) + power(x, mid - lo) * part(mid, hi)
+                return part(lo, mid) * ys[hi - mid] + xs[mid - lo] * part(mid, hi)
 
-            self._b[n] = 2 * part(0, n)
+            self._b[n] = 2 * ys[1] * part(0, n)
         return self._b[n]
 
     def _s_num(self, n: int) -> int:
-        """S_n * _den(n): the weighted b_k, each raised to _den(n)."""
+        """S_n * _den(n): the signed weights times the b_k, each b_k raised
+        to _den(n) by Horner steps."""
         if n not in self._s:
-            acc = 0
+            acc, weights = 0, _weight_row(n)
             for k in range(1, n + 1):
-                sign = -1 if (k + n) % 2 else 1
-                acc = (acc * (self.eps_den * (k - 1)) << self.sigma) + (
-                    sign * invrel_weight_split(n, k) * self._b_num(k)
-                )
+                acc = (acc * (self.eps_den * (k - 1)) << self.sigma) + weights[k] * self._b_num(k)
             self._s[n] = acc
         return self._s[n]
+
+    def table(self, order: int) -> list:
+        """(a_n, b_n, S_n, S_n / n) for n = 1..order, each one integer
+        quotient over _den(n), which is formed once per n."""
+        self._powers((order + 1) // 2)
+        out = []
+        for n in range(1, order + 1):
+            den, b, s = self._den(n), self._b_num(n), self._s_num(n)
+            out.append((b / (den * n << 2 * n), b / den, s / den, s / (den * n)))
+        return out
 
 
 @lru_cache(maxsize=16)
@@ -326,10 +362,8 @@ def phi_inv_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
     reduces exactly to the Herglotz transform of the time-2t spectral
     distribution of free unitary Brownian motion.
     """
-    order = _check_order(order)
-    eng = _engine(params)
-    coeffs = [eng._s_num(n) / (eng._den(n) * n) for n in range(1, order + 1)]
-    return TruncatedSeries(0.0, [1.0] + coeffs)
+    rows = _engine(params).table(_check_order(order))
+    return TruncatedSeries(0.0, [1.0] + [row[3] for row in rows])
 
 
 def m_series_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
@@ -338,10 +372,8 @@ def m_series_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
     Constant term 0; the z**n coefficient is S_n, rounded once, as in the
     CLI ``M`` column.
     """
-    order = _check_order(order)
-    eng = _engine(params)
-    coeffs = [eng._s_num(n) / eng._den(n) for n in range(1, order + 1)]
-    return TruncatedSeries(0.0, [0.0] + coeffs)
+    rows = _engine(params).table(_check_order(order))
+    return TruncatedSeries(0.0, [0.0] + [row[2] for row in rows])
 
 
 def binom_transform(seq):

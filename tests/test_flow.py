@@ -11,6 +11,7 @@ from jacobiflow import cli, maps
 from jacobiflow.flow import (
     FlowParams,
     RationalPoly,
+    _CoeffEngine,
     _engine,
     _exp_neg_t,
     _t_table,
@@ -361,15 +362,43 @@ class TestExactEngine:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_shared_engine_under_threads(self):
+        # the power rows grow lazily, to ceil(n/2) for each n asked for
+        p, n_max = FlowParams(0.6180339887, 0.5772156649), 20
+        want = _CoeffEngine(p).table(n_max)
+        jobs = [(kind, n) for kind in ("table", "a", "s") for n in range(1, n_max + 1)]
+        orders = [random.Random(seed).sample(jobs, len(jobs)) for seed in range(8)]
+        calls = {"table": lambda n: _engine(p).table(n),
+                 "a": lambda n: a_coeff(p, n), "s": lambda n: s_coeff(p, n)}
+        serial = {"table": lambda n: want[:n],
+                  "a": lambda n: want[n - 1][0], "s": lambda n: want[n - 1][2]}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(10):
+                    _engine.cache_clear()
+                    shared = _engine(p)
+                    futures = [pool.submit(lambda o: [(k, n, calls[k](n)) for k, n in o], o)
+                               for o in orders]
+                    for f in futures:
+                        for kind, n, value in f.result(timeout=60):
+                            assert value == serial[kind](n)
+                    assert _engine(p) is shared
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRoundedOnce:
     """Every float is its exact value rounded once: an int/int quotient."""
 
-    @pytest.mark.parametrize("kappa,t", [(0.0, 1.0), (-0.61, 0.83), (0.37, 2.5), (0.5, 700.0)])
+    # e_d = 9 at kappa = 1/3 is not a power of two
+    @pytest.mark.parametrize("kappa,t", [(0.0, 1.0), (-0.61, 0.83), (0.37, 2.5), (0.5, 700.0),
+                                         (Fraction(1, 3), 0.7)])
     def test_table_columns(self, kappa, t):
         eng = _engine(FlowParams(kappa, t))
-        rows = cli._table_rows(kappa, t, 48)
+        rows = cli._table_rows(kappa, t, MAX_ORDER)
+        assert len(rows) == MAX_ORDER
         for n, row in enumerate(rows, start=1):
             a, b, s = _exact(eng, n)
             assert row == {"n": n, "a_n": float(a), "b_n": float(b),

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jacobiflow import cli, contour, maps, powerseries, specfun, verify
+from jacobiflow import cli, contour, flow, maps, powerseries, specfun, verify
 from jacobiflow.cli import main
 from jacobiflow.report import VerifyEntry, VerifyReport
 from jacobiflow.verify import run_checks
@@ -392,6 +392,24 @@ class TestCliSweep:
             main(["sweep", "--kappa", "0.5", "--t", "1.0", "--n", "2"])
         assert err.value.code == 64
         assert "--out" in capsys.readouterr().err
+
+    def test_each_t_table_built_once(self, tmp_path):
+        # six t values, more than flow._t_table keeps, at two kappas
+        kappas, ts = ["0.2", "-0.7"], ["0.3", "2.5", "0.9", "1.7", "4", "0.6"]
+        flow._engine.cache_clear()
+        flow._t_table.cache_clear()
+        out = tmp_path / "tables"
+        assert main(["sweep", "--kappa", ",".join(kappas), "--t", ",".join(ts), "--n", "12",
+                     "--out", str(out)]) == 0
+        assert flow._t_table.cache_info().misses == 6
+        grid = [(float(k), float(t)) for k in kappas for t in ts]  # kappa-major
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [(e["index"], e["kappa"], e["t"], e["path"]) for e in manifest["entries"]] == [
+            (i, k, t, f"table_{i:03d}.csv") for i, (k, t) in enumerate(grid)]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [f"table_{i:03d}.csv" for i in range(len(grid))] + ["manifest.json"])
+        for i, (k, t) in enumerate(grid):
+            assert (out / f"table_{i:03d}.csv").read_text() == cli._render_table(k, t, 12, "csv")
 
     def test_sweep_column_matches_coeffs(self, tmp_path, capsys):
         out = tmp_path / "tables"
