@@ -205,17 +205,20 @@ def herglotz_k(t: float, y):
 # -- flow maps ---------------------------------------------------------------
 
 
-def v_deformed(params: FlowParams, z) -> complex:
+def v_deformed(params: FlowParams, z):
     """Deformed Herglotz transform K(alpha[(1 - eps) alpha_inv(z)]).
 
     Bounded holomorphic on the disc with positive real part; coincides with
-    the plain Herglotz transform when kappa = 0.
+    the plain Herglotz transform when kappa = 0.  Accepts complex scalars or
+    arrays; an array costs one :func:`herglotz_k` call, and each entry equals
+    the scalar result bit for bit.
     """
-    z = complex(z)
-    if not abs(z) < 1:
+    arr = np.asarray(z, dtype=complex)
+    if not np.all(np.abs(arr) < 1):
         raise DomainError("deformed transform needs |z| < 1")
-    inner = (1 - float(params.epsilon)) * alpha_inv(z)
-    return herglotz_k(float(params.t), alpha(inner))
+    scale = 1 - float(params.epsilon)
+    ys = [alpha(scale * alpha_inv(w)) for w in arr.ravel().tolist()]
+    return herglotz_k(float(params.t), np.reshape(ys, arr.shape))
 
 
 def phi(params: FlowParams, z) -> complex:
@@ -320,6 +323,10 @@ def big_phi_series(params: FlowParams, order: int) -> TruncatedSeries:
     """Taylor expansion of alpha(phi(z)) about z = 1, exact like
     :func:`phi_series`; reverting it is the independent oracle for the
     inverted-flow coefficients."""
-    v = phi_series(params, order)
+    return _alpha_series(phi_series(params, order))
+
+
+def _alpha_series(v: TruncatedSeries) -> TruncatedSeries:
+    """alpha(v) of an exact series v vanishing at its base point."""
     root = series_sqrt(1 - v)
     return v * ((1 + root) * (1 + root)).reciprocal()

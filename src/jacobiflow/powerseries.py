@@ -213,7 +213,10 @@ def series_revert(f: TruncatedSeries) -> TruncatedSeries:
 
     Requires a vanishing constant term and a nonzero linear one.  Returns g
     expanded about 0 with g(0) = f.base, so that series_compose(f, g) is the
-    identity to the common truncation order.
+    identity to the common truncation order.  A step takes g, exact through
+    w**m, to g - g' (f(g) - w), exact through w**(2m): f'(g) g' = 1 + O(w**m)
+    makes g' = 1/f'(g) + O(w**m), and f(g) - w = O(w**(m+1)).  So a step
+    composes f with g once and needs neither f' nor a reciprocal.
     """
     c = f.coeffs
     if c[0] != 0:
@@ -224,19 +227,16 @@ def series_revert(f: TruncatedSeries) -> TruncatedSeries:
     zero = c[1] * 0
     one = zero + 1
 
-    fa = list(c)
-    fa[0] = zero
-    dfa = [k * fa[k] for k in range(1, order + 1)]
-
+    fa = [zero] + c[1:]
     g = [zero, one / c[1]]
     m = 1
     while m < order:
+        dg = [k * g[k] for k in range(1, m + 1)]  # 1/f'(g) + O(w^m)
         m = min(2 * m, order)
         gm = g + [zero] * (m + 1 - len(g))
         comp = _compose_trunc(fa[: m + 1], gm, m)
         comp[1] = comp[1] - one  # subtract the identity
-        dcomp = _compose_trunc(dfa[: m + 1], gm, m)
-        corr = _mul_trunc(comp, _recip_trunc(dcomp, m), m)
+        corr = _mul_trunc(comp, dg, m)
         g = [gm[k] - corr[k] for k in range(m + 1)]
 
     return TruncatedSeries(zero * 0, [f.base + zero] + g[1:])

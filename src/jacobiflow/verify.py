@@ -4,7 +4,8 @@ oracle, every branch and kernel condition on explicit grids.
 ``run_checks`` is the one definition of each named check: the test suite
 asserts its entries over a grid of parameters, and the command line re-runs
 them for arbitrary ones.  ``fast`` keeps the grids small; ``full`` runs
-acceptance-sized ones.
+acceptance-sized ones.  A run expands phi about z = 1 once, exactly, and
+hands truncations of it to every check that reads it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import contour, flow, maps
+from . import contour, flow, maps, powerseries
 from .powerseries import TruncatedSeries, series_compose, series_derive, series_revert
 from .report import VerifyReport
 from .specfun import binomial, jacobi_poly, laguerre, pochhammer
@@ -117,7 +118,6 @@ def _check_powerseries(rep: VerifyReport, full: bool):
         worst = max(worst, max(abs(a - b) for a, b in zip(ident.coeffs, want)))
     rep.check("series-roundtrip-complex", worst, 1e-10)
 
-    worst = 0
     coeffs = [Fraction(0), Fraction(1)] + [
         Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(10)
     ]
@@ -185,21 +185,20 @@ def _check_flow_exact(rep: VerifyReport, kappa: float, full: bool):
 # -- oracles for the coefficient formulas --------------------------------------
 
 
-def _check_oracles(rep: VerifyReport, params: flow.FlowParams, full: bool):
+def _check_oracles(rep: VerifyReport, params: flow.FlowParams, phi_s, full: bool):
     n_max = 10 if full else 6
-    # truncated products leave the low coefficients alone, so the series is
-    # built only to the order the extraction reads
+    # truncated products leave the low coefficients alone, so the extraction
+    # reads phi_s cut to the order it needs
     worst = 0.0
-    for n, lagrange in enumerate(_lagrange_inverse(maps.phi_series(params, n_max)), 1):
+    cut = TruncatedSeries(phi_s.base, phi_s.coeffs[: n_max + 1])
+    for n, lagrange in enumerate(_lagrange_inverse(cut), 1):
         worst = max(worst, _rel(float(lagrange), flow.a_coeff(params, n)))
     rep.check("lagrange-inversion-oracle", worst, 1e-9, n_max=n_max)
 
-    order = 12 if full else 8
-    oracle = series_revert(maps.big_phi_series(params, order))
+    order = phi_s.order
+    oracle = series_revert(maps._alpha_series(phi_s))
     closed = flow.phi_inv_coeffs(params, order)
-    worst = max(
-        _rel(float(a), b) for a, b in zip(oracle.coeffs, closed.coeffs)
-    )
+    worst = max(_rel(float(a), b) for a, b in zip(oracle.coeffs, closed.coeffs))
     rep.check("reversion-oracle", worst, 1e-9, order=order,
               kappa=params.kappa, t=params.t)
 
@@ -207,9 +206,7 @@ def _check_oracles(rep: VerifyReport, params: flow.FlowParams, full: bool):
     t = float(params.t)
     p0 = flow.FlowParams(0.0, t)
     inv0 = flow.phi_inv_coeffs(p0, 16)
-    worst = max(
-        _rel(inv0.coeffs[n], maps.k_series_coeff(t, n)) for n in range(1, 17)
-    )
+    worst = max(_rel(inv0.coeffs[n], maps.k_series_coeff(t, n)) for n in range(1, 17))
     rep.check("kzero-closed-form", worst, 1e-10, t=t)
 
     # derivative series: z d/dz of the inverted-flow series against the
@@ -224,7 +221,7 @@ def _check_oracles(rep: VerifyReport, params: flow.FlowParams, full: bool):
 # -- conformal maps -------------------------------------------------------------
 
 
-def _check_maps(rep: VerifyReport, params: flow.FlowParams, full: bool):
+def _check_maps(rep: VerifyReport, params: flow.FlowParams, phi_s, full: bool):
     t = float(params.t)
     kap = float(params.kappa)
 
@@ -251,30 +248,32 @@ def _check_maps(rep: VerifyReport, params: flow.FlowParams, full: bool):
     rep.check("herglotz-conjugate-symmetry", sym, 1e-12)
 
     coeffs = [maps.k_series_coeff(t, n) for n in range(1, 61)]
+    ys = (0.2, -0.3, 0.15 + 0.2j, 0.3j)
     worst = 0.0
-    for y in (0.2, -0.3, 0.15 + 0.2j, 0.3j):
+    for y, K in zip(ys, maps.herglotz_k(t, np.array(ys)).tolist()):
         partial = 1.0 + sum(c * y**n for n, c in enumerate(coeffs, start=1))
-        worst = max(worst, abs(partial - maps.herglotz_k(t, y)))
+        worst = max(worst, abs(partial - K))
     rep.check("herglotz-series-agreement", worst, 1e-10, t=t)
 
-    worst = 0.0
-    for Z in (1.0, 1.1, 0.9 + 0.1j, 1.05 - 0.15j):
-        y = maps.xi(t, Z)
-        if abs(y) < 1:
-            worst = max(worst, abs(maps.herglotz_k(t, y) - Z))
+    # xi point by point: numpy's vector loops may round array entries differently
+    ys = {Z: maps.xi(t, Z) for Z in (1.0, 1.1, 0.9 + 0.1j, 1.05 - 0.15j)}
+    Zs = [Z for Z, y in ys.items() if abs(y) < 1]
+    ks = maps.herglotz_k(t, np.array([ys[Z] for Z in Zs], dtype=complex)).tolist()
+    worst = max((abs(K - Z) for K, Z in zip(ks, Zs)), default=0.0)
     rep.check("herglotz-left-inverse", worst, 1e-11, t=t)
 
-    res = abs(maps.v_deformed(params, 0.0) - 1.0)
-    if kap == 0.0:
-        for z in (0.3, -0.2 + 0.4j):
-            res = max(res, abs(maps.v_deformed(params, z) - maps.herglotz_k(t, z)))
-    vmin = math.inf
-    vmax = 0.0
-    for r in (0.5, 0.9, 0.95) if full else (0.5, 0.9):
-        for ang in angles:
-            v = maps.v_deformed(params, r * cmath.exp(1j * ang))
-            vmin = min(vmin, v.real)
-            vmax = max(vmax, abs(v))
+    # V(0), at kappa = 0 two points against K, and the radius x angle grid, in one call
+    kz = [0.3, -0.2 + 0.4j] if kap == 0.0 else []
+    rs = (0.5, 0.9, 0.95) if full else (0.5, 0.9)
+    zs = [0.0] + kz + [r * cmath.exp(1j * ang) for r in rs for ang in angles]
+    vs = maps.v_deformed(params, np.array(zs)).tolist()
+    res = abs(vs[0] - 1.0)
+    if kz:
+        ks = maps.herglotz_k(t, np.array(kz)).tolist()
+        res = max(res, abs(vs[1] - ks[0]), abs(vs[2] - ks[1]))
+    grid = vs[1 + len(kz):]
+    vmin = min(v.real for v in grid)
+    vmax = max(abs(v) for v in grid)
     rep.check("v-deformed-values", res, 1e-12, kappa=kap)
     rep.check("v-deformed-positivity", max(0.0, -vmin), 0.0,
               min_real=vmin, max_abs=vmax)
@@ -284,7 +283,7 @@ def _check_maps(rep: VerifyReport, params: flow.FlowParams, full: bool):
     # phi has a pole at |kappa|: the step stays 1e-3 of the distance to it
     h = min(1e-6, 1e-3 * (1 - abs(kap)))
     fd = (maps.phi(params, 1 + h) - maps.phi(params, 1 - h)) / (2 * h)
-    c1 = float(maps.phi_series(params, 4).coeffs[1])
+    c1 = float(phi_s.coeffs[1])
     rep.check("phi-critical-point", res + _rel(fd, c1), 1e-5, derivative=c1)
 
     # the flow is only locally defined: walk down to a z where the whole
@@ -361,10 +360,13 @@ def _check_contour(rep: VerifyReport, params: flow.FlowParams, full: bool):
     worst = 0.0
     k_max, m_max = (12, 8) if full else (6, 4)
     eps = Fraction(pk) ** 2
+    # float(pnm_poly(k, m)(eps)) rounds the int quotient below, over lcm(dens) den(eps)**k_max
+    scaled = [eps.numerator**j * eps.denominator ** (k_max - j) for j in range(k_max + 1)]
     for k in range(1, k_max + 1):
         for m in range(0, m_max + 1):
             got = contour.pkm_residue(k, m, probe, cs)
-            want = (-1) ** m * float(flow.pnm_poly(k, m)(eps))
+            nums, den = powerseries._common_denominator(flow.pnm_poly(k, m).coeffs)
+            want = (-1) ** m * sum(c * p for c, p in zip(nums, scaled)) / (den * scaled[0])
             worst = max(worst, abs(got - want))
     rep.check("residue-oracle", worst, 1e-10, kappa=pk, k_max=k_max, m_max=m_max)
 
@@ -418,7 +420,8 @@ def run_checks(kappa: float, t: float, level: str = "fast") -> VerifyReport:
     _check_specfun(rep, full)
     _check_powerseries(rep, full)
     _check_flow_exact(rep, kappa, full)
-    _check_oracles(rep, params, full)
-    _check_maps(rep, params, full)
+    phi_s = maps.phi_series(params, 12 if full else 8)
+    _check_oracles(rep, params, phi_s, full)
+    _check_maps(rep, params, phi_s, full)
     _check_contour(rep, params, full)
     return rep

@@ -329,6 +329,22 @@ class TestVDeformed:
         with pytest.raises(DomainError):
             v_deformed(FlowParams(0.5, 1.0), complex(math.nan, 0))
 
+    @pytest.mark.parametrize("kappa", [0.37, 0.0])
+    def test_array_matches_scalar_calls(self, kappa):
+        p = FlowParams(kappa, 2.45)
+        zs = np.array([[0.0, 0.3, -0.2 + 0.4j], [0.95j, -0.9, 0.6 - 0.7j]])
+        vs = v_deformed(p, zs)
+        assert vs.shape == zs.shape
+        for z, v in zip(zs.ravel().tolist(), vs.ravel().tolist()):
+            assert v == v_deformed(p, z)
+        if kappa == 0.0:
+            # alpha(alpha_inv(z)) rounds, so K agrees to rounding level only
+            assert np.abs(vs - herglotz_k(2.45, zs)).max() < 1e-13
+
+    def test_array_domain_validation(self):
+        with pytest.raises(DomainError):
+            v_deformed(FlowParams(0.5, 1.0), np.array([0.2, 0.1 + 0.3j, 1.0]))
+
 
 class TestFlowMaps:
     def test_phi_vanishes_at_one(self):
@@ -374,6 +390,14 @@ class TestFlowMaps:
         inv = phi_inv_coeffs(p, 16)
         for z in (0.05, 0.02 - 0.03j):
             assert big_phi(p, inv(z)) == pytest.approx(z, abs=1e-8)
+
+    @pytest.mark.parametrize("kappa, t", [(0.5, 1.0), (Fraction(1, 3), 2.45)])
+    def test_phi_series_truncates_exactly(self, kappa, t):
+        # verify expands phi once and cuts it to the order each oracle reads
+        p = FlowParams(kappa, t)
+        full = phi_series(p, 12).coeffs
+        for n in (4, 6, 8, 10):
+            assert full[: n + 1] == phi_series(p, n).coeffs
 
     def test_series_match_pointwise_values(self):
         p = FlowParams(0.4, 1.0)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jacobiflow import flow, maps, powerseries
+from jacobiflow import flow, maps, powerseries, verify
 from jacobiflow.powerseries import (
     MAX_ORDER,
     NonInvertibleError,
@@ -268,6 +268,35 @@ class TestRevert:
         assert g.coeffs[0] == 1.0
         ident = series_compose(f, g)
         assert ident.coeffs == pytest.approx([0.0, 1.0, 0.0, 0.0], abs=1e-14)
+
+    @pytest.mark.parametrize("order", range(1, 25))
+    def test_newton_step_matches_lagrange_at_every_order(self, order):
+        # odd orders end in a partial doubling; the exact inverse is unique,
+        # so the g' step must land on the Lagrange coefficients exactly
+        rng = random.Random(2024 + order)
+        coeffs = [Fraction(0), Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))]
+        coeffs += [Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(order - 1)]
+        f = TruncatedSeries(Fraction(0), coeffs)
+        assert series_revert(f).coeffs[1:] == verify._lagrange_inverse(f)
+
+    @pytest.mark.parametrize("kappa, t", [(0.5, 1.0), (Fraction(1, 3), 0.7)])
+    def test_newton_step_matches_lagrange_on_big_phi(self, kappa, t):
+        f = maps.big_phi_series(flow.FlowParams(kappa, t), 12)
+        g = series_revert(f)
+        assert g.coeffs[0] == 1
+        assert g.coeffs[1:] == verify._lagrange_inverse(f)
+
+    @pytest.mark.parametrize("order", [16, 31, 47, MAX_ORDER])
+    def test_newton_step_roundtrip_complex(self, order):
+        rng = random.Random(order)
+        coeffs = [0j, cmath.rect(rng.uniform(0.8, 1.2), rng.uniform(-3, 3))]
+        coeffs += [
+            cmath.rect(0.5**k * rng.random(), rng.uniform(-3, 3)) for k in range(2, order + 1)
+        ]
+        f = TruncatedSeries(0j, coeffs)
+        ident = series_compose(f, series_revert(f))
+        want = [0j, 1 + 0j] + [0j] * (order - 1)
+        assert max(abs(a - b) for a, b in zip(ident.coeffs, want)) <= 1e-12
 
 
 class TestDerive:

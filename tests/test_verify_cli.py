@@ -716,7 +716,7 @@ class TestPinnedBytes:
         assert (out / "manifest.json").read_text(encoding="utf-8") == self.MANIFEST
 
     # every residual, tolerance and context of the full report, bit for bit
-    VERIFY_FULL_JSON_SHA256 = "d15eb8b71dd16391088a0ae8d5e2cefab1294ef58390f309204e3978af061f84"
+    VERIFY_FULL_JSON_SHA256 = "812dc34bcca40014546f0270b0ec782402a9ccf6e3029fa9c7f00a32a4a13a6e"
 
     def test_verify_stdout(self, capsys):
         argv = ["verify", "--kappa", "0.5", "--t", "1", "--level", "full", "--format", "json"]
