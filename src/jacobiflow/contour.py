@@ -24,7 +24,7 @@ import cmath
 import struct
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -191,21 +191,32 @@ def pkm_residue(k: int, m: int, params: FlowParams, spec: ContourSpec) -> float:
     origin; the cross-check against the exact polynomials is the quadrature
     oracle of the whole contour machinery.
     """
-    if k < 1 or m < 0:
+    return _pkm_residues([(k, m)], params, spec)[0]
+
+
+def _pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
+    """:func:`pkm_residue` for each (k, m) of ``pairs``, each by its own
+    doublings; w, 1 - w**2 and w - kappa are formed once per level."""
+    if any(k < 1 or m < 0 for k, m in pairs):
         raise ValueError("pkm_residue needs k >= 1 and m >= 0")
     kap = float(params.kappa)
     if kap == 0.0:
         raise ValueError("the residue identity needs kappa != 0")
     if complex(spec.center) != complex(kap):
         raise ValueError("contour must be centered at kappa")
-    if m == 0 and spec.radius >= abs(kap):
+    if any(m == 0 for _, m in pairs) and spec.radius >= abs(kap):
         raise ValueError("for m = 0 the circle must exclude the origin pole")
+    grids = {}
 
-    # kappa goes inside: QUAD_TOL is absolute, and the rest is of size 1/|kappa|
-    def integrand(w):
-        return kap * w ** (m - 1) * (1 - w * w) ** k / (w - kap) ** (m + 1)
+    def level(k, m, n):
+        if n not in grids:
+            w = contour_nodes(spec, n)
+            grids[n] = w, 1 - w * w, w - kap
+        w, one_minus_w2, w_minus_kap = grids[n]
+        # kappa goes inside: QUAD_TOL is absolute, and the rest is of size 1/|kappa|
+        return w, (kap * w ** (m - 1) * one_minus_w2**k / w_minus_kap ** (m + 1),)
 
-    return circle_quadrature(integrand, spec).real
+    return [_adaptive_quadrature(partial(level, k, m), spec)[0][0].real for k, m in pairs]
 
 
 def _contour_admissible(t, kap, z, rho):
@@ -336,19 +347,23 @@ def m_integral(params: FlowParams, z, form: str = "corollary") -> complex:
 # -- generating-function and kernel checks ------------------------------------
 
 
-def _laguerre_diagonal(m: int, t: float, n_terms: int) -> np.ndarray:
-    """L_d^{(a)}(2 j t), a = m + 1 and d = j - a, for j = a, ..., n_terms: one
-    pass of the forward recurrence in the degree (DLMF 18.9.13) at every
-    x = 2 j t at once, (d+1) L_{d+1} = (2d + a + 1 - x) L_d - (d + a) L_{d-1}.
-    Degrees past the one read at an x may overflow there, to no harm."""
-    a = m + 1
-    x = 2.0 * np.arange(a, n_terms + 1) * t
+def _laguerre_diagonal(ms, t: float, n_terms) -> list:
+    """A row L_d^{(a)}(2 j t), a = m + 1 and d = j - a, for j = a, ..., n, for
+    each m of ``ms`` and n of ``n_terms``: one pass of the forward recurrence
+    in the degree (DLMF 18.9.13) at every x = 2 j t of every row at once,
+    (d+1) L_{d+1} = (2d + a + 1 - x) L_d - (d + a) L_{d-1}, with a a column
+    and the rows zero-padded.  Degrees past the one read may overflow, to no harm."""
+    sizes = [max(n - m, 0) for m, n in zip(ms, n_terms)]
+    a = np.array([[m + 1] for m in ms])
+    x = np.zeros((len(sizes), max(sizes)))
+    for row, m, size in zip(x, ms, sizes):
+        row[:size] = 2.0 * np.arange(m + 1, m + 1 + size) * t
     prev, cur, out = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        for d in range(x.size):
-            out[d] = cur[d]
+        for d in range(x.shape[1]):
+            out[:, d] = cur[:, d]
             prev, cur = cur, ((2 * d + a + 1 - x) * cur - (d + a) * prev) / (d + 1)
-    return out
+    return [row[:size] for row, size in zip(out, sizes)]
 
 
 def laguerre_gen_check(m: int, t: float, y, n_terms: int = 120, tol: float = 1e-8) -> VerifyEntry:
@@ -359,21 +374,32 @@ def laguerre_gen_check(m: int, t: float, y, n_terms: int = 120, tol: float = 1e-
 
     from an n_terms partial sum on the left, whose L come from the binary64
     recurrence of :func:`_laguerre_diagonal`."""
-    if m < 0:
+    return _laguerre_gen_checks([(m, y, n_terms, tol)], t)[0]
+
+
+def _laguerre_gen_checks(specs, t: float) -> list:
+    """:func:`laguerre_gen_check` for each (m, y, n_terms, tol) of ``specs``
+    at one t: their L from one stacked recurrence pass, and K at their y
+    from one :func:`herglotz_k` call."""
+    ms, ys, n_terms, tols = zip(*specs)
+    ys = [complex(y) for y in ys]
+    if any(m < 0 for m in ms):
         raise ValueError("m must be nonnegative")
-    y = complex(y)
-    if abs(y) >= 0.95:
+    if any(abs(y) >= 0.95 for y in ys):
         raise DomainError("check needs |y| < 0.95")
-    decay = cmath.exp(-t) * y
-    lhs = 0j
-    for j, lag in enumerate(_laguerre_diagonal(m, t, n_terms).tolist(), m + 1):
-        lhs += lag * decay**j
-    lhs *= 2 ** (m + 1)
-    K = herglotz_k(t, y)
-    rhs = (K * K - 1) / (t * K * K + (2 - t)) * (K - 1) ** m
-    return VerifyEntry.make(
-        "laguerre-generating", abs(lhs - rhs), tol, m=m, t=t, y=y, terms=n_terms
-    )
+    rows = _laguerre_diagonal(ms, t, n_terms)
+    ks = herglotz_k(t, np.array(ys)).tolist()
+    out = []
+    for m, y, terms, tol, row, K in zip(ms, ys, n_terms, tols, rows, ks):
+        decay = cmath.exp(-t) * y
+        lhs = 0j
+        for j, lag in enumerate(row.tolist(), m + 1):
+            lhs += lag * decay**j
+        lhs *= 2 ** (m + 1)
+        rhs = (K * K - 1) / (t * K * K + (2 - t)) * (K - 1) ** m
+        out.append(VerifyEntry.make("laguerre-generating", abs(lhs - rhs), tol,
+                                    m=m, t=t, y=y, terms=terms))
+    return out
 
 
 def _jacobi_row(n_max: int, a: int, b: int, x):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .flow import FlowParams, _check_index, _exp_neg_t, _laguerre_scaled
 from .powerseries import TruncatedSeries, series_sqrt
-from .specfun import laguerre
+from .specfun import _laguerre_sum
 
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 50
@@ -74,7 +74,10 @@ def alpha_inv(z) -> complex:
 def xi(t: float, z):
     """Exponential Cayley-type map (z - 1)/(z + 1) e^{t z}.
 
-    Accepts complex scalars or arrays; pole at z = -1.
+    Accepts complex scalars or arrays; pole at z = -1.  A scalar and the same
+    point inside an array may differ by an ulp, as numpy's scalar complex
+    arithmetic and its array loops round differently; :func:`herglotz_k`
+    works on flat arrays only, so its K does not depend on the form.
     """
     arr = np.asarray(z, dtype=complex)
     if np.any(arr == -1):
@@ -91,16 +94,16 @@ def k_series_coeff(t: float, n: int) -> float:
     so it is evaluated in exact rationals at the dyadic argument and rounded
     once, together with the exact n-th power of the rounded e^{-t} =
     D / 2**delta: one integer quotient 2 D**n p / (q n 2**(delta n)), with
-    p / q the Laguerre value.  Python's int / int is correctly rounded, as
-    float(Fraction) is.  A t above 708.3964185322641 is refused.
+    p / q the exact Laguerre sum, unreduced: Python's int / int is correctly
+    rounded, as float(Fraction) is.  A t above 708.3964185322641 is refused.
     """
     n = _check_index(n)
     if not t > 0:
         raise ValueError(f"time must be positive, got {t}")
     t = float(t)
     big_d, delta = _exp_neg_t(t)
-    lag = laguerre(n - 1, 1, 2 * n * Fraction(t))
-    return 2 * big_d**n * lag.numerator / (lag.denominator * n << delta * n)
+    num, den = _laguerre_sum(n - 1, 1, 2 * n * Fraction(t))
+    return 2 * big_d**n * num / (den * n << delta * n)
 
 
 @lru_cache(maxsize=64)

@@ -8,12 +8,14 @@ function about an expansion point ``base``:
 Operations use nothing but ring arithmetic of the entries, so the same code
 runs over complex binary64 and exact Fractions.  Exact inputs give exact
 outputs, which makes the rational mode the oracle for the floating one.
-The one exception to the generic loop is the product of two all-Fraction
-lists: it writes each operand as integer numerators over one common
-denominator, convolves the integers and reduces each output coefficient
-once, which gives the same Fractions with one gcd per coefficient instead
-of about two per term.  Every other coefficient type, int mixed with
-Fraction included, runs the ring loop.
+The exceptions to the generic loop are products and compositions of
+all-Fraction lists.  A product writes each operand as integer numerators
+over one common denominator, convolves the integers and reduces each
+output coefficient once: the same Fractions, with one gcd per coefficient
+instead of about two per term.  A composition keeps its Horner accumulator
+as integer numerators over one denominator, reduced by one gcd per step.
+Every other coefficient type, int mixed with Fraction included, runs the
+ring loop.
 
 Compositional inversion (:func:`series_revert`) is done by Newton iteration
 with order doubling.  It never touches any closed-form coefficient formula,
@@ -132,20 +134,24 @@ def _common_denominator(fracs):
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
+def _int_mul_trunc(a, b, order):
+    """The product of two integer lists, cut after ``order``."""
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
+        if ai:
+            for j, bj in enumerate(b[: order + 1 - i]):
+                out[i + j] += ai * bj
+    return out
+
+
 def _mul_trunc(a, b, order):
     a = a[: order + 1]
     b = b[: order + 1]
-    if all(type(c) is Fraction for c in a) and all(type(c) is Fraction for c in b):
+    if all(type(c) is Fraction for c in a + b):
         # one exact integer convolution, then one gcd per output coefficient
         na, da = _common_denominator(a)
         nb, db = _common_denominator(b)
-        den = da * db
-        out = [0] * (order + 1)
-        for i, ai in enumerate(na):
-            if ai:
-                for j, bj in enumerate(nb[: order + 1 - i]):
-                    out[i + j] += ai * bj
-        return [Fraction(c, den) for c in out]
+        return [Fraction(c, da * db) for c in _int_mul_trunc(na, nb, order)]
     zero = a[0] * 0
     out = [zero] * (order + 1)
     for i, ai in enumerate(a):
@@ -176,10 +182,22 @@ def _compose_trunc(f, g, order):
     raising the lowest power by one, so it is carried to order - k only.
     """
     zero = g[0] * 0
-    acc = [f[-1]]
-    for k in range(len(f) - 2, -1, -1):
-        acc = _mul_trunc(acc, g, order - k)
-        acc[0] = acc[0] + f[k]
+    if all(type(c) is Fraction for c in f + g):
+        ng, dg = _common_denominator(g)
+        nums, den = [f[-1].numerator], f[-1].denominator
+        for k in range(len(f) - 2, -1, -1):
+            q = f[k].denominator
+            nums = [c * q for c in _int_mul_trunc(nums, ng, order - k)]
+            nums[0] += f[k].numerator * den * dg
+            den *= dg * q
+            common = math.gcd(den, *nums)
+            nums, den = [c // common for c in nums], den // common
+        acc = [Fraction(c, den) for c in nums]
+    else:
+        acc = [f[-1]]
+        for k in range(len(f) - 2, -1, -1):
+            acc = _mul_trunc(acc, g, order - k)
+            acc[0] = acc[0] + f[k]
     return acc + [zero] * (order + 1 - len(acc))
 
 

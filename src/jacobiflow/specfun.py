@@ -41,17 +41,15 @@ def _ratio(v):
     raise TypeError(f"expected a real int, Fraction or float, got {type(v).__name__}")
 
 
-def _term_sum(ratios: list, r, s, den: int, to_float: bool):
+def _term_sum(ratios: list, r, s, den: int):
     """The terminating sum with term ratios (p_k / q_k) (r / s), k = 1..n, as
-    acc_n / (den s**n), where den s**n is (q_1...q_n) s**n over term 0;
-    rounded once to binary64 when to_float."""
+    the unreduced pair (acc_n, den s**n), where den s**n > 0 is
+    (q_1...q_n) s**n over term 0."""
     g = acc = 1
     for p, q in ratios:
         g = g * (p * r)
         acc = acc * (q * s) + g
-    den = den * s ** len(ratios)
-    # den > 0, so the int quotient is float(Fraction(acc, den)), +0.0 included
-    return acc / den if to_float else Fraction(acc, den)
+    return acc, den * s ** len(ratios)
 
 
 def pochhammer(a, k: int):
@@ -85,6 +83,13 @@ def laguerre(n: int, alpha, z):
     integer indices where L_m^(-m)(0) = 0 for m >= 1, and for a real z.
     Arguments are summed exactly and rounded once at the end.
     """
+    acc, den = _laguerre_sum(n, alpha, z)
+    # den > 0, so the int quotient is float(Fraction(acc, den)), +0.0 included
+    return acc / den if isinstance(alpha, float) or isinstance(z, float) else Fraction(acc, den)
+
+
+def _laguerre_sum(n: int, alpha, z):
+    """The exact sum of :func:`laguerre`, as an unreduced pair (num, den > 0)."""
     if n < 0:
         raise ValueError(f"laguerre needs n >= 0, got {n}")
     p, d = _ratio(alpha)  # alpha = p / d
@@ -92,8 +97,7 @@ def laguerre(n: int, alpha, z):
     # coefficient k over coefficient k-1; q_k = 0 only at alpha = -k, where
     # every lower coefficient vanishes
     ratios = [((k - n - 1) * d, k * (p + k * d)) for k in range(1, n + 1)]
-    to_float = isinstance(alpha, float) or isinstance(z, float)
-    return _term_sum(ratios, r, s, math.factorial(n) ** 2 * d**n, to_float)
+    return _term_sum(ratios, r, s, math.factorial(n) ** 2 * d**n)
 
 
 def jacobi_poly(n: int, a, b, z):
@@ -110,5 +114,5 @@ def jacobi_poly(n: int, a, b, z):
     scale = e**n * math.factorial(n) ** 2  # (a+1)_n / n! = (q_1...q_n) / scale
     r, s = _ratio(z)
     ratios = [((m - 1 - n) * (e * (n + m) + A + B), (A + e * m) * m) for m in range(1, n + 1)]
-    to_float = any(isinstance(v, float) for v in (a, b, z))
-    return _term_sum(ratios, s - r, 2 * s, scale, to_float)  # (1-z)/2 = (s-r) / 2s
+    acc, den = _term_sum(ratios, s - r, 2 * s, scale)  # (1-z)/2 = (s-r) / 2s
+    return acc / den if any(isinstance(v, float) for v in (a, b, z)) else Fraction(acc, den)

@@ -29,12 +29,16 @@ def _rel(a, b) -> float:
 
 def _lagrange_inverse(f: TruncatedSeries) -> list:
     """Coefficients 1, ..., order of the compositional inverse of the exact
-    series f = c_1 w + c_2 w**2 + ..., by Lagrange: (1/n) [w^(n-1)] (w/f)^n."""
-    ratio = TruncatedSeries(f.base, f.coeffs[1:] + [Fraction(0)]).reciprocal()
-    power, out = ratio, [ratio.coeffs[0]]
+    series f = c_1 w + c_2 w**2 + ..., by Lagrange: (1/n) [w^(n-1)] (w/f)^n,
+    the powers of w/f as integers over one denominator, to w^(order-1)."""
+    top = f.order - 1
+    ratio, rden = powerseries._common_denominator(powerseries._recip_trunc(f.coeffs[1:], top))
+    power, den, out = ratio, rden, [Fraction(ratio[0], rden)]
     for n in range(2, f.order + 1):
-        power = power * ratio
-        out.append(power.coeffs[n - 1] / n)
+        power = powerseries._int_mul_trunc(power, ratio, top)
+        common = math.gcd(den * rden, *power)
+        power, den = [c // common for c in power], den * rden // common
+        out.append(Fraction(power[n - 1], den * n))
     return out
 
 
@@ -44,14 +48,17 @@ def _lagrange_inverse(f: TruncatedSeries) -> list:
 def _jacobi_taylor(n, a, b, x, y):
     """Exact (re, im) of P_n^{a,b}(x + iy) for exact real a, b, x, y, by the
     Taylor expansion at x that d/dx P_n^{a,b} = (n+a+b+1)/2 P_{n-1}^{a+1,b+1}
-    (DLMF 18.9.15) gives, summed on the real exact path:
+    (DLMF 18.9.15) gives on the real exact path, each part's terms summed as
+    integers over the lcm of their denominators:
 
         P_n^{a,b}(x + iy) = sum_k (n+a+b+1)_k / (2^k k!) P_{n-k}^{a+k,b+k}(x) (iy)^k."""
-    parts = [Fraction(0), Fraction(0)]
+    parts = ([], [])
     for k in range(n + 1):
-        coeff = Fraction(pochhammer(n + a + b + 1, k), 2**k * math.factorial(k))
-        parts[k % 2] += (-1) ** (k // 2) * coeff * jacobi_poly(n - k, a + k, b + k, x) * y**k
-    return tuple(parts)
+        p = jacobi_poly(n - k, a + k, b + k, x)
+        num = (-1) ** (k // 2) * pochhammer(n + a + b + 1, k) * p.numerator * y.numerator**k
+        parts[k % 2].append((num, 2**k * math.factorial(k) * p.denominator * y.denominator**k))
+    lcms = [math.lcm(*(d for _, d in terms)) for terms in parts]
+    return tuple(Fraction(sum(c * (l // d) for c, d in terms), l) for terms, l in zip(parts, lcms))
 
 
 def _check_specfun(rep: VerifyReport, full: bool):
@@ -362,17 +369,17 @@ def _check_contour(rep: VerifyReport, params: flow.FlowParams, full: bool):
     eps = Fraction(pk) ** 2
     # float(pnm_poly(k, m)(eps)) rounds the int quotient below, over lcm(dens) den(eps)**k_max
     scaled = [eps.numerator**j * eps.denominator ** (k_max - j) for j in range(k_max + 1)]
-    for k in range(1, k_max + 1):
-        for m in range(0, m_max + 1):
-            got = contour.pkm_residue(k, m, probe, cs)
-            nums, den = powerseries._common_denominator(flow.pnm_poly(k, m).coeffs)
-            want = (-1) ** m * sum(c * p for c, p in zip(nums, scaled)) / (den * scaled[0])
-            worst = max(worst, abs(got - want))
+    pairs = [(k, m) for k in range(1, k_max + 1) for m in range(0, m_max + 1)]
+    for (k, m), got in zip(pairs, contour._pkm_residues(pairs, probe, cs)):
+        nums, den = powerseries._common_denominator(flow.pnm_poly(k, m).coeffs)
+        want = (-1) ** m * sum(c * p for c, p in zip(nums, scaled)) / (den * scaled[0])
+        worst = max(worst, abs(got - want))
     rep.check("residue-oracle", worst, 1e-10, kappa=pk, k_max=k_max, m_max=m_max)
 
-    rep.add(contour.laguerre_gen_check(0, t, 0.2, n_terms=80, tol=1e-10))
-    for m in (1, 2) if not full else (1, 2, 3, 4):
-        rep.add(contour.laguerre_gen_check(m, t, 0.3, n_terms=120, tol=1e-8))
+    specs = [(0, 0.2, 80, 1e-10)]  # (m, y, n_terms, tol)
+    specs += [(m, 0.3, 120, 1e-8) for m in ((1, 2) if not full else (1, 2, 3, 4))]
+    for entry in contour._laguerre_gen_checks(specs, t):
+        rep.add(entry)
     rep.add(contour.jacobi_gen_check(1, 0.2, 0.6, n_terms=100, tol=1e-9))
     for j in (2,) if not full else (2, 3, 4):
         rep.add(contour.jacobi_gen_check(j, 0.15, 0.5 + 0.1j, n_terms=150, tol=1e-8))

@@ -100,6 +100,21 @@ class TestPkmResidue:
         # quadrature's absolute tolerance must see the product
         assert_entries("residue-oracle", kappa, 1.0, "full")
 
+    @pytest.mark.parametrize("kappa", [0.37, -0.9])
+    def test_batch_matches_per_pair_quadrature(self, kappa):
+        # the shared grids of the batch leave every residue bit for bit
+        p = FlowParams(kappa, 1.0)
+        spec = contour._circle(kappa, abs(kappa) / 2, 64)
+        pairs = [(k, m) for k in range(1, 13) for m in range(9)]
+        want = [
+            circle_quadrature(
+                lambda w: kappa * w ** (m - 1) * (1 - w * w) ** k / (w - kappa) ** (m + 1), spec
+            ).real
+            for k, m in pairs
+        ]
+        got = contour._pkm_residues(pairs, p, spec)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
     def test_validation(self):
         p = FlowParams(0.5, 1.0)
         with pytest.raises(ValueError):
@@ -277,12 +292,21 @@ class TestGeneratingChecks:
     def test_laguerre_recurrence_overflows_quietly(self):
         # at t = 100 the high degrees overflow, and must do so without a
         # warning: the tests turn warnings into errors
-        row = contour._laguerre_diagonal(4, 100.0, 120)
+        [row] = contour._laguerre_diagonal([4], 100.0, [120])
         assert row.shape == (116,)
         for d in range(4):
             want = float(laguerre(d, 5, 2.0 * (d + 5) * 100.0))
             assert abs(row[d] - want) <= 1e-13 * abs(want)
         assert not np.all(np.isfinite(row))
+
+    @pytest.mark.parametrize("t", [0.35, 2.45])
+    def test_stacked_laguerre_checks_match_single(self, t):
+        # zero-padded rows and one K solve for all y leave each entry as it
+        # is when the check runs alone
+        specs = [(m, y, n_terms, 1e-8) for m in range(5)
+                 for y, n_terms in ((0.2, 80), (0.3, 120), (-0.1 + 0.25j, 60))]
+        single = [laguerre_gen_check(m, t, y, n_terms=n, tol=tol) for m, y, n, tol in specs]
+        assert contour._laguerre_gen_checks(specs, t) == single
 
     def test_laguerre_domain(self):
         with pytest.raises(DomainError):

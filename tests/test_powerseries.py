@@ -286,6 +286,18 @@ class TestRevert:
         assert g.coeffs[0] == 1
         assert g.coeffs[1:] == verify._lagrange_inverse(f)
 
+    @pytest.mark.parametrize("kappa, t", [(0.37, 2.45), (Fraction(1, 3), 0.7)])
+    def test_lagrange_powers_match_the_product_loop(self, kappa, t):
+        # the integer powers of w/f give the Fractions of TruncatedSeries products
+        for order in range(1, 13):
+            f = maps.phi_series(flow.FlowParams(kappa, t), order)
+            ratio = TruncatedSeries(f.base, f.coeffs[1:] + [Fraction(0)]).reciprocal()
+            power, want = ratio, [ratio.coeffs[0]]
+            for n in range(2, order + 1):
+                power = power * ratio
+                want.append(power.coeffs[n - 1] / n)
+            assert verify._lagrange_inverse(f) == want, order
+
     @pytest.mark.parametrize("order", [16, 31, 47, MAX_ORDER])
     def test_newton_step_roundtrip_complex(self, order):
         rng = random.Random(order)

@@ -18,7 +18,7 @@ from jacobiflow.report import VerifyEntry, VerifyReport
 from jacobiflow.verify import run_checks
 from conftest import entries, report
 from test_powerseries import _reference_mul_trunc
-from test_specfun import _reference_jacobi, _reference_laguerre
+from test_specfun import _reference_jacobi, _reference_laguerre, _reference_laguerre_sum
 
 
 class TestReport:
@@ -101,8 +101,10 @@ class TestUnchangedReport:
     @pytest.mark.parametrize("kappa,t", [(0.44, 1.78), (0.0, 1.0)])
     def test_reference_sums_give_the_same_report(self, kappa, t, monkeypatch):
         got = report(kappa, t, "fast").to_dict()
+        # k_series_coeff reads the unreduced sum behind laguerre
         references = {
             "laguerre": _reference_laguerre,
+            "_laguerre_sum": _reference_laguerre_sum,
             "jacobi_poly": _reference_jacobi,
         }
         for module in (specfun, contour, maps, verify):
@@ -124,8 +126,9 @@ class TestUnchangedReport:
 class TestHerglotzCalls:
     def test_full_suite_batches_the_herglotz_grid(self, monkeypatch):
         # the radius x angle grid and its conjugates go in one array call
-        # each, and so does each contour's first doubled grid; the points
-        # sent stay exactly those of one call per point
+        # each, and so do each contour's first doubled grid and the y of
+        # the five Laguerre generating checks; the points sent stay exactly
+        # those of one call per point
         calls = []
         solve = maps.herglotz_k
 
@@ -138,7 +141,7 @@ class TestHerglotzCalls:
         contour._kernel_cached.cache_clear()
         assert run_checks(0.44, 1.78, "full").passed
         contour._kernel_cached.cache_clear()
-        assert len(calls) <= 56
+        assert len(calls) == 10
         assert sum(calls) == 1707
 
 
@@ -723,3 +726,20 @@ class TestPinnedBytes:
         assert main(argv) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == self.VERIFY_FULL_JSON_SHA256
+
+    # kappa near 1 and kappa = 0 at full, and the fast grids
+    @pytest.mark.parametrize(
+        "kappa,t,level,digest",
+        [
+            ("0.92", "1.12", "full",
+             "b97517b2f4fc86e40310d2ef2459e638ab71111c2b5dd41366b1d09171f0e25f"),
+            ("0", "1", "full",
+             "c1dda0ff7a984c2b03b422c04cf2510303e36ad9263e5b9d417375ca5f553de0"),
+            ("0.5", "1", "fast",
+             "8edef8479c69d260a9e7250c8de75ff4e1f2385337f44cd26007da894e25f44e"),
+        ],
+    )
+    def test_verify_stdout_more(self, kappa, t, level, digest, capsys):
+        argv = ["verify", "--kappa", kappa, "--t", t, "--level", level, "--format", "json"]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
