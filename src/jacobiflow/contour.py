@@ -24,7 +24,7 @@ import cmath
 import struct
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -195,8 +195,9 @@ def pkm_residue(k: int, m: int, params: FlowParams, spec: ContourSpec) -> float:
 
 
 def _pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
-    """:func:`pkm_residue` for each (k, m) of ``pairs``, each by its own
-    doublings; w, 1 - w**2 and w - kappa are formed once per level."""
+    """:func:`pkm_residue` for each (k, m) of ``pairs`` in one doubling loop, with a row
+    per live pair, stacked by m, that leaves at its own first converged doubling.  Each power
+    is formed once, with a scalar exponent: numpy squares ``w ** 2`` by its own path."""
     if any(k < 1 or m < 0 for k, m in pairs):
         raise ValueError("pkm_residue needs k >= 1 and m >= 0")
     kap = float(params.kappa)
@@ -206,17 +207,30 @@ def _pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
         raise ValueError("contour must be centered at kappa")
     if any(m == 0 for _, m in pairs) and spec.radius >= abs(kap):
         raise ValueError("for m = 0 the circle must exclude the origin pole")
-    grids = {}
-
-    def level(k, m, n):
-        if n not in grids:
-            w = contour_nodes(spec, n)
-            grids[n] = w, 1 - w * w, w - kap
-        w, one_minus_w2, w_minus_kap = grids[n]
-        # kappa goes inside: QUAD_TOL is absolute, and the rest is of size 1/|kappa|
-        return w, (kap * w ** (m - 1) * one_minus_w2**k / w_minus_kap ** (m + 1),)
-
-    return [_adaptive_quadrature(partial(level, k, m), spec)[0][0].real for k, m in pairs]
+    out, live, previous, n = np.zeros(len(pairs)), np.arange(len(pairs)), None, spec.samples
+    while live.size:
+        if n > MAX_SAMPLES:
+            raise QuadratureError(f"quadrature did not converge within {MAX_SAMPLES} samples")
+        w = contour_nodes(spec, n)
+        ks, ms = np.array([pairs[i] for i in live]).T
+        values = np.empty(live.size, dtype=complex)
+        with np.errstate(all="ignore"):  # an overflow or a zero division shows as not finite
+            one_minus_w2, w_minus_kap = 1 - w * w, w - kap
+            k_pow = {k: one_minus_w2**k for k in set(ks.tolist())}
+            for m in set(ms.tolist()):
+                at = ms == m
+                stack = np.array([k_pow[k] for k in ks[at].tolist()])
+                # kappa goes inside: QUAD_TOL is absolute, and the rest is of size 1/|kappa|
+                fw = kap * w ** (m - 1) * stack / w_minus_kap ** (m + 1)
+                if not np.all(np.isfinite(fw)):
+                    raise QuadratureError("integrand is not finite at a sample point")
+                values[at] = np.sum(fw * (w - spec.center), axis=1) / n
+        if previous is not None:
+            done = np.abs(values - previous) < QUAD_TOL
+            out[live[done]] = values[done].real
+            live, values = live[~done], values[~done]
+        previous, n = values, 2 * n
+    return out.tolist()
 
 
 def _contour_admissible(t, kap, z, rho):

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, repeat
 
-from .powerseries import MAX_ORDER, TruncatedSeries
+from .powerseries import MAX_ORDER, TruncatedSeries, _common_denominator
 from .specfun import binomial, pochhammer
 
 
@@ -139,7 +139,7 @@ def pnm_poly(n: int, m: int) -> RationalPoly:
 
 def invrel_weight(n: int, k: int) -> Fraction:
     """Inverse-transform weight (2n / (n+k)) C(n+k, n-k)."""
-    return Fraction(2 * n, n + k) * binomial(n + k, n - k)
+    return Fraction(2 * n * binomial(n + k, n - k), n + k)
 
 
 def invrel_weight_split(n: int, k: int) -> int:
@@ -377,8 +377,11 @@ def m_series_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
 
 
 def binom_transform(seq):
-    """b_n = sum_{k<=n} C(2n, n-k) c_k, exact on rational input."""
+    """b_n = sum_{k<=n} C(2n, n-k) c_k; exact, on integer numerators for all-Fraction input."""
     seq = list(seq)
+    if seq and all(type(c) is Fraction for c in seq):
+        nums, den = _common_denominator(seq)
+        return [Fraction(b, den) for b in binom_transform(nums)]
     return [
         sum((binomial(2 * n, n - k) * seq[k] for k in range(n + 1)), start=seq[0] * 0)
         for n in range(len(seq))
@@ -386,17 +389,17 @@ def binom_transform(seq):
 
 
 def inv_binom_transform(seq):
-    """Inverse of :func:`binom_transform`:
+    """Inverse of :func:`binom_transform`, with the same all-Fraction route:
     c_0 = b_0, c_n = sum_k (-1)**(k+n) (2n/(n+k)) C(n+k, n-k) b_k."""
     seq = list(seq)
-    if not seq:
-        return []
-    out = [seq[0]]
+    if seq and all(type(c) is Fraction for c in seq):
+        nums, den = _common_denominator(seq)
+        return [Fraction(c, den) for c in inv_binom_transform(nums)]
+    out = seq[:1]
     for n in range(1, len(seq)):
         acc = seq[0] * 0
         for k in range(n + 1):
-            sign = -1 if (k + n) % 2 else 1
-            acc = acc + sign * invrel_weight_split(n, k) * seq[k]
+            acc = acc + (-1) ** (k + n) * invrel_weight_split(n, k) * seq[k]
         out.append(acc)
     return out
 

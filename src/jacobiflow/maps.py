@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .flow import FlowParams, _check_index, _exp_neg_t, _laguerre_scaled
-from .powerseries import TruncatedSeries, series_sqrt
+from .powerseries import TruncatedSeries, series_compose
 from .specfun import _laguerre_sum
 
 NEWTON_TOL = 1e-13
@@ -330,6 +330,7 @@ def big_phi_series(params: FlowParams, order: int) -> TruncatedSeries:
 
 
 def _alpha_series(v: TruncatedSeries) -> TruncatedSeries:
-    """alpha(v) of an exact series v vanishing at its base point."""
-    root = series_sqrt(1 - v)
-    return v * ((1 + root) * (1 + root)).reciprocal()
+    """alpha(v) = sum_{n>=1} Cat_n (v/4)**n of an exact series v vanishing at
+    its base point: the Catalan generating function less 1, one composition."""
+    cat = [Fraction(math.comb(2 * n, n), (n + 1) * 4**n) for n in range(1, v.order + 1)]
+    return series_compose(TruncatedSeries(Fraction(0), [Fraction(0)] + cat), v)

@@ -165,12 +165,9 @@ def _check_flow_exact(rep: VerifyReport, kappa: float, full: bool):
     worst = max(abs(a - b) for a, b in zip(back, seq))
     rep.check("transform-roundtrip-exact", float(worst), 0.0, length=length)
 
-    worst = 0
-    for n in range(1, 31):
-        for k in range(0, n + 1):
-            if flow.invrel_weight(n, k) != flow.invrel_weight_split(n, k):
-                worst = 1
-    rep.check("invrel-forms-agree", float(worst), 0.0)
+    agree = all(flow.invrel_weight(n, k) == flow.invrel_weight_split(n, k)
+                for n in range(1, 31) for k in range(n + 1))
+    rep.check("invrel-forms-agree", 0.0 if agree else 1.0, 0.0)
 
     kap_exact = Fraction(kappa)
     p = flow.FlowParams(kap_exact, 1.0)

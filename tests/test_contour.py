@@ -100,9 +100,23 @@ class TestPkmResidue:
         # quadrature's absolute tolerance must see the product
         assert_entries("residue-oracle", kappa, 1.0, "full")
 
-    @pytest.mark.parametrize("kappa", [0.37, -0.9])
+    @staticmethod
+    def _per_pair(kappa, spec, pairs):
+        """Each pair's residue by its own quadrature, and the node count it stopped at."""
+        out = []
+        for k, m in pairs:
+            def level(n, k=k, m=m):
+                w = contour_nodes(spec, n)
+                return w, (kappa * w ** (m - 1) * (1 - w * w) ** k / (w - kappa) ** (m + 1),)
+
+            values, samples, _ = contour._adaptive_quadrature(level, spec)
+            out.append((values[0].real, samples))
+        return out
+
+    @pytest.mark.parametrize("kappa", [0.37, -0.9, 0.53])
     def test_batch_matches_per_pair_quadrature(self, kappa):
-        # the shared grids of the batch leave every residue bit for bit
+        # the stacked loop leaves every residue bit for bit; 0.53 is the kappa
+        # of the verify pool pair (0.53, 1.63)
         p = FlowParams(kappa, 1.0)
         spec = contour._circle(kappa, abs(kappa) / 2, 64)
         pairs = [(k, m) for k in range(1, 13) for m in range(9)]
@@ -114,6 +128,17 @@ class TestPkmResidue:
         ]
         got = contour._pkm_residues(pairs, p, spec)
         assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("kappa, share, samples", [(0.53, 0.5, 16), (-0.9, 0.85, 32)])
+    def test_rows_stop_at_their_own_doubling(self, kappa, share, samples):
+        # a coarse first grid on a circle near the origin pole: the pairs
+        # converge at different node counts, and each row keeps its own value
+        spec = contour._circle(kappa, abs(kappa) * share, samples)
+        pairs = [(k, m) for k in range(1, 13) for m in range(9)]
+        want = self._per_pair(kappa, spec, pairs)
+        assert len({n for _, n in want}) >= 3
+        got = contour._pkm_residues(pairs, FlowParams(kappa, 1.0), spec)
+        assert [v.hex() for v in got] == [v.hex() for v, _ in want]
 
     def test_validation(self):
         p = FlowParams(0.5, 1.0)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jacobiflow import cli, maps
+from jacobiflow import cli, flow, maps
 from jacobiflow.flow import (
     FlowParams,
     RationalPoly,
@@ -446,6 +446,36 @@ class TestBinomTransforms:
 
     def test_weight_forms_agree(self):
         assert_entries("invrel-forms-agree", 0.5, 1.0)
+
+    @pytest.mark.parametrize("transform", [binom_transform, inv_binom_transform])
+    def test_fraction_route_matches_ring_loop(self, transform):
+        # all-Fraction input runs on integer numerators; the same values as
+        # ints, or with ints mixed in, run the ring loop
+        rng = random.Random(29)
+        ints = [rng.randint(-20, 20) for _ in range(24)]
+        assert transform([Fraction(c) for c in ints]) == transform(ints)
+        assert all(type(c) is int for c in transform(ints))
+        fracs = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(24)]
+        fracs[0] = Fraction(7)
+        mixed = [c.numerator if c.denominator == 1 else c for c in fracs]
+        assert type(mixed[0]) is int and any(type(c) is Fraction for c in mixed)
+        got = transform(fracs)
+        assert got == transform(mixed)
+        assert all(type(c) is Fraction for c in got)
+        assert transform([]) == []
+
+    @pytest.mark.parametrize("transform", [binom_transform, inv_binom_transform])
+    def test_other_input_takes_the_ring_loop(self, transform, monkeypatch):
+        def boom(fracs):
+            raise AssertionError("the integer route ran")
+
+        want = transform([Fraction(1), Fraction(2), Fraction(-3, 2)])
+        monkeypatch.setattr(flow, "_common_denominator", boom)
+        assert transform([1, 2, -3]) == transform([1.0, 2.0, -3.0])
+        assert all(type(c) is float for c in transform([1.0, 2.0, -3.0]))
+        assert transform([Fraction(1), 2, Fraction(-3, 2)]) == want
+        with pytest.raises(AssertionError, match="integer route"):
+            transform([Fraction(1), Fraction(2)])
 
 
 class TestJacobiMoments:

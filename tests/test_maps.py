@@ -27,6 +27,7 @@ from jacobiflow.maps import (
     xi,
     y_func,
 )
+from jacobiflow.powerseries import TruncatedSeries, series_sqrt
 from jacobiflow.specfun import laguerre
 from conftest import assert_entries
 
@@ -398,6 +399,19 @@ class TestFlowMaps:
         full = phi_series(p, 12).coeffs
         for n in (4, 6, 8, 10):
             assert full[: n + 1] == phi_series(p, n).coeffs
+
+    @pytest.mark.parametrize("kappa, t", [(0.5, 1.0), (0.37, 2.45), (Fraction(1, 3), 0.7)])
+    def test_alpha_series_matches_the_sqrt_route(self, kappa, t):
+        # the Catalan composition against alpha(v) = v / (1 + sqrt(1 - v))**2
+        top = phi_series(FlowParams(kappa, t), 24)
+        for order in range(1, 25):
+            v = TruncatedSeries(top.base, top.coeffs[: order + 1])
+            root = series_sqrt(1 - v)
+            want = v * ((1 + root) * (1 + root)).reciprocal()
+            got = maps._alpha_series(v)
+            assert got.base == want.base
+            assert got.coeffs == want.coeffs, order
+            assert all(type(c) is Fraction for c in got.coeffs)
 
     def test_series_match_pointwise_values(self):
         p = FlowParams(0.4, 1.0)
