@@ -96,37 +96,39 @@ def contour_nodes(spec: ContourSpec, count: int | None = None) -> np.ndarray:
     return spec.center + spec.radius * np.exp(1j * theta)
 
 
-def _adaptive_quadrature(level, spec: ContourSpec):
-    """(1/2 pi i) contour integrals of several integrands over one circle, by
-    doubling; ``level(n)`` returns the n nodes and a tuple of the
-    integrands' values there.  All stop at the first doubling where each
-    has moved by less than ``QUAD_TOL``.  Returns (values, samples, delta),
-    with delta the largest of the last moves."""
-    previous = None
-    n = spec.samples
-    while n <= MAX_SAMPLES:
+def _adaptive_quadrature(level, spec: ContourSpec, shape=(1, 1)):
+    """(1/2 pi i) contour integrals over one circle, by doubling, of
+    ``shape[0]`` groups of ``shape[1]`` integrands each.  ``level(n, live)``
+    returns the n nodes and (rows, stack) pairs for the still-live groups,
+    ``live`` their ascending indices: ``rows`` indexes live, and ``stack``
+    holds the integrands' values there, of shape values[rows].shape + (n,).
+    A group leaves at its first doubling where each of its integrands has
+    moved by less than ``QUAD_TOL``.  Returns (values, samples, delta) for
+    each group, with delta the largest of its last moves."""
+    out, live, previous, n = [None] * shape[0], np.arange(shape[0]), None, spec.samples
+    while live.size:
+        if n > MAX_SAMPLES:
+            raise QuadratureError(f"quadrature did not converge within {MAX_SAMPLES} samples")
+        values = np.empty((live.size, shape[1]), dtype=complex)
         try:
             # an overflow or a zero division shows as a value that is not finite
             with np.errstate(all="ignore"):
-                w, fws = level(n)
+                w, stacks = level(n, live)
+                for rows, stack in stacks:
+                    if not np.all(np.isfinite(stack)):
+                        raise QuadratureError("integrand is not finite at a sample point")
+                    values[rows] = np.sum(stack * (w - spec.center), axis=-1) / n
         except DomainError as exc:
             # a doubling's new nodes, which no admissibility check has seen
             raise QuadratureError(f"{exc} at {n} nodes") from exc
-        values = []
-        for fw in fws:
-            fw = np.asarray(fw, dtype=complex)
-            if fw.shape != w.shape:
-                raise ValueError("integrand must return one value per node")
-            if not np.all(np.isfinite(fw)):
-                raise QuadratureError("integrand is not finite at a sample point")
-            values.append(complex(np.sum(fw * (w - spec.center)) / n))
         if previous is not None:
-            delta = max(abs(a - b) for a, b in zip(values, previous))
-            if delta < QUAD_TOL:
-                return values, n, delta
-        previous = values
-        n *= 2
-    raise QuadratureError(f"quadrature did not converge within {MAX_SAMPLES} samples")
+            moved = np.max(np.abs(values - previous), axis=1)
+            done = moved < QUAD_TOL
+            for group, vals, delta in zip(live[done], values[done], moved[done]):
+                out[group] = (vals.tolist(), n, float(delta))
+            live, values = live[~done], values[~done]
+        previous, n = values, 2 * n
+    return out
 
 
 def circle_quadrature(f, spec: ContourSpec) -> complex:
@@ -135,11 +137,14 @@ def circle_quadrature(f, spec: ContourSpec) -> complex:
     ``f`` is called with an ndarray of nodes and must return matching values.
     """
 
-    def level(n):
+    def level(n, live):
         w = contour_nodes(spec, n)
-        return w, (f(w),)
+        fw = np.asarray(f(w), dtype=complex)
+        if fw.shape != w.shape:
+            raise ValueError("integrand must return one value per node")
+        return w, [(0, fw[None])]
 
-    return _adaptive_quadrature(level, spec)[0][0]
+    return _adaptive_quadrature(level, spec)[0][0][0]
 
 
 def _kernel(t: float, z: complex, spec: ContourSpec, n: int):
@@ -181,8 +186,9 @@ def _kernel_cached(t, z_bits, spec, n):
     return w, K, R
 
 
-def pkm_residue(k: int, m: int, params: FlowParams, spec: ContourSpec) -> float:
-    """Residue-integral evaluation of the expansion polynomials:
+def pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
+    """Residue-integral evaluation of the expansion polynomials, for each
+    (k, m) of ``pairs``:
 
         kappa/(2 pi i) * integral of w**(m-1) (1 - w**2)**k / (w - kappa)**(m+1)
 
@@ -190,16 +196,13 @@ def pkm_residue(k: int, m: int, params: FlowParams, spec: ContourSpec) -> float:
     integrand has an extra pole at w = 0, so the circle must exclude the
     origin; the cross-check against the exact polynomials is the quadrature
     oracle of the whole contour machinery.
-    """
-    return _pkm_residues([(k, m)], params, spec)[0]
 
-
-def _pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
-    """:func:`pkm_residue` for each (k, m) of ``pairs`` in one doubling loop, with a row
-    per live pair, stacked by m, that leaves at its own first converged doubling.  Each power
-    is formed once, with a scalar exponent: numpy squares ``w ** 2`` by its own path."""
+    Each pair is a group of :func:`_adaptive_quadrature` and leaves at its own
+    first converged doubling; a level hands the loop one stack per m of the
+    live pairs.  Each power is formed once, with a scalar exponent: numpy
+    squares ``w ** 2`` by its own path."""
     if any(k < 1 or m < 0 for k, m in pairs):
-        raise ValueError("pkm_residue needs k >= 1 and m >= 0")
+        raise ValueError("pkm_residues needs k >= 1 and m >= 0")
     kap = float(params.kappa)
     if kap == 0.0:
         raise ValueError("the residue identity needs kappa != 0")
@@ -207,30 +210,25 @@ def _pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
         raise ValueError("contour must be centered at kappa")
     if any(m == 0 for _, m in pairs) and spec.radius >= abs(kap):
         raise ValueError("for m = 0 the circle must exclude the origin pole")
-    out, live, previous, n = np.zeros(len(pairs)), np.arange(len(pairs)), None, spec.samples
-    while live.size:
-        if n > MAX_SAMPLES:
-            raise QuadratureError(f"quadrature did not converge within {MAX_SAMPLES} samples")
+    all_ks, all_ms = np.array(pairs, dtype=int).reshape(-1, 2).T
+
+    def level(n, live):
         w = contour_nodes(spec, n)
-        ks, ms = np.array([pairs[i] for i in live]).T
-        values = np.empty(live.size, dtype=complex)
-        with np.errstate(all="ignore"):  # an overflow or a zero division shows as not finite
-            one_minus_w2, w_minus_kap = 1 - w * w, w - kap
-            k_pow = {k: one_minus_w2**k for k in set(ks.tolist())}
+        ks, ms = all_ks[live], all_ms[live]
+        one_minus_w2, w_minus_kap = 1 - w * w, w - kap
+        k_pow = {k: one_minus_w2**k for k in set(ks.tolist())}
+
+        def stacks():
             for m in set(ms.tolist()):
                 at = ms == m
                 stack = np.array([k_pow[k] for k in ks[at].tolist()])
                 # kappa goes inside: QUAD_TOL is absolute, and the rest is of size 1/|kappa|
-                fw = kap * w ** (m - 1) * stack / w_minus_kap ** (m + 1)
-                if not np.all(np.isfinite(fw)):
-                    raise QuadratureError("integrand is not finite at a sample point")
-                values[at] = np.sum(fw * (w - spec.center), axis=1) / n
-        if previous is not None:
-            done = np.abs(values - previous) < QUAD_TOL
-            out[live[done]] = values[done].real
-            live, values = live[~done], values[~done]
-        previous, n = values, 2 * n
-    return out.tolist()
+                yield at, (kap * w ** (m - 1) * stack / w_minus_kap ** (m + 1))[:, None]
+
+        return w, stacks()
+
+    groups = _adaptive_quadrature(level, spec, (len(pairs), 1))
+    return [values[0].real for values, _, _ in groups]
 
 
 def _contour_admissible(t, kap, z, rho):
@@ -333,12 +331,13 @@ def m_integral_detailed(params: FlowParams, z) -> IntegralResult:
     spec = admissible_contour(params, z)
     t = float(params.t)
 
-    def level(n):
+    def level(n, live):
         w, K, rr = _kernel(t, z, spec, n)
         core = (K * K - 1) / ((t * K * K + (2 - t)) * (w * K - kap))
-        return w, (K * core / rr, core / (w * rr))
+        return w, [(0, np.array([K * core / rr, core / (w * rr)]))]
 
-    (cor, prop), samples, delta = _adaptive_quadrature(level, spec)
+    # one group of both forms: they stop together, at one node count
+    [((cor, prop), samples, delta)] = _adaptive_quadrature(level, spec, (1, 2))
     w, K, _ = _kernel(t, z, spec, samples)
     return IntegralResult(
         corollary=(1 - z) * cor,
@@ -380,21 +379,16 @@ def _laguerre_diagonal(ms, t: float, n_terms) -> list:
     return [row[:size] for row, size in zip(out, sizes)]
 
 
-def laguerre_gen_check(m: int, t: float, y, n_terms: int = 120, tol: float = 1e-8) -> VerifyEntry:
+def laguerre_gen_checks(specs, t: float) -> list:
     """Residual of the Laguerre generating identity
 
         2**(m+1) sum_{j>m} L_{j-m-1}^{(m+1)}(2jt) (e^{-t} y)^j
             = (K**2-1)/(t K**2 + 2-t) (K-1)**m,   K = K(y),
 
-    from an n_terms partial sum on the left, whose L come from the binary64
-    recurrence of :func:`_laguerre_diagonal`."""
-    return _laguerre_gen_checks([(m, y, n_terms, tol)], t)[0]
-
-
-def _laguerre_gen_checks(specs, t: float) -> list:
-    """:func:`laguerre_gen_check` for each (m, y, n_terms, tol) of ``specs``
-    at one t: their L from one stacked recurrence pass, and K at their y
-    from one :func:`herglotz_k` call."""
+    at one t for each (m, y, n_terms, tol) of ``specs``, from an n_terms
+    partial sum on the left.  The L of every spec come from one stacked
+    pass of the binary64 recurrence of :func:`_laguerre_diagonal`, and K at
+    every y from one :func:`herglotz_k` call."""
     ms, ys, n_terms, tols = zip(*specs)
     ys = [complex(y) for y in ys]
     if any(m < 0 for m in ms):

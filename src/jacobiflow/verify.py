@@ -367,7 +367,7 @@ def _check_contour(rep: VerifyReport, params: flow.FlowParams, full: bool):
     # float(pnm_poly(k, m)(eps)) rounds the int quotient below, over lcm(dens) den(eps)**k_max
     scaled = [eps.numerator**j * eps.denominator ** (k_max - j) for j in range(k_max + 1)]
     pairs = [(k, m) for k in range(1, k_max + 1) for m in range(0, m_max + 1)]
-    for (k, m), got in zip(pairs, contour._pkm_residues(pairs, probe, cs)):
+    for (k, m), got in zip(pairs, contour.pkm_residues(pairs, probe, cs)):
         nums, den = powerseries._common_denominator(flow.pnm_poly(k, m).coeffs)
         want = (-1) ** m * sum(c * p for c, p in zip(nums, scaled)) / (den * scaled[0])
         worst = max(worst, abs(got - want))
@@ -375,7 +375,7 @@ def _check_contour(rep: VerifyReport, params: flow.FlowParams, full: bool):
 
     specs = [(0, 0.2, 80, 1e-10)]  # (m, y, n_terms, tol)
     specs += [(m, 0.3, 120, 1e-8) for m in ((1, 2) if not full else (1, 2, 3, 4))]
-    for entry in contour._laguerre_gen_checks(specs, t):
+    for entry in contour.laguerre_gen_checks(specs, t):
         rep.add(entry)
     rep.add(contour.jacobi_gen_check(1, 0.2, 0.6, n_terms=100, tol=1e-9))
     for j in (2,) if not full else (2, 3, 4):

@@ -63,11 +63,10 @@ def test_criterion_04_integral_vs_series():
 
 
 def test_criterion_05_generating_identities():
-    worst = 0.0
-    for m in range(0, 5):
-        for y in (0.3, -0.25, 0.2 + 0.2j):
-            worst = max(worst, contour.laguerre_gen_check(m, 1.0, y, n_terms=120).residual)
-        worst = max(worst, contour.laguerre_gen_check(m, 2.5, 0.3, n_terms=120).residual)
+    checks = contour.laguerre_gen_checks(
+        [(m, y, 120, 1e-8) for m in range(0, 5) for y in (0.3, -0.25, 0.2 + 0.2j)], 1.0)
+    checks += contour.laguerre_gen_checks([(m, 0.3, 120, 1e-8) for m in range(0, 5)], 2.5)
+    worst = max(entry.residual for entry in checks)
     _report("criterion-05a laguerre-generating", worst, 1e-8, "m <= 4, |y| <= 0.3, 120 terms")
 
     worst = 0.0

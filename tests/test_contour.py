@@ -15,11 +15,11 @@ from jacobiflow.contour import (
     circle_quadrature,
     contour_nodes,
     jacobi_gen_check,
-    laguerre_gen_check,
+    laguerre_gen_checks,
     m_integral,
     m_integral_detailed,
     nonvanishing_check,
-    pkm_residue,
+    pkm_residues,
 )
 from jacobiflow.flow import FlowParams, m_series_coeffs
 from jacobiflow.maps import DomainError, herglotz_k, m_zero, r_func, y_func
@@ -77,18 +77,71 @@ class TestCircleQuadrature:
             circle_quadrature(lambda w: w * np.nan, spec)
 
 
+class TestStopRule:
+    """The one doubling loop behind circle_quadrature, m_integral_detailed
+    and pkm_residues."""
+
+    SPEC = ContourSpec(0j, 1.0, 16)
+
+    @staticmethod
+    def fast(w):
+        return 1 / (w - 0.1)  # settles at the first doubling, 32 nodes
+
+    @staticmethod
+    def slow(w):
+        return np.exp(w) / (w - 0.62)  # settles at 128 nodes
+
+    def test_group_stops_at_its_slowest_integrand(self):
+        spec = self.SPEC
+
+        def level(n, live):
+            w = contour_nodes(spec, n)
+            return w, [(0, np.array([self.fast(w), self.slow(w)]))]
+
+        [(values, samples, delta)] = contour._adaptive_quadrature(level, spec, (1, 2))
+        assert samples == 128
+        # both values come from the 128-node doubling, the fast one too
+        w = contour_nodes(spec, 128)
+        assert values == [complex(np.sum(f(w) * w) / 128) for f in (self.fast, self.slow)]
+        assert values[0] != circle_quadrature(self.fast, spec)  # its own stop, at 32 nodes
+        half = contour_nodes(spec, 64)
+        moves = [abs(v - complex(np.sum(f(half) * half) / 64))
+                 for v, f in zip(values, (self.fast, self.slow))]
+        assert delta == max(moves) < contour.QUAD_TOL
+
+    def test_sample_cap(self, monkeypatch):
+        monkeypatch.setattr(contour, "MAX_SAMPLES", 64)
+        with pytest.raises(contour.QuadratureError, match="did not converge within 64"):
+            circle_quadrature(self.slow, self.SPEC)
+        # on a coarse circle near the origin pole, 12 of these pairs need 128 nodes
+        spec = contour._circle(0.53, 0.265, 16)
+        pairs = [(k, m) for k in range(1, 13) for m in range(9)]
+        with pytest.raises(contour.QuadratureError, match="did not converge within 64"):
+            pkm_residues(pairs, FlowParams(0.53, 1.0), spec)
+
+    def test_domain_error_at_a_later_level(self):
+        def f(w):
+            if w.size == 64:
+                raise DomainError("left the domain")
+            return self.slow(w)
+
+        with pytest.raises(contour.QuadratureError, match="left the domain at 64 nodes"):
+            circle_quadrature(f, self.SPEC)
+
+
 class TestPkmResidue:
     def test_m_zero_gives_power(self):
         p = FlowParams(0.5, 1.0)
         spec = ContourSpec(0.5 + 0j, 0.2, 64)
-        for k in (1, 3, 7):
-            want = (1 - 0.25) ** k
-            assert pkm_residue(k, 0, p, spec) == pytest.approx(want, abs=1e-12)
+        got = pkm_residues([(k, 0) for k in (1, 3, 7)], p, spec)
+        for k, value in zip((1, 3, 7), got):
+            assert value == pytest.approx((1 - 0.25) ** k, abs=1e-12)
 
     def test_hand_case(self):
         p = FlowParams(0.5, 1.0)
         spec = ContourSpec(0.5 + 0j, 0.2, 64)
-        assert pkm_residue(1, 1, p, spec) == pytest.approx(-0.5, abs=1e-12)  # -2 eps
+        [value] = pkm_residues([(1, 1)], p, spec)
+        assert value == pytest.approx(-0.5, abs=1e-12)  # -2 eps
 
     @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
     def test_matches_exact_polynomials(self, kappa):
@@ -105,11 +158,12 @@ class TestPkmResidue:
         """Each pair's residue by its own quadrature, and the node count it stopped at."""
         out = []
         for k, m in pairs:
-            def level(n, k=k, m=m):
+            def level(n, live, k=k, m=m):
                 w = contour_nodes(spec, n)
-                return w, (kappa * w ** (m - 1) * (1 - w * w) ** k / (w - kappa) ** (m + 1),)
+                fw = kappa * w ** (m - 1) * (1 - w * w) ** k / (w - kappa) ** (m + 1)
+                return w, [(0, fw[None])]
 
-            values, samples, _ = contour._adaptive_quadrature(level, spec)
+            [(values, samples, _)] = contour._adaptive_quadrature(level, spec)
             out.append((values[0].real, samples))
         return out
 
@@ -126,7 +180,7 @@ class TestPkmResidue:
             ).real
             for k, m in pairs
         ]
-        got = contour._pkm_residues(pairs, p, spec)
+        got = pkm_residues(pairs, p, spec)
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("kappa, share, samples", [(0.53, 0.5, 16), (-0.9, 0.85, 32)])
@@ -137,17 +191,17 @@ class TestPkmResidue:
         pairs = [(k, m) for k in range(1, 13) for m in range(9)]
         want = self._per_pair(kappa, spec, pairs)
         assert len({n for _, n in want}) >= 3
-        got = contour._pkm_residues(pairs, FlowParams(kappa, 1.0), spec)
+        got = pkm_residues(pairs, FlowParams(kappa, 1.0), spec)
         assert [v.hex() for v in got] == [v.hex() for v, _ in want]
 
     def test_validation(self):
         p = FlowParams(0.5, 1.0)
         with pytest.raises(ValueError):
-            pkm_residue(1, 0, FlowParams(0.0, 1.0), ContourSpec(0j, 0.1))
+            pkm_residues([(1, 0)], FlowParams(0.0, 1.0), ContourSpec(0j, 0.1))
         with pytest.raises(ValueError):
-            pkm_residue(1, 0, p, ContourSpec(0.4 + 0j, 0.1))  # center mismatch
+            pkm_residues([(1, 0)], p, ContourSpec(0.4 + 0j, 0.1))  # center mismatch
         with pytest.raises(ValueError):
-            pkm_residue(1, 0, p, ContourSpec(0.5 + 0j, 0.6))  # origin enclosed
+            pkm_residues([(1, 0)], p, ContourSpec(0.5 + 0j, 0.6))  # origin enclosed
 
 
 class TestAdmissibleContour:
@@ -303,15 +357,15 @@ class TestMIntegral:
 
 class TestGeneratingChecks:
     def test_laguerre_base_case(self):
-        entry = laguerre_gen_check(0, 1.0, 0.2, n_terms=80, tol=1e-10)
+        [entry] = laguerre_gen_checks([(0, 0.2, 80, 1e-10)], 1.0)
         assert entry.passed
 
     def test_laguerre_zero_argument(self):
-        entry = laguerre_gen_check(3, 1.0, 0.0, n_terms=40, tol=1e-14)
+        [entry] = laguerre_gen_checks([(3, 0.0, 40, 1e-14)], 1.0)
         assert entry.passed and entry.residual < 1e-14
 
     def test_laguerre_shifted_index(self):
-        entry = laguerre_gen_check(2, 0.8, 0.3, n_terms=120, tol=1e-8)
+        [entry] = laguerre_gen_checks([(2, 0.3, 120, 1e-8)], 0.8)
         assert entry.passed
 
     def test_laguerre_recurrence_overflows_quietly(self):
@@ -330,12 +384,12 @@ class TestGeneratingChecks:
         # is when the check runs alone
         specs = [(m, y, n_terms, 1e-8) for m in range(5)
                  for y, n_terms in ((0.2, 80), (0.3, 120), (-0.1 + 0.25j, 60))]
-        single = [laguerre_gen_check(m, t, y, n_terms=n, tol=tol) for m, y, n, tol in specs]
-        assert contour._laguerre_gen_checks(specs, t) == single
+        single = [laguerre_gen_checks([spec], t)[0] for spec in specs]
+        assert laguerre_gen_checks(specs, t) == single
 
     def test_laguerre_domain(self):
         with pytest.raises(DomainError):
-            laguerre_gen_check(0, 1.0, 0.97)
+            laguerre_gen_checks([(0, 0.97, 120, 1e-8)], 1.0)
 
     def test_jacobi_real_argument(self):
         entry = jacobi_gen_check(1, 0.2, 0.6, n_terms=100, tol=1e-9)
