@@ -292,24 +292,27 @@ def _check_maps(rep: VerifyReport, params: flow.FlowParams, phi_s, full: bool):
 
     # the flow is only locally defined: walk down to a z where the whole
     # composition chain stays off the cut
-    res = abs(maps.psi(params, 0.0))
+    # the entry names the z whose term sets the residual, the later one on a tie
+    res, z_worst = abs(maps.psi(params, 0.0)), 0.0
     s_of = lambda z: (1 + z) / (1 - z)
     if kap == 0.0:
         # the chain collapses onto xi(s) only while xi(s) stays in the disc
         for z in (0.1, 0.05, 0.02, 0.005):
             if abs(maps.xi(t, s_of(z))) < 1:
-                res = max(res, abs(maps.psi(params, z) - maps.xi(t, s_of(z))))
+                term = abs(maps.psi(params, z) - maps.xi(t, s_of(z)))
+                if term >= res:
+                    res, z_worst = term, z
                 break
-    z_used = None
     for z in (0.1, 0.05 - 0.1j, 0.02, 0.005, 0.001):
         s = s_of(z)
         a = cmath.sqrt(kap * kap + (1 - kap * kap) * s * s)
         try:
-            res = max(res, abs(maps.psi(params, z) - maps.big_phi(params, a)))
-            z_used = z
+            term = abs(maps.psi(params, z) - maps.big_phi(params, a))
         except maps.DomainError:
             continue
-    rep.check("psi-chain-identity", res, 1e-12, z=z_used)
+        if term >= res:
+            res, z_worst = term, z
+    rep.check("psi-chain-identity", res, 1e-12, z=z_worst)
 
     # evaluate the inverted series and push it back through the flow map
     inv = flow.phi_inv_coeffs(params, 16)

@@ -29,7 +29,7 @@ from jacobiflow.maps import (
 )
 from jacobiflow.powerseries import TruncatedSeries, series_sqrt
 from jacobiflow.specfun import laguerre
-from conftest import assert_entries
+from conftest import assert_entries, entries
 
 
 class TestAlpha:
@@ -435,6 +435,21 @@ class TestPsi:
             s = (1 + z) / (1 - z)
             a = cmath.sqrt(0.09 + 0.91 * s * s)
             assert psi(p, z) == pytest.approx(big_phi(p, a), abs=1e-13)
+
+    @pytest.mark.parametrize("kappa, t, worst", [
+        (0.99999, 1.0, 0.05 - 0.1j),  # the entry fails here, at this z only
+        (0.92, 1.12, 0.05 - 0.1j),
+        (0.0, 1.0, 0.1),  # the kappa = 0 comparison with xi
+        (0.5, 1.0, 0.001),  # every term is 0: the last z evaluated
+    ])
+    def test_chain_entry_names_its_worst_z(self, kappa, t, worst):
+        [entry] = entries("psi-chain-identity", kappa, t)
+        assert dict(entry.context)["z"] == str(worst)
+        if kappa != 0.0:
+            s = (1 + worst) / (1 - worst)
+            a = cmath.sqrt(kappa * kappa + (1 - kappa * kappa) * s * s)
+            p = FlowParams(kappa, t)
+            assert entry.residual == abs(psi(p, worst) - big_phi(p, a))
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):

@@ -732,9 +732,9 @@ class TestPinnedBytes:
         "kappa,t,level,digest",
         [
             ("0.92", "1.12", "full",
-             "b97517b2f4fc86e40310d2ef2459e638ab71111c2b5dd41366b1d09171f0e25f"),
+             "92033db359baea8d9080451bf239475392eaf0bf43763627ddb0bf39b08047ae"),
             ("0", "1", "full",
-             "c1dda0ff7a984c2b03b422c04cf2510303e36ad9263e5b9d417375ca5f553de0"),
+             "15128d8d4de61fe62c3cfa53903d88010680d8a8a54ce034f945e4403ec75574"),
             ("0.5", "1", "fast",
              "8edef8479c69d260a9e7250c8de75ff4e1f2385337f44cd26007da894e25f44e"),
         ],
