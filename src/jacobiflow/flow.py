@@ -156,9 +156,8 @@ def _binomial_row(n: int) -> list:
 @cache
 def _weight_row(n: int) -> list:
     """(-1)**(k+n) invrel_weight_split(n, k) for k <= n, the signed weights
-    of S_n; at k = n the second binomial vanishes and the weight is 1."""
-    return [(-1) ** (k + n) * (math.comb(n + k, n - k) + math.comb(n + k - 1, n - k - 1))
-            for k in range(n)] + [1]
+    of S_n, n >= 1."""
+    return [(-1) ** (k + n) * invrel_weight_split(n, k) for k in range(n + 1)]
 
 
 class _TTable:
