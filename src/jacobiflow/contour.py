@@ -44,7 +44,7 @@ MIN_RADIUS = 1e-6
 
 class QuadratureError(RuntimeError):
     """The circle quadrature failed in binary64: its radius is not a normal
-    float, an integrand was not finite at a node, a doubling put a node
+    float, an integrand or its sum was not finite, a doubling put a node
     outside the kernel's domain, or the doubling hit the sample cap."""
 
 
@@ -111,16 +111,17 @@ def _adaptive_quadrature(level, spec: ContourSpec, shape=(1, 1)):
             raise QuadratureError(f"quadrature did not converge within {MAX_SAMPLES} samples")
         values = np.empty((live.size, shape[1]), dtype=complex)
         try:
-            # an overflow or a zero division shows as a value that is not finite
+            # an overflow or a zero division, in an integrand or in its sum,
+            # shows as a value that is not finite
             with np.errstate(all="ignore"):
                 w, stacks = level(n, live)
                 for rows, stack in stacks:
-                    if not np.all(np.isfinite(stack)):
-                        raise QuadratureError("integrand is not finite at a sample point")
                     values[rows] = np.sum(stack * (w - spec.center), axis=-1) / n
         except DomainError as exc:
             # a doubling's new nodes, which no admissibility check has seen
             raise QuadratureError(f"{exc} at {n} nodes") from exc
+        if not np.all(np.isfinite(values)):
+            raise QuadratureError(f"integrand or its sum is not finite at {n} nodes")
         if previous is not None:
             moved = np.max(np.abs(values - previous), axis=1)
             done = moved < QUAD_TOL

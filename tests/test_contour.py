@@ -76,6 +76,12 @@ class TestCircleQuadrature:
         with pytest.raises(contour.QuadratureError, match="not finite"):
             circle_quadrature(lambda w: w * np.nan, spec)
 
+    def test_overflowing_sum_rejected(self):
+        # every value is finite, but the weighted sum overflows binary64
+        spec = ContourSpec(0j, 4.0, 16)
+        with pytest.raises(contour.QuadratureError, match="not finite at 16 nodes"):
+            circle_quadrature(lambda w: np.full(w.shape, 1e308 + 0j), spec)
+
 
 class TestStopRule:
     """The one doubling loop behind circle_quadrature, m_integral_detailed
