@@ -335,14 +335,15 @@ def m_integral_detailed(params: FlowParams, z) -> IntegralResult:
     def level(n, live):
         w, K, rr = _kernel(t, z, spec, n)
         core = (K * K - 1) / ((t * K * K + (2 - t)) * (w * K - kap))
-        return w, [(0, np.array([K * core / rr, core / (w * rr)]))]
+        # kappa goes inside: QUAD_TOL is absolute, and the rest is of size 1/|kappa|
+        return w, [(0, np.array([K * core / rr, kap * core / (w * rr)]))]
 
     # one group of both forms: they stop together, at one node count
     [((cor, prop), samples, delta)] = _adaptive_quadrature(level, spec, (1, 2))
     w, K, _ = _kernel(t, z, spec, samples)
     return IntegralResult(
         corollary=(1 - z) * cor,
-        proposition=(1 - z) * kap * prop,
+        proposition=(1 - z) * prop,
         contour=spec,
         samples=samples,
         quadrature_delta=delta,

@@ -318,6 +318,14 @@ class TestMIntegral:
         assert res.samples >= res.contour.samples
         assert res.quadrature_delta < 1e-12
 
+    @pytest.mark.parametrize("kappa", [1e-7, 1e-9, 1e-12])
+    @pytest.mark.parametrize("z", [0.02, 0.03 + 0.01j, 0.05])
+    def test_tiny_kappa_stops_at_the_first_doubling(self, kappa, z):
+        # the 1e-12 stop is absolute, so the proposition form carries kappa
+        # inside its integrand: outside, it would see a value of size |M|/|kappa|
+        res = m_integral_detailed(FlowParams(kappa, 1.0), z)
+        assert res.samples == 512
+
     def test_validation(self):
         with pytest.raises(ValueError):
             m_integral(FlowParams(0.0, 1.0), 0.03)

@@ -478,9 +478,9 @@ class TestFailureClasses:
             # a circle around a tiny kappa overflows its integrand, or its
             # radius is not a normal float: numerical failures, not exit 2
             (["verify", "--kappa", "1e-200", "--t", "1"], 3, "error: numerical failure: ", 1),
-            (["integral", "--kappa", "1e-300", "--t", "1", "--z", "0.03,0.01"], 3,
+            (["integral", "--kappa", "3e-308", "--t", "1", "--z", "0.03,0.01"], 3,
              "error: numerical failure: ", 1),
-            (["integral", "--kappa", "1e-300", "--t", "1e-300", "--z", "0.03,0.01"], 3,
+            (["integral", "--kappa", "3e-308", "--t", "1e-300", "--z", "0.03,0.01"], 3,
              "error: numerical failure: ", 1),
             (["verify", "--kappa", "5e-324", "--t", "1"], 3, "error: numerical failure: ", 1),
             (["integral", "--kappa", "5e-324", "--t", "1", "--z", "0.03,0.01"], 3,
@@ -575,6 +575,18 @@ class TestTinyKappa:
         got, out, err = _run(["verify", "--kappa", kappa, "--t", "1", "--level", "full"], capsys)
         assert (got, err) == (0, "")
         assert out.endswith("PASS  overall: 50/50 checks passed\n")
+
+
+    @pytest.mark.parametrize("t", ["1", "1e-300"])
+    def test_integral_at_kappa_1e_300(self, t, capsys):
+        # kappa sits inside the proposition integrand, which stays finite
+        got, out, err = _run(["integral", "--kappa", "1e-300", "--t", t, "--z", "0.03,0.01",
+                              "--format", "json"], capsys)
+        assert (got, err) == (0, "")
+        data = json.loads(out)
+        want = flow.m_series_coeffs(flow.FlowParams(1e-300, float(t)), 64)(0.03 + 0.01j)
+        assert abs(complex(data["value_re"], data["value_im"]) - want) <= 1e-12 * abs(want)
+        assert data["samples"] == 512
 
 
 class TestOneParse:
@@ -697,12 +709,12 @@ class TestPinnedBytes:
     CONTOUR_CSV = (
         "value_re,value_im,form,radius,samples,forms_residual\n"
         "0.11724308454977962,-0.010635895931860654,corollary,0.10000000000000001,"
-        "512,1.2494826774184999e-16\n"
+        "512,1.3882123939089715e-16\n"
     )
     CONTOUR_JSON = (
         '{"value_re":0.11724308454977962,"value_im":-0.010635895931860654,'
         '"form":"corollary","radius":0.10000000000000001,"samples":512,'
-        '"forms_residual":1.2494826774184999e-16}\n'
+        '"forms_residual":1.3882123939089715e-16}\n'
     )
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -732,7 +744,7 @@ class TestPinnedBytes:
         "kappa,t,level,digest",
         [
             ("0.92", "1.12", "full",
-             "92033db359baea8d9080451bf239475392eaf0bf43763627ddb0bf39b08047ae"),
+             "593382c60f53618f7c23cc761287902a820fd55015288b00a45f95381a5a260a"),
             ("0", "1", "full",
              "15128d8d4de61fe62c3cfa53903d88010680d8a8a54ce034f945e4403ec75574"),
             ("0.5", "1", "fast",
