@@ -9,13 +9,15 @@ so results are bit-reproducible regardless of how callers parallelize.
 The doubled grids are nested: node 2k of the 2n-node grid is node k of the
 n-node grid, bit for bit, since 2 pi (2k) / 2n = 2 pi k / n exactly in
 binary64.  So the Herglotz kernel K is solved once per distinct node of a
-circle.  Two levels must agree, so an accepted circle always needs the
-first doubling: its 2n nodes are solved in one call, and the n-node level
-is their even half, a strided view.  Each later doubling solves only its
-new odd nodes.  The nodes with K and the root R = r_func(z, w), formed once
-with the kernel argument y, are kept in a small bounded cache shared by the
-admissibility check, every doubling of the integral (both forms in one
-pass), and the kernel checks.  The cached arrays are read-only.
+circle, as delta = K - 1, which every kernel formula here reads in place of
+K so that none of them cancels.  Two levels must agree, so an accepted
+circle always needs the first doubling: its 2n nodes are solved in one
+call, and the n-node level is their even half, a strided view.  Each later
+doubling solves only its new odd nodes.  The nodes with delta and the root
+R = r_func(z, w), formed once with the kernel argument y, are kept in a
+small bounded cache shared by the admissibility check, every doubling of
+the integral (both forms in one pass), and the kernel checks.  The cached
+arrays are read-only.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .flow import FlowParams
-from .maps import DomainError, _y_and_r, herglotz_k, r_func
+from .maps import DomainError, _herglotz_delta, _y_and_r, r_func
 from .report import VerifyEntry
 
 QUAD_TOL = 1e-12
@@ -149,18 +151,18 @@ def circle_quadrature(f, spec: ContourSpec) -> complex:
 
 
 def _kernel(t: float, z: complex, spec: ContourSpec, n: int):
-    """Nodes w of the n-node grid of ``spec``, K(y(z, w)) and R = r_func(z, w)
-    there, all read-only."""
+    """Nodes w of the n-node grid of ``spec``, delta = K(y(z, w)) - 1 and
+    R = r_func(z, w) there, all read-only."""
     # the key holds z's bit pattern, so z = x + 0j and x - 0j stay apart
     return _kernel_cached(t, struct.pack("<2d", z.real, z.imag), spec, n)
 
 
 def _solve_nodes(t, z, w):
-    """K and R on the nodes w; y is formed once, and R with it."""
+    """delta = K - 1 and R on the nodes w; y is formed once, and R with it."""
     y, R = _y_and_r(z, w)
     if np.any(np.abs(y) >= 1):
         raise _OutsideDisc("kernel argument left the unit disc on the circle")
-    return herglotz_k(t, y), R
+    return _herglotz_delta(t, y), R
 
 
 # eight grids hold the 256- and 512-node levels of a few points at once;
@@ -170,21 +172,21 @@ def _kernel_cached(t, z_bits, spec, n):
     if n == spec.samples:
         # every accepted circle needs the first doubling: solve it in one
         # call, and take this grid as its even nodes
-        w, K, R = _kernel_cached(t, z_bits, spec, 2 * n)
-        return w[0::2], K[0::2], R[0::2]
+        w, D, R = _kernel_cached(t, z_bits, spec, 2 * n)
+        return w[0::2], D[0::2], R[0::2]
     z = complex(*struct.unpack("<2d", z_bits))
     w = contour_nodes(spec, n)
     if n > 2 * spec.samples:
         # the even nodes are the n/2 grid's nodes; solve only the odd ones
-        K = np.empty(n, dtype=complex)
+        D = np.empty(n, dtype=complex)
         R = np.empty(n, dtype=complex)
-        _, K[0::2], R[0::2] = _kernel_cached(t, z_bits, spec, n // 2)
-        K[1::2], R[1::2] = _solve_nodes(t, z, w[1::2])
+        _, D[0::2], R[0::2] = _kernel_cached(t, z_bits, spec, n // 2)
+        D[1::2], R[1::2] = _solve_nodes(t, z, w[1::2])
     else:
-        K, R = _solve_nodes(t, z, w)
-    for a in (w, K, R):
+        D, R = _solve_nodes(t, z, w)
+    for a in (w, D, R):
         a.flags.writeable = False
-    return w, K, R
+    return w, D, R
 
 
 def pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
@@ -245,25 +247,27 @@ def _contour_admissible(t, kap, z, rho):
     v = (1 - z) ** 2 + 4 * w * w * z
     if np.any((v.real <= 0) & (np.abs(v.imag) <= 1e-12)):
         return "(ii) branch cut"
-    # K comes from one solve on the first doubled grid, which an accepted
-    # circle's quadrature needs next; (iii) holds on all its nodes, and
-    # (iv) and (vi) read K on the even ones, these samples
+    # delta = K - 1 comes from one solve on the first doubled grid, which an
+    # accepted circle's quadrature needs next; (iii) holds on all its nodes,
+    # and (iv) and (vi) read delta on the even ones, these samples
     try:
-        K = _kernel(t, z, spec, spec.samples)[1]
+        D = _kernel(t, z, spec, spec.samples)[1]
     except _OutsideDisc:
         # (iii) kernel argument inside the disc
         return "(iii) kernel argument"
     except DomainError:
         return "domain"
-    # (iv) kernel zero set stays away from the circle, relative to |kappa|
-    if np.min(np.abs(w * K - kap)) <= KERNEL_MARGIN * abs(kap):
+    # (iv) kernel zero set stays away from the circle, relative to |kappa|:
+    # w K - kappa = (w - kappa) + w delta
+    if np.min(np.abs((w - kap) + w * D)) <= KERNEL_MARGIN * abs(kap):
         return "(iv) kernel zero"
     # (v) origin excluded, needed whenever the 1/w integrand form is used
     if not rho < abs(kap):
         return "(v) origin"
     # (vi) geometric-series ratio below one; this is what makes the circle
-    # enclose the kernel zero, so the integral picks up its residue
-    if not np.max(np.abs(w * (1 - K) / (w - kap))) < 1:
+    # enclose the kernel zero, so the integral picks up its residue;
+    # its numerator is w delta = w (K - 1) up to sign
+    if not np.max(np.abs(w * D / (w - kap))) < 1:
         return "(vi) geometric ratio"
     return None
 
@@ -321,8 +325,11 @@ def m_integral_detailed(params: FlowParams, z) -> IntegralResult:
     forms from one run of doublings.  ``corollary`` integrates
     K (K**2-1) / ([t K**2 + (2-t)][w K - kappa] R), with no singularity at
     w = 0; ``proposition`` keeps the kappa/(w R) weight, as a cross-check.
-    Both carry the (1 - z) prefactor.  The grids are nested, so the
-    diagnostics read on the last grid cover every level."""
+    Both carry the (1 - z) prefactor.  Each factor is formed from
+    delta = K - 1, so none cancels: K**2 - 1 = delta (2 + delta),
+    t K**2 + (2-t) = 2 + t delta (2 + delta) and w K - kappa =
+    (w - kappa) + w delta.  The grids are nested, so the diagnostics read
+    on the last grid cover every level."""
     kap = float(params.kappa)
     if kap == 0.0:
         raise ValueError("kappa = 0 has the closed form maps.m_zero")
@@ -333,22 +340,23 @@ def m_integral_detailed(params: FlowParams, z) -> IntegralResult:
     t = float(params.t)
 
     def level(n, live):
-        w, K, rr = _kernel(t, z, spec, n)
-        core = (K * K - 1) / ((t * K * K + (2 - t)) * (w * K - kap))
+        w, D, rr = _kernel(t, z, spec, n)
+        D2 = D * (2 + D)
+        core = D2 / ((2 + t * D2) * ((w - kap) + w * D))
         # kappa goes inside: QUAD_TOL is absolute, and the rest is of size 1/|kappa|
-        return w, [(0, np.array([K * core / rr, kap * core / (w * rr)]))]
+        return w, [(0, np.array([(1 + D) * core / rr, kap * core / (w * rr)]))]
 
     # one group of both forms: they stop together, at one node count
     [((cor, prop), samples, delta)] = _adaptive_quadrature(level, spec, (1, 2))
-    w, K, _ = _kernel(t, z, spec, samples)
+    w, D, _ = _kernel(t, z, spec, samples)
     return IntegralResult(
         corollary=(1 - z) * cor,
         proposition=(1 - z) * prop,
         contour=spec,
         samples=samples,
         quadrature_delta=delta,
-        min_kernel_denominator=float(np.min(np.abs(t * K * K + (2 - t)))),
-        geom_ratio_max=float(np.max(np.abs(w * (1 - K) / (w - kap)))),
+        min_kernel_denominator=float(np.min(np.abs(2 + t * D * (2 + D)))),
+        geom_ratio_max=float(np.max(np.abs(w * D / (w - kap)))),
     )
 
 
@@ -389,8 +397,9 @@ def laguerre_gen_checks(specs, t: float) -> list:
 
     at one t for each (m, y, n_terms, tol) of ``specs``, from an n_terms
     partial sum on the left.  The L of every spec come from one stacked
-    pass of the binary64 recurrence of :func:`_laguerre_diagonal`, and K at
-    every y from one :func:`herglotz_k` call."""
+    pass of the binary64 recurrence of :func:`_laguerre_diagonal`, and
+    delta = K - 1 at every y from one solve; the right side is
+    delta (2 + delta) / (2 + t delta (2 + delta)) delta**m."""
     ms, ys, n_terms, tols = zip(*specs)
     ys = [complex(y) for y in ys]
     if any(m < 0 for m in ms):
@@ -398,15 +407,16 @@ def laguerre_gen_checks(specs, t: float) -> list:
     if any(abs(y) >= 0.95 for y in ys):
         raise DomainError("check needs |y| < 0.95")
     rows = _laguerre_diagonal(ms, t, n_terms)
-    ks = herglotz_k(t, np.array(ys)).tolist()
+    ds = _herglotz_delta(t, np.array(ys)).tolist()
     out = []
-    for m, y, terms, tol, row, K in zip(ms, ys, n_terms, tols, rows, ks):
+    for m, y, terms, tol, row, D in zip(ms, ys, n_terms, tols, rows, ds):
         decay = cmath.exp(-t) * y
         lhs = 0j
         for j, lag in enumerate(row.tolist(), m + 1):
             lhs += lag * decay**j
         lhs *= 2 ** (m + 1)
-        rhs = (K * K - 1) / (t * K * K + (2 - t)) * (K - 1) ** m
+        D2 = D * (2 + D)
+        rhs = D2 / (2 + t * D2) * D**m
         out.append(VerifyEntry.make("laguerre-generating", abs(lhs - rhs), tol,
                                     m=m, t=t, y=y, terms=terms))
     return out
@@ -465,12 +475,13 @@ def jacobi_gen_check(j: int, z, w, n_terms: int = 150, tol: float = 1e-8) -> Ver
 
 
 def nonvanishing_check(params: FlowParams, z, spec: ContourSpec) -> VerifyEntry:
-    """Minimum of |t K**2 + (2 - t)| over the contour nodes; the entry fails
-    if this kernel denominator comes within ``NONVANISHING_FLOOR`` of zero."""
+    """Minimum of |t K**2 + (2 - t)| = |2 + t delta (2 + delta)| over the
+    contour nodes; the entry fails if this kernel denominator comes within
+    ``NONVANISHING_FLOOR`` of zero."""
     z = complex(z)
     t = float(params.t)
-    K = _kernel(t, z, spec, spec.samples)[1]
-    min_abs = float(np.min(np.abs(t * K * K + (2 - t))))
+    D = _kernel(t, z, spec, spec.samples)[1]
+    min_abs = float(np.min(np.abs(2 + t * D * (2 + D))))
     return VerifyEntry.make(
         "kernel-nonvanishing", max(0.0, NONVANISHING_FLOOR - min_abs), 0.0,
         min_abs=min_abs, floor=NONVANISHING_FLOOR, z=z, t=t,

@@ -2,22 +2,21 @@
 
 Principal branches everywhere: every square root validates its argument
 against the cut and fails loudly instead of switching sheets.  The inverse
-Herglotz problem (find Z in the right half-plane Jordan domain with
-xi(Z) = y) is solved by Newton iteration seeded from the Taylor series of
-the transform.  The seed's coefficients equal :func:`k_series_coeff`'s bit
-for bit, but each is one integer quotient built from the three-term
-Laguerre recurrence the coefficient engine runs, with no exact Laguerre sum
-(``_seed_poly``).  One loop serves every argument: a first array-wide Newton
-solve, seeded from the series, reaches y itself when |y| <= 0.5 and
-0.5 y/|y| otherwise; the points beyond |y| = 0.5 then walk outward along
-their own rays by predictor-corrector continuation (Allgower & Georg, ch. 2).
-Each step is seeded by the tangent predictor K + (y1 - y0)/xi'(K), with the
-slope xi'(K) left over from the Newton iteration that found K, and corrected
-by Newton.  Every point keeps its own step: the first is 0.5, which reaches
-y at once; a rejected step is halved for that point alone and an accepted
-one doubled, and below 1/64 the point fails.  All points still moving share
-one array-wide solve per round, and since no point's steps depend on the
-others, K(y) does not depend on the batch y arrives in.
+Herglotz problem (find K in the right half-plane Jordan domain with
+xi(K) = y) is solved for delta = K - 1, in the r-Lambert form
+delta e^{t delta} / (2 + delta) = y e^{-t} (Mezo & Baricz 2017), so that no
+formula forms K - 1 by cancellation; Newton stops at a residual relative to
+|y e^{-t}|.  One loop serves every argument: each point starts at
+K(0) = 1, delta = 0 with slope 1/2, and walks out along its own ray by
+predictor-corrector continuation (Allgower & Georg, ch. 2).  Each step is
+seeded by the tangent predictor delta + (u1 - u0)/g'(delta), with u the
+right side and the slope g'(delta) left over from the Newton iteration that
+found delta, and corrected by Newton.  Every point keeps its own step: the
+first is 0.5, which reaches any |y| <= 0.5 at once; a rejected step is
+halved for that point alone and an accepted one doubled, and below 1/64
+the point fails.  All points still moving share one array-wide solve per
+round, and since no point's steps depend on the others, K(y) does not
+depend on the batch y arrives in.
 """
 
 from __future__ import annotations
@@ -25,18 +24,15 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .flow import FlowParams, _check_index, _exp_neg_t, _laguerre_scaled
+from .flow import FlowParams, _check_index, _exp_neg_t
 from .powerseries import TruncatedSeries, series_compose
 from .specfun import _laguerre_sum
 
-NEWTON_TOL = 1e-13
+REL_TOL = 1e-15
 NEWTON_MAX_ITER = 50
-SEED_TERMS = 20
-CONTINUATION_START = 0.5
 MAX_STEP = 0.5
 MIN_STEP = 1 / 64
 
@@ -46,11 +42,7 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Newton iteration failed; carries the last iterate."""
-
-    def __init__(self, message, last=None):
-        super().__init__(message)
-        self.last = last
+    """The Herglotz continuation failed to reach a point."""
 
 
 # -- elementary maps ---------------------------------------------------------
@@ -106,59 +98,39 @@ def k_series_coeff(t: float, n: int) -> float:
     return 2 * big_d**n * num / (den * n << delta * n)
 
 
-@lru_cache(maxsize=64)
-def _seed_poly(t: float):
-    """The Taylor polynomial of K to order SEED_TERMS, highest power first.
-
-    Its n-th coefficient is k_series_coeff(t, n), bit for bit: the same
-    rational 2 D**n L / (n! 2**(tau (n-1) + delta n)) rounded once, with
-    t = T / 2**tau and L = L_{n-1}^{(1)}(2nt) (n-1)! 2**(tau (n-1)) an
-    integer from the Laguerre recurrence instead of an exact Laguerre sum.
-    """
-    t = float(t)
-    big_t, t_den = t.as_integer_ratio()
-    tau = t_den.bit_length() - 1
-    big_d, delta = _exp_neg_t(t)
-    coeffs = []
-    for n in range(1, SEED_TERMS + 1):
-        lag = _laguerre_scaled(2 * n * big_t, tau, n)[-1]  # carries (-1)**(n-1)
-        num = 2 * big_d**n * (lag if n % 2 else -lag)
-        coeffs.append(num / (math.factorial(n) << tau * (n - 1) + delta * n))
-    return np.array(coeffs[::-1] + [1.0], dtype=complex)
-
-
 def _newton_solve(t, seeds, targets):
-    """Newton iteration for xi(Z) = targets from the seeds, each point on
-    its own: one that meets the tolerance stays put while the others go on.
+    """Newton iteration for delta e^{t delta} / (2 + delta) = targets from
+    the seeds, each point on its own: one whose residual is at most
+    REL_TOL |target| stays put while the others go on.
 
-    Returns the iterates Z, the slopes xi'(Z) there, a mask of the points
-    that converged, and the number of iterations, each one evaluation of xi
-    on the batch (at most NEWTON_MAX_ITER + 1).
+    Returns the iterates delta, the slopes e^{t delta} (2 + t delta
+    (2 + delta)) / (2 + delta)**2 there, a mask of the points that
+    converged, and the number of iterations, each one evaluation on the
+    batch (at most NEWTON_MAX_ITER + 1).
     """
-    Z = np.array(seeds, dtype=complex)
-    # a stray iterate may overflow e^{tZ}; it then fails its own test only
+    D = np.array(seeds, dtype=complex)
+    tol = REL_TOL * np.abs(targets)
+    # a stray iterate may overflow e^{t delta}; it then fails its own test only
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, NEWTON_MAX_ITER + 2):
-            # xi and its derivative share e^{tZ} and Z + 1
-            E = np.exp(t * Z)
-            P = Z + 1
-            F = (Z - 1) / P * E - targets
-            slope = E * (2 + t * (Z * Z - 1)) / (P * P)
-            done = np.abs(F) <= NEWTON_TOL
+            # the map and its derivative share e^{t delta} and 2 + delta
+            E = np.exp(t * D)
+            P = 2 + D
+            H = D * E / P - targets
+            slope = E * (2 + t * D * P) / (P * P)
+            done = np.abs(H) <= tol
             if done.all() or iterations > NEWTON_MAX_ITER:
-                return Z, slope, done, iterations
-            Z = np.where(done, Z, Z - F / slope)
+                return D, slope, done, iterations
+            D = np.where(done, D, D - H / slope)
 
 
-def herglotz_k(t: float, y):
-    """Herglotz transform K of the time-2t free unitary Brownian motion:
-    the unique point of the right-half-plane Jordan domain with xi(K(y)) = y.
+def _herglotz_delta(t: float, y):
+    """delta = K(y) - 1 for :func:`herglotz_k`, without its cancellation.
 
-    Accepts complex scalars or arrays with entries in the open unit disc.
-    Raises ConvergenceError when the first Newton solve fails at a point, or
-    when a point's continuation step is rejected below ``MIN_STEP``: a step
-    is rejected when Newton fails, the iterate leaves the right half-plane,
-    or the corrector |Z - seed| exceeds the predictor increment |seed - K|.
+    Raises ConvergenceError when a point's continuation step is rejected
+    below ``MIN_STEP``: a step is rejected when Newton fails, the iterate
+    leaves the right half-plane, or the corrector |delta - seed| exceeds
+    the predictor increment |seed - start|.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
@@ -167,42 +139,47 @@ def herglotz_k(t: float, y):
     radius = np.abs(flat)
     if not np.all(radius < 1):
         raise DomainError("Herglotz transform needs |y| < 1")
-    # far points start at radius 0.5 on their own ray
-    far = radius > CONTINUATION_START
-    phase = np.divide(flat, radius, out=np.zeros_like(flat), where=far)
-    reached = np.where(far, CONTINUATION_START * phase, flat)
-    K, slope, ok, _ = _newton_solve(t, np.polyval(_seed_poly(t), reached), reached)
-    if not ok.all():
-        raise ConvergenceError(
-            "Newton inversion of the exponential map did not converge", last=K
-        )
-    if np.any(K.real <= 0):
-        raise ConvergenceError("Newton iterate left the right half-plane", last=K)
-    # each far point walks on along its ray with a step of its own, from
-    # reached = xi(K) to target
-    r = np.full(flat.shape, CONTINUATION_START)
+    big_d, delta = _exp_neg_t(t)  # refuses a t whose e^{-t} is not a normal float
+    decay = math.ldexp(big_d, -delta)
+    phase = np.divide(flat, radius, out=np.zeros_like(flat), where=radius > 0)
+    # every point starts at delta(0) = 0, where the slope is 1/2, and walks
+    # out along its ray with a step of its own, from reached = u(r) to u(|y|)
+    D = np.zeros_like(flat)
+    slope = np.full(flat.shape, 0.5 + 0j)
+    reached = np.zeros_like(flat)
+    r = np.zeros(flat.shape)
     step = np.full(flat.shape, MAX_STEP)
-    moving = np.flatnonzero(far)
+    moving = np.arange(flat.size)
     while moving.size:
         r_next = np.minimum(r[moving] + step[moving], radius[moving])
-        target = np.where(r_next < radius[moving], r_next * phase[moving], flat[moving])
-        start = K[moving]
+        target = np.where(r_next < radius[moving], r_next * phase[moving], flat[moving]) * decay
+        start = D[moving]
         seed = start + (target - reached[moving]) / slope[moving]
         Z, Z_slope, ok, _ = _newton_solve(t, seed, target)
-        ok &= (Z.real > 0) & (np.abs(Z - seed) <= np.abs(seed - start))
+        ok &= (Z.real > -1) & (np.abs(Z - seed) <= np.abs(seed - start))
         won, lost = moving[ok], moving[~ok]
-        K[won], slope[won], reached[won] = Z[ok], Z_slope[ok], target[ok]
+        D[won], slope[won], reached[won] = Z[ok], Z_slope[ok], target[ok]
         r[won] = r_next[ok]
         step[won] = np.minimum(2 * step[won], MAX_STEP)
         step[lost] /= 2
         if np.any(step[lost] < MIN_STEP):
-            raise ConvergenceError(
-                f"Herglotz continuation step fell below {MIN_STEP}", last=Z[~ok]
-            )
+            raise ConvergenceError(f"Herglotz continuation step fell below {MIN_STEP}")
         moving = moving[r[moving] < radius[moving]]
     if arr.ndim == 0:
-        return complex(K[0])
-    return K.reshape(arr.shape)
+        return complex(D[0])
+    return D.reshape(arr.shape)
+
+
+def herglotz_k(t: float, y):
+    """Herglotz transform K of the time-2t free unitary Brownian motion:
+    the unique point of the right-half-plane Jordan domain with xi(K(y)) = y.
+
+    Accepts complex scalars or arrays with entries in the open unit disc;
+    K = 1 + delta, with delta from the continuation of the module docstring.
+    Raises ConvergenceError when a point's continuation step is rejected
+    below ``MIN_STEP``.
+    """
+    return 1 + _herglotz_delta(t, y)
 
 
 # -- flow maps ---------------------------------------------------------------
@@ -292,9 +269,11 @@ def y_func(z, w):
 
 def m_zero(t: float, z):
     """Closed form of the derivative series in the symmetric case:
-    (K**2 - 1) / (t K**2 + (2 - t)) with K the Herglotz transform."""
-    K = herglotz_k(t, z)
-    return (K * K - 1) / (t * K * K + (2 - t))
+    (K**2 - 1) / (t K**2 + (2 - t)) with K the Herglotz transform, formed
+    from delta = K - 1 as delta (2 + delta) / (2 + t delta (2 + delta))."""
+    D = _herglotz_delta(t, z)
+    D2 = D * (2 + D)
+    return D2 / (2 + t * D2)
 
 
 # -- Taylor expansions about the critical point ------------------------------

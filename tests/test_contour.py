@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jacobiflow import contour
+from jacobiflow import contour, maps
 from jacobiflow.contour import (
     ContourSpec,
     NoAdmissibleContourError,
@@ -360,9 +360,9 @@ class TestMIntegral:
         dens, ratios = [], []
         n = res.contour.samples
         while n <= res.samples:
-            w, K, _ = contour._kernel(t, complex(z), res.contour, n)
-            dens.append(float(np.min(np.abs(t * K * K + (2 - t)))))
-            ratios.append(float(np.max(np.abs(w * (1 - K) / (w - kappa)))))
+            w, D, _ = contour._kernel(t, complex(z), res.contour, n)
+            dens.append(float(np.min(np.abs(2 + t * D * (2 + D)))))
+            ratios.append(float(np.max(np.abs(w * D / (w - kappa)))))
             n *= 2
         assert len(dens) == levels
         assert res.min_kernel_denominator == min(dens)
@@ -394,7 +394,7 @@ class TestGeneratingChecks:
 
     @pytest.mark.parametrize("t", [0.35, 2.45])
     def test_stacked_laguerre_checks_match_single(self, t):
-        # zero-padded rows and one K solve for all y leave each entry as it
+        # zero-padded rows and one delta solve for all y leave each entry as it
         # is when the check runs alone
         specs = [(m, y, n_terms, 1e-8) for m in range(5)
                  for y, n_terms in ((0.2, 80), (0.3, 120), (-0.1 + 0.25j, 60))]
@@ -446,8 +446,9 @@ class TestKernelChecks:
 
 
 class TestSharedKernel:
-    """K is solved once per distinct contour node and shared by the
-    admissibility check, every doubling of the integral and the kernel checks."""
+    """delta = K - 1 is solved once per distinct contour node and shared by
+    the admissibility check, every doubling of the integral and the kernel
+    checks."""
 
     @staticmethod
     def _count_points(monkeypatch):
@@ -455,10 +456,10 @@ class TestSharedKernel:
 
         def counting(t, y):
             sent.append(np.size(y))
-            return herglotz_k(t, y)
+            return maps._herglotz_delta(t, y)
 
         contour._kernel_cached.cache_clear()
-        monkeypatch.setattr(contour, "herglotz_k", counting)
+        monkeypatch.setattr(contour, "_herglotz_delta", counting)
         return sent
 
     @pytest.mark.parametrize(
@@ -467,7 +468,7 @@ class TestSharedKernel:
             (0.5, 1.0, 0.03),
             (0.2, 1.7, 0.7 + 0.1j),
             (-0.4, 0.9, 0.1 + 0.2j),
-            # rho0 fails (iii), before its K is solved
+            # rho0 fails (iii), before its delta is solved
             (0.2, 2.0, 0.9 * cmath.exp(1j * math.pi / 4)),
         ],
     )
@@ -489,22 +490,22 @@ class TestSharedKernel:
     @pytest.mark.parametrize("n", [256, 512, 1024, 2048])
     def test_nested_grid_matches_a_direct_solve(self, n):
         # node 2k of the 2n grid is node k of the n grid, bit for bit, so
-        # the shared K equals a solve on all n nodes at once
+        # the shared delta equals a solve on all n nodes at once
         spec = ContourSpec(0.2 + 0j, 0.1, 256)
         z = 0.7 + 0.1j
         contour._kernel_cached.cache_clear()
-        w, K, R = contour._kernel(1.7, z, spec, n)
+        w, D, R = contour._kernel(1.7, z, spec, n)
         direct_w = contour_nodes(spec, n)
         assert w.tobytes() == direct_w.tobytes()
-        assert K.tobytes() == herglotz_k(1.7, y_func(z, direct_w)).tobytes()
+        assert D.tobytes() == maps._herglotz_delta(1.7, y_func(z, direct_w)).tobytes()
         assert R.tobytes() == r_func(z, direct_w).tobytes()
 
     def test_arrays_are_read_only(self):
         spec = ContourSpec(0.5 + 0j, 0.125, 256)
         for n in (256, 512):
-            w, K, R = contour._kernel(1.0, 0.03 + 0j, spec, n)
+            w, D, R = contour._kernel(1.0, 0.03 + 0j, spec, n)
             with pytest.raises(ValueError):
-                K[0] = 0
+                D[0] = 0
             with pytest.raises(ValueError):
                 w[1] = 0
             with pytest.raises(ValueError):
