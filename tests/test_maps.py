@@ -8,7 +8,7 @@ import pytest
 
 from jacobiflow import contour, maps
 from jacobiflow.contour import m_integral
-from jacobiflow.flow import FlowParams, phi_inv_coeffs
+from jacobiflow.flow import FlowParams, _exp_neg_t, _laguerre_scaled, phi_inv_coeffs
 from jacobiflow.maps import (
     ConvergenceError,
     DomainError,
@@ -243,11 +243,28 @@ class TestBatchedContinuation:
             assert abs(new[i] - root) <= 1e-12 * abs(root) < abs(ref[i] - root)
 
 
+def _seed_poly(t: float):
+    """The Taylor polynomial of K to order 20, highest power first, built
+    without the exact Laguerre sums of k_series_coeff: its n-th coefficient
+    is the rational 2 D**n L / (n! 2**(tau (n-1) + delta n)) rounded once,
+    with e^{-t} = D / 2**delta, t = T / 2**tau and
+    L = L_{n-1}^{(1)}(2nt) (n-1)! 2**(tau (n-1)) an integer from the
+    Laguerre recurrence."""
+    big_t, t_den = float(t).as_integer_ratio()
+    tau = t_den.bit_length() - 1
+    big_d, delta = _exp_neg_t(t)
+    coeffs = []
+    for n in range(1, 21):
+        lag = _laguerre_scaled(2 * n * big_t, tau, n)[-1]  # carries (-1)**(n-1)
+        num = 2 * big_d**n * (lag if n % 2 else -lag)
+        coeffs.append(num / (math.factorial(n) << tau * (n - 1) + delta * n))
+    return np.array(coeffs[::-1] + [1.0], dtype=complex)
+
+
 def _reference_herglotz(t, ys):
     """K by Newton on xi itself with an absolute stop of 1e-13, seeded at
-    radius 0.5 from the Taylor polynomial of order 20, then by fixed
-    continuation steps of 0.05, each seeded with the last K, all far points
-    in lockstep."""
+    radius 0.5 from :func:`_seed_poly`, then by fixed continuation steps of
+    0.05, each seeded with the last K, all far points in lockstep."""
     flat = np.asarray(ys, dtype=complex).reshape(-1)
     radius = np.abs(flat)
 
@@ -267,8 +284,7 @@ def _reference_herglotz(t, ys):
     far = moving = radius > r
     phase = np.divide(flat, radius, out=np.zeros_like(flat), where=far)
     target = np.where(far, r * phase, flat)
-    seed_poly = [k_series_coeff(t, n) for n in range(20, 0, -1)] + [1.0]
-    out = solve(np.polyval(seed_poly, target), target)
+    out = solve(np.polyval(_seed_poly(t), target), target)
     while moving.any():
         r += 0.05
         target = np.minimum(r, radius[moving]) * phase[moving]
@@ -297,6 +313,15 @@ class TestKSeriesCoeff:
             for n in range(1, 61):
                 # hex() tells 0.0 from -0.0
                 assert k_series_coeff(t, n).hex() == _reference_k_series_coeff(t, n).hex(), (t, n)
+
+    @pytest.mark.parametrize(
+        "t", [5e-324, 1e-300, 1e-6, 0.01, 1.0, 1.7, 10.0, 100.0, 708.3964185322641]
+    )
+    def test_seed_has_the_same_bits(self, t):
+        # the reference solver's seed takes its Laguerre factors from the
+        # integer recurrence, not from exact sums; tobytes() tells 0.0 from -0.0
+        want = [k_series_coeff(t, n) for n in range(20, 0, -1)] + [1.0]
+        assert _seed_poly(t).tobytes() == np.array(want, dtype=complex).tobytes()
 
     def test_first(self):
         assert k_series_coeff(1.0, 1) == pytest.approx(2 * math.exp(-1), rel=1e-15, abs=0)

@@ -694,12 +694,13 @@ class TestPinnedBytes:
         '"S_n":0.29872241020718371,"phi_inv":0.099574136735727903,"M":0.29872241020718371}'
         '],"version":1}\n'
     )
+    # 3.1e-18 from a 40-digit root K of xi(K) = 0.05 at t = 1
     INTEGRAL_CSV = (
         "value_re,value_im,form,radius,samples,forms_residual\n"
-        "0.035471581336987898,0,closed,0,0,0\n"
+        "0.035471581336987933,0,closed,0,0,0\n"
     )
     INTEGRAL_JSON = (
-        '{"value_re":0.035471581336987898,"value_im":0,"form":"closed",'
+        '{"value_re":0.035471581336987933,"value_im":0,"form":"closed",'
         '"radius":0,"samples":0,"forms_residual":0}\n'
     )
     MANIFEST = (
@@ -738,17 +739,17 @@ class TestPinnedBytes:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, self.COEFFS_CSV, "")
 
-    # 2.2e-16 from bench/reference.py's 40-digit m_value, 0.1172430845497794
+    # 7.4e-18 from bench/reference.py's 40-digit m_value, 0.1172430845497794
     # - 0.010635895931860689i
     CONTOUR_CSV = (
         "value_re,value_im,form,radius,samples,forms_residual\n"
-        "0.11724308454977962,-0.010635895931860654,corollary,0.10000000000000001,"
-        "512,1.3882123939089715e-16\n"
+        "0.1172430845497794,-0.010635895931860685,corollary,0.10000000000000001,"
+        "512,0\n"
     )
     CONTOUR_JSON = (
-        '{"value_re":0.11724308454977962,"value_im":-0.010635895931860654,'
+        '{"value_re":0.1172430845497794,"value_im":-0.010635895931860685,'
         '"form":"corollary","radius":0.10000000000000001,"samples":512,'
-        '"forms_residual":1.3882123939089715e-16}\n'
+        '"forms_residual":0}\n'
     )
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -765,7 +766,7 @@ class TestPinnedBytes:
         assert (out / "manifest.json").read_text(encoding="utf-8") == self.MANIFEST
 
     # every residual, tolerance and context of the full report, bit for bit
-    VERIFY_FULL_JSON_SHA256 = "812dc34bcca40014546f0270b0ec782402a9ccf6e3029fa9c7f00a32a4a13a6e"
+    VERIFY_FULL_JSON_SHA256 = "83b5013f81d46518f832b5fb32a74713a03f367f1708ec4560b09ddc273c142c"
 
     def test_verify_stdout(self, capsys):
         argv = ["verify", "--kappa", "0.5", "--t", "1", "--level", "full", "--format", "json"]
@@ -773,16 +774,20 @@ class TestPinnedBytes:
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == self.VERIFY_FULL_JSON_SHA256
 
-    # kappa near 1 and kappa = 0 at full, and the fast grids
+    # kappa near 1 and kappa = 0 at full, and the fast grids; the ids leave
+    # the digest out, so a re-pin keeps each test's name
     @pytest.mark.parametrize(
         "kappa,t,level,digest",
         [
-            ("0.92", "1.12", "full",
-             "593382c60f53618f7c23cc761287902a820fd55015288b00a45f95381a5a260a"),
-            ("0", "1", "full",
-             "15128d8d4de61fe62c3cfa53903d88010680d8a8a54ce034f945e4403ec75574"),
-            ("0.5", "1", "fast",
-             "8edef8479c69d260a9e7250c8de75ff4e1f2385337f44cd26007da894e25f44e"),
+            pytest.param("0.92", "1.12", "full",
+                         "58aa2a5d7905cc80840e874c0b62702ebae2c994f2ae12650bb3acd72d506c4f",
+                         id="0.92-1.12-full"),
+            pytest.param("0", "1", "full",
+                         "73fe7bb3791b81853a79f47b1cb7d8623375949da36b611726fda12a746f17d6",
+                         id="0-1-full"),
+            pytest.param("0.5", "1", "fast",
+                         "b61857ba56784ff6ff29ea38232acd713b85a4e374ee1b48c38f5124c162b0f6",
+                         id="0.5-1-fast"),
         ],
     )
     def test_verify_stdout_more(self, kappa, t, level, digest, capsys):
