@@ -1,9 +1,10 @@
-"""The conformal-map layer: disc/cut-plane maps, Newton inversion of the
+"""The conformal-map layer: disc/cut-plane maps, inversion of the
 exponential map, and the deformed Herglotz transform.
 
 K(y) is defined implicitly by xi(K(y)) = y on a Jordan domain of the right
-half-plane; it is computed by Newton iteration seeded with its own Taylor
-series, with radial continuation near the unit circle.  The deformed
+half-plane; it is computed as 1 + delta, with delta walked out from
+K(0) = 1 along the ray to y by predictor-corrector continuation, each step
+corrected by Newton on delta e^{t delta} / (2 + delta) = y e^{-t}.  The deformed
 transform V pushes K through a disc automorphism-like sandwich and stays a
 Herglotz function (positive real part) for every asymmetry kappa.
 """
