@@ -155,10 +155,10 @@ def _herglotz_delta(t: float, y):
         target = np.where(r_next < radius[moving], r_next * phase[moving], flat[moving]) * decay
         start = D[moving]
         seed = start + (target - reached[moving]) / slope[moving]
-        Z, Z_slope, ok, _ = _newton_solve(t, seed, target)
-        ok &= (Z.real > -1) & (np.abs(Z - seed) <= np.abs(seed - start))
+        found, found_slope, ok, _ = _newton_solve(t, seed, target)
+        ok &= (found.real > -1) & (np.abs(found - seed) <= np.abs(seed - start))
         won, lost = moving[ok], moving[~ok]
-        D[won], slope[won], reached[won] = Z[ok], Z_slope[ok], target[ok]
+        D[won], slope[won], reached[won] = found[ok], found_slope[ok], target[ok]
         r[won] = r_next[ok]
         step[won] = np.minimum(2 * step[won], MAX_STEP)
         step[lost] /= 2
