@@ -399,7 +399,11 @@ def laguerre_gen_checks(specs, t: float) -> list:
     partial sum on the left.  The L of every spec come from one stacked
     pass of the binary64 recurrence of :func:`_laguerre_diagonal`, and
     delta = K - 1 at every y from one solve; the right side is
-    delta (2 + delta) / (2 + t delta (2 + delta)) delta**m."""
+    delta (2 + delta) / (2 + t delta (2 + delta)) delta**m.
+
+    At large t the recurrence overflows where (e^{-t} y)**j is already 0,
+    and inf * 0 is NaN: the sum stops at the first term that is not
+    finite, and the entry then gives the number of terms it summed."""
     ms, ys, n_terms, tols = zip(*specs)
     ys = [complex(y) for y in ys]
     if any(m < 0 for m in ms):
@@ -411,14 +415,18 @@ def laguerre_gen_checks(specs, t: float) -> list:
     out = []
     for m, y, terms, tol, row, D in zip(ms, ys, n_terms, tols, rows, ds):
         decay = cmath.exp(-t) * y
-        lhs = 0j
+        lhs, summed = 0j, {}
         for j, lag in enumerate(row.tolist(), m + 1):
-            lhs += lag * decay**j
+            term = lag * decay**j
+            if not cmath.isfinite(term):
+                summed = {"summed": j - m - 1}
+                break
+            lhs += term
         lhs *= 2 ** (m + 1)
         D2 = D * (2 + D)
         rhs = D2 / (2 + t * D2) * D**m
         out.append(VerifyEntry.make("laguerre-generating", abs(lhs - rhs), tol,
-                                    m=m, t=t, y=y, terms=terms))
+                                    m=m, t=t, y=y, terms=terms, **summed))
     return out
 
 

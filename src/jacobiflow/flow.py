@@ -61,6 +61,13 @@ def _exp_neg_t(t) -> tuple[int, int]:
     return big_d, d.bit_length() - 1
 
 
+def _t_scales(t: float) -> tuple[int, int, int, int]:
+    """(T, tau, D, delta) with t = T / 2**tau and the once-rounded e^{-t}
+    = D / 2**delta (``_exp_neg_t``), both binary64 and so dyadic."""
+    big_t, t_den = t.as_integer_ratio()
+    return (big_t, t_den.bit_length() - 1, *_exp_neg_t(t))
+
+
 def _laguerre_scaled(x: int, tau: int, count: int) -> list:
     """(-1)**N L_N^{(1)}(x / 2**tau) N! 2**(tau N) for N < count, all
     integers, by the three-term recurrence of the Laguerre polynomials."""
@@ -194,9 +201,7 @@ class _TTable:
     """
 
     def __init__(self, t: float):
-        self.T, t_den = t.as_integer_ratio()
-        self.D, delta = _exp_neg_t(t)
-        self.tau = t_den.bit_length() - 1
+        self.T, self.tau, self.D, delta = _t_scales(t)
         self.sigma = self.tau + delta
         self._diffs: list = [None]
         self._rows: list = [None]
@@ -241,23 +246,137 @@ def _t_table(t: float) -> _TTable:
     return _TTable(t)
 
 
-class _CoeffEngine:
-    """Exact flow coefficients for one (kappa, t).
+@cache
+def _delta_radius(k: int) -> int:
+    """max_r C(k-1+r, 2r) 4**r over r < k: the most that the ball of
+    (-1)**N L_N^{(1)}(2kt), N < k, each of radius 1, can move Delta_k[r]."""
+    return max(math.comb(k - 1 + r, 2 * r) << 2 * r for r in range(k))
 
-    b_n and S_n are kept as integer numerators over ``_den(n)``; a float is
-    one integer quotient, which rounds once, and an exact value one Fraction.
-    Power rows grow in ``_powers``; ``table`` makes a whole table in one pass.
+
+class _TBalls:
+    """The t-only sums of ``_TTable`` as balls at scale 2**prec, grown on demand.
+
+    A ball (m, e) stands for every real x with |x 2**prec - m| <= e.  With
+    Delta_k[r] = e^{-kt} Delta**r Q(k, 0), the value ``_TTable._diffs``
+    keeps exactly, and rho_n[r] = sum_{k>r} C(2n, n-k) Delta_k[r]:
+
+    * (-1)**N L_N^{(1)}(2kt), from the integer recurrence, becomes a ball by
+      one floor division (radius 1).  The 2r-fold prefix sums run on the
+      midpoints and add no error: entry r has radius C(k-1+r, 2r).  Times
+      4**r and e^{-kt} = (D / 2**delta)**k, formed with as many bits as the
+      largest midpoint, the radius is at most
+      C(k-1+r, 2r) 4**r e^{-kt} + 3; ``_delta_radius`` bounds it over r.
+    * ``rows(n)[n] = (rho_n, e_n, beta_n)``: the midpoints of rho_n[r] for
+      r < n, one radius for all of them, and the bit length of the largest.
+
+    A request at a higher prec starts the table again at that prec; a lower
+    one is served at the prec the table has.  Lists are indexed from 1,
+    rebound or appended to, never changed in place, under a lock.
+    """
+
+    def __init__(self, t: float):
+        self.T, self.tau, self.D, self.delta = _t_scales(t)
+        self.prec = 0
+        self._lock = threading.Lock()
+        self._cols: list = []  # _cols[r]: midpoints of Delta_k[r], k > r
+        self._rads: list = [None]
+        self._rows: list = [None]
+
+    def _delta_row(self, k: int) -> tuple:
+        """(midpoints of Delta_k[r] for r < k, their common radius)."""
+        prec, tau = self.prec, self.tau
+        series = _laguerre_scaled(2 * k * self.T, tau, k)
+        lag = [(v << prec) // (math.factorial(N) << tau * N) for N, v in enumerate(series)]
+        mids = [lag[k - 1]]
+        for r in range(1, k):  # divide by (1-s)**2, keeping k-r coefficients
+            lag = list(accumulate(accumulate(lag[: k - r])))
+            mids.append(lag[k - 1 - r] << 2 * r)
+        shift = max(prec, max(abs(m).bit_length() for m in mids))
+        decay = (self.D**k << shift) >> self.delta * k  # floor(e^{-kt} 2**shift)
+        sign = 1 if k % 2 else -1  # (-1)**(k-1)
+        return ([sign * (m * decay >> shift) for m in mids],
+                (_delta_radius(k) * (decay + 1) >> shift) + 3)
+
+    def _grow(self):
+        n = len(self._rows)
+        mids, rad = self._delta_row(n)
+        self._cols.append([])
+        for col, m in zip(self._cols, mids):
+            col.append(m)
+        self._rads.append(rad)
+        weight = _binomial_row(2 * n)[n::-1]  # C(2n, n-k) for k <= n
+        row = [sum(map(operator.mul, weight[r + 1:], col)) for r, col in enumerate(self._cols)]
+        self._rows.append((row, sum(map(operator.mul, weight[1:], self._rads[1:])),
+                           max(abs(v).bit_length() for v in row)))
+
+    def rows(self, order: int, prec: int) -> tuple:
+        """(the prec served, a list whose entries 1..order are the rho rows)."""
+        with self._lock:
+            if prec > self.prec:
+                self.prec, self._cols, self._rads, self._rows = prec, [], [None], [None]
+            while len(self._rows) <= order:
+                self._grow()
+            return self.prec, self._rows
+
+
+@lru_cache(maxsize=4)
+def _t_balls(t: float) -> _TBalls:
+    return _TBalls(t)
+
+
+def _precisions(order: int, t: float, sigma: int) -> list:
+    """The precisions of the ball passes to try for a table, lowest first.
+
+    A ball's radius, in units of 2**-P, is about 2**(3.5 order + 50) after
+    the sums (measured up to order 64); a coefficient is about e^{-t} or
+    larger for most kappa, but about e^{-order t} near kappa = 0; rounding
+    reads 53 bits.  So the first pass has 4 order + 96 bits above e^{-t},
+    the second as many above e^{-order t}.  P is rounded up to a multiple
+    of 32, so nearby orders share a t-table.  A pass with 2 P > sigma order,
+    half the bits of the exact t-table's scale 2**(sigma order), is left out:
+    there it costs as much as the exact engine.
+    """
+    out = []
+    for decay in (t, order * t):
+        prec = -(-(96 + 4 * order + math.ceil(decay / math.log(2))) // 32) * 32
+        if 2 * prec <= sigma * order and prec not in out:
+            out.append(prec)
+    return out
+
+
+def _rounded(mid: int, rad: int, den: int):
+    """The binary64 nearest every point of [mid - rad, mid + rad] / den, or
+    None when the ends round apart or the ball holds 0.  Each end is an
+    int/int quotient, rounded correctly, and rounding is monotone, so the
+    float is that of any exact value in the ball."""
+    lo, hi = mid - rad, mid + rad
+    if lo > 0 or hi < 0:
+        value = lo / den
+        if value == hi / den:
+            return value
+    return None
+
+
+class _CoeffEngine:
+    """Flow coefficients for one (kappa, t), each float(exact).
+
+    ``table`` rounds each entry from a ball pass (``_ball_table``) and runs
+    the exact engine (``_exact_row``) only for rows no pass decides.  The
+    exact engine keeps b_n and S_n as integer numerators over ``_den(n)``;
+    a float is one integer quotient, which rounds once, and an exact value
+    one Fraction.  Power rows grow in ``_powers``.
     """
 
     def __init__(self, params: FlowParams):
         self.t = float(params.t)
         eps = Fraction(params.kappa) ** 2
         self.eps_num, self.eps_den = eps.numerator, eps.denominator
-        table = _t_table(self.t)
-        self.tau, self.sigma = table.tau, table.sigma
+        _, self.tau, _, delta = _t_scales(self.t)
+        self.sigma = self.tau + delta
         self._pows = ([1], [1])
         self._b: dict = {}
         self._s: dict = {}
+        self._rows: list = []
 
     def _den(self, n: int) -> int:
         return self.eps_den**n * math.factorial(n - 1) << self.sigma * n - self.tau
@@ -300,15 +419,74 @@ class _CoeffEngine:
             self._s[n] = acc
         return self._s[n]
 
-    def table(self, order: int) -> list:
-        """(a_n, b_n, S_n, S_n / n) for n = 1..order, each one integer
-        quotient over _den(n), which is formed once per n."""
-        self._powers((order + 1) // 2)
-        out = []
+    def _exact_row(self, n: int) -> tuple:
+        """(a_n, b_n, S_n, S_n / n), each one integer quotient over _den(n)."""
+        den, b, s = self._den(n), self._b_num(n), self._s_num(n)
+        return (b / (den * n << 2 * n), b / den, s / den, s / (den * n))
+
+    def _ball_table(self, order: int, prec: int) -> list:
+        """(a_n, b_n, S_n, S_n / n) for n = 1..order from balls at scale
+        2**P, P >= prec, each float(exact), or None where the ball does not
+        round to one float (``_rounded``).
+
+        With (-eps)**r and (1-eps)**j as balls of radius 2r and 2j (each
+        power one floor step from the last), the products p_r =
+        x_r y_{n-r} are within 2n 2**P + 4n**2 of their values at scale
+        2**(2P), and the binomial weights C(n, r) |(-eps)**r (1-eps)**(n-r)|
+        sum to 1, so b_n = 2 sum_r C(n, r) p_r rho_n[r] has radius
+        2 e_n + (2n 2**P + 4n**2) 2**(n+1+beta_n-2P) + 2 (``_TBalls``).
+        S_n's radius is the sum of |w(n, k)| times those of the b_k.  The
+        bounds hold at every P.
+        """
+        prec, rhos = _t_balls(self.t).rows(order, prec)
+        num, den, one = self.eps_num, self.eps_den, 1 << prec
+        xs, ys = (list(accumulate(repeat(v * one // den, order),
+                                  lambda p, q: p * q >> prec, initial=one))
+                  for v in (-num, den - num))
+        b_mids, b_rads, out = [], [], []
         for n in range(1, order + 1):
-            den, b, s = self._den(n), self._b_num(n), self._s_num(n)
-            out.append((b / (den * n << 2 * n), b / den, s / den, s / (den * n)))
+            row, rad, beta = rhos[n]
+            acc = sum(map(operator.mul, map(operator.mul, _binomial_row(n), xs),
+                          map(operator.mul, ys[n:0:-1], row)))
+            b = acc >> 2 * prec - 1
+            b_rad = 2 * rad + (((n << prec + 1) + 4 * n * n << n + 1 + beta) >> 2 * prec) + 2
+            b_mids.append(b)
+            b_rads.append(b_rad)
+            weights = _weight_row(n)[1:]
+            s = sum(map(operator.mul, weights, b_mids))
+            s_rad = sum(map(operator.mul, map(abs, weights), b_rads))
+            out.append((_rounded(b, b_rad, n << 2 * n + prec), _rounded(b, b_rad, one),
+                        _rounded(s, s_rad, one), _rounded(s, s_rad, n << prec)))
         return out
+
+    def table(self, order: int) -> list:
+        """(a_n, b_n, S_n, S_n / n) for n = 1..order, each float(exact).
+
+        Ball passes at the precisions of ``_precisions`` decide what they
+        can.  A further pass runs only while a row in the upper half is open:
+        the exact engine's rows up to n cost about (n/order)**3 of its whole
+        table, less than a pass.  The exact engine makes every row still
+        open.  The rows made, at least 16 (a pass to order 16 takes about a
+        millisecond), are kept, so single coefficients by rising n share one
+        table.
+        """
+        rows = self._rows
+        if len(rows) < order:
+            size = max(order, 16)
+            rows = [(None,) * 4] * size
+            for prec in _precisions(size, self.t, self.sigma):
+                if not any(None in row for row in rows[size // 2:]):
+                    break
+                rows = [tuple(new if old is None else old for old, new in zip(*pair))
+                        for pair in zip(rows, self._ball_table(size, prec))]
+            open_rows = [n for n, row in enumerate(rows, 1) if None in row]
+            if open_rows:
+                self._powers((open_rows[-1] + 1) // 2)
+                for n in open_rows:
+                    rows[n - 1] = self._exact_row(n)
+            if len(rows) > len(self._rows):
+                self._rows = rows
+        return rows[:order]
 
 
 @lru_cache(maxsize=16)
@@ -335,23 +513,20 @@ def a_coeff(params: FlowParams, n: int) -> float:
     """Taylor coefficient a_n of the local inverse of the pre-inversion flow
     map about its critical value, by the nested Laguerre/binomial sum."""
     n = _check_index(n)
-    eng = _engine(params)
-    return eng._b_num(n) / (eng._den(n) * n << 2 * n)
+    return _engine(params).table(n)[n - 1][0]
 
 
 def b_coeff(params: FlowParams, n: int) -> float:
     """Rescaled coefficient b_n = n 4**n a_n."""
     n = _check_index(n)
-    eng = _engine(params)
-    return eng._b_num(n) / eng._den(n)
+    return _engine(params).table(n)[n - 1][1]
 
 
 def s_coeff(params: FlowParams, n: int) -> float:
     """Alternating binomial-weighted combination S_n of b_1..b_n; equals the
     n-th coefficient of z d/dz of the inverted-flow series."""
     n = _check_index(n)
-    eng = _engine(params)
-    return eng._s_num(n) / eng._den(n)
+    return _engine(params).table(n)[n - 1][2]
 
 
 def phi_inv_coeffs(params: FlowParams, order: int) -> TruncatedSeries:

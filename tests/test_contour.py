@@ -24,7 +24,7 @@ from jacobiflow.contour import (
 from jacobiflow.flow import FlowParams, m_series_coeffs
 from jacobiflow.maps import DomainError, herglotz_k, m_zero, r_func, y_func
 from jacobiflow.specfun import jacobi_poly, laguerre
-from conftest import assert_entries
+from conftest import assert_entries, entries
 
 
 class TestContourSpec:
@@ -391,6 +391,23 @@ class TestGeneratingChecks:
             want = float(laguerre(d, 5, 2.0 * (d + 5) * 100.0))
             assert abs(row[d] - want) <= 1e-13 * abs(want)
         assert not np.all(np.isfinite(row))
+
+    @pytest.mark.parametrize("t", [100.0, 300.0, 700.0])
+    def test_laguerre_overflow_keeps_the_residual_finite(self, t):
+        # the recurrence overflows before the last term, where e^{-tj} is 0:
+        # the partial sum stops at the first term that is not finite and
+        # says how many it summed
+        specs = [(m, 0.3, 120, 1e-8) for m in range(1, 5)]
+        rows = contour._laguerre_diagonal([m for m, *_ in specs], t, [120] * 4)
+        for (m, *_), row, entry in zip(specs, rows, laguerre_gen_checks(specs, t)):
+            first = int(np.argmin(np.isfinite(row)))
+            assert 0 < first < len(row)
+            assert math.isfinite(entry.residual) and entry.passed, entry.format_line()
+            assert dict(entry.context)["summed"] == str(first)
+
+    def test_laguerre_overflow_entries_in_verify(self):
+        for entry in entries("laguerre-generating", 0.5, 100.0, "full"):
+            assert math.isfinite(entry.residual), entry.format_line()
 
     @pytest.mark.parametrize("t", [0.35, 2.45])
     def test_stacked_laguerre_checks_match_single(self, t):

@@ -14,7 +14,9 @@ from jacobiflow.flow import (
     _CoeffEngine,
     _engine,
     _exp_neg_t,
+    _t_balls,
     _t_table,
+    _TBalls,
     _TTable,
     a_coeff,
     b_coeff,
@@ -265,11 +267,11 @@ class TestSeries:
 
     @pytest.mark.parametrize("build,t", [(phi_inv_coeffs, 1.128), (m_series_coeffs, 1.129)])
     def test_order_cap_checked_before_the_work(self, build, t):
-        table = _t_table(t)
-        rows = len(table._rows)
+        tables = (_t_balls(t), _t_table(t))
+        rows = [len(table._rows) for table in tables]
         with pytest.raises(ValueError, match=f"capped at {MAX_ORDER}"):
             build(FlowParams(0.37, t), MAX_ORDER + 1)
-        assert len(table._rows) == rows
+        assert [len(table._rows) for table in tables] == rows
 
 
 class TestExactEngine:
@@ -385,6 +387,123 @@ class TestExactEngine:
                         for kind, n, value in f.result(timeout=60):
                             assert value == serial[kind](n)
                     assert _engine(p) is shared
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def _exact_floats(p, order):
+    """(a_n, b_n, S_n, S_n / n) as float(Fraction) from the exact engine's
+    integer numerators, on an engine of its own."""
+    eng = _CoeffEngine(p)
+    out = []
+    for n in range(1, order + 1):
+        a, b, s = _exact(eng, n)
+        out.append((float(a), float(b), float(s), float(s / n)))
+    return out
+
+
+def _no_exact_rows(self, n):
+    raise AssertionError(f"the exact engine made row {n}")
+
+
+class TestBallPass:
+    """Each float of a ball pass is float(exact); the exact engine makes
+    only the rows no pass decides."""
+
+    SPECIAL_KAPPAS = (0.0, 1e-300, 1 - 1e-5, -(1 - 1e-5), Fraction(2, 7), 0.5)
+
+    @staticmethod
+    def _cases():
+        # kappa = 1e-300 has e_d = 2**2098, so its exact reference is kept to n <= 24
+        rng = random.Random(20260314)
+        cases = [(kappa, t, order) for kappa in TestBallPass.SPECIAL_KAPPAS
+                 for t, order in ((1e-6, 64), (0.7, 40), (5.0, 24), (40.0, 16), (708.0, 12))]
+        for _ in range(18):
+            kappa = rng.choice([rng.uniform(-0.999, 0.999), *TestBallPass.SPECIAL_KAPPAS])
+            cases.append((kappa, math.exp(rng.uniform(math.log(1e-6), math.log(708.0))),
+                          rng.randint(1, 64)))
+        return [(kappa, t, min(order, 24) if kappa == 1e-300 else order)
+                for kappa, t, order in cases]
+
+    def test_public_floats_equal_exact(self):
+        for kappa, t, order in self._cases():
+            p = FlowParams(kappa, t)
+            want = _exact_floats(p, order)
+            _engine.cache_clear()
+            assert _engine(p).table(order) == want, (kappa, t, order)
+            inv, m = phi_inv_coeffs(p, order), m_series_coeffs(p, order)
+            _engine.cache_clear()  # the accessors, each from a cold engine
+            for n in (1, (order + 1) // 2, order):
+                assert a_coeff(p, n) == want[n - 1][0], (kappa, t, n)
+                assert b_coeff(p, n) == want[n - 1][1], (kappa, t, n)
+                assert s_coeff(p, n) == m.coeffs[n] == want[n - 1][2], (kappa, t, n)
+                assert inv.coeffs[n] == want[n - 1][3], (kappa, t, n)
+
+    @pytest.mark.parametrize("kappa,t", [(0.37, 1.23), (-0.81, 0.14), (Fraction(1, 3), 2.5),
+                                         (0.3, 1e-6), (0.7, 700.0)])
+    def test_ball_pass_decides_alone(self, kappa, t, monkeypatch):
+        p = FlowParams(kappa, t)
+        want = _exact_floats(p, 48)
+        monkeypatch.setattr(_CoeffEngine, "_exact_row", _no_exact_rows)
+        assert _CoeffEngine(p).table(48) == want
+
+    @pytest.mark.parametrize("precs", [[], [4], [12, 40], [64]])
+    @pytest.mark.parametrize("kappa,t", [(0.37, 1.23), (0.0, 8.0), (0.5, 1.35)])
+    def test_forced_fallback_keeps_every_float(self, precs, kappa, t, monkeypatch):
+        p = FlowParams(kappa, t)
+        want = _exact_floats(p, 32)
+        made = []
+        exact_row = _CoeffEngine._exact_row
+        monkeypatch.setattr(flow, "_precisions", lambda order, t, sigma: precs)
+        monkeypatch.setattr(_CoeffEngine, "_exact_row",
+                            lambda self, n: made.append(n) or exact_row(self, n))
+        assert _CoeffEngine(p).table(32) == want
+        if precs in ([], [4]):
+            assert made == list(range(1, 33))
+
+    def test_tie_goes_to_the_exact_engine(self, monkeypatch):
+        # b_1 = 2 (1 - eps) e^{-t} at eps = 1/4 is 3 D / 2**(delta-1), and 3 D
+        # is odd with 54 bits: halfway between two floats, which no ball decides
+        p = FlowParams(0.5, 1.35)
+        big_d, _ = _exp_neg_t(1.35)
+        assert (3 * big_d).bit_length() == 54 and big_d % 2 == 1
+        made = []
+        exact_row = _CoeffEngine._exact_row
+        monkeypatch.setattr(_CoeffEngine, "_exact_row",
+                            lambda self, n: made.append(n) or exact_row(self, n))
+        assert _CoeffEngine(p).table(48) == _exact_floats(p, 48)
+        assert made == [1]
+
+    def test_precisions(self):
+        sigma = 106  # t = 1.35: tau = 52, delta = 54
+        assert flow._precisions(48, 1.35, sigma) == [320, 384]
+        assert flow._precisions(24, 1.35, sigma) == [224, 256]
+        assert flow._precisions(24, 0.1, sigma) == [224]  # one pass when the two agree
+        assert flow._precisions(2, 1.35, sigma) == []  # below the exact scale
+        big = _TTable(700.0).sigma
+        assert flow._precisions(64, 700.0, big) == [1376]  # no pass at 64 t bits
+
+    def test_shared_ball_table_under_threads(self):
+        t, n_max, precs = 0.6180339887, 14, (96, 160)
+        serial = {prec: _TBalls(t).rows(n_max, prec)[1][1:] for prec in precs}
+        jobs = [(n, prec) for n in range(1, n_max + 1) for prec in precs]
+        orders = [random.Random(seed).sample(jobs, len(jobs)) for seed in range(8)]
+
+        def work(tab, order):
+            return [(n, prec, *tab.rows(n, prec)) for n, prec in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(10):
+                    shared = _TBalls(t)
+                    futures = [pool.submit(work, shared, o) for o in orders]
+                    for f in futures:
+                        for n, asked, served, rows in f.result(timeout=60):
+                            assert served >= asked
+                            assert rows[n] == serial[served][n - 1]
+                    assert shared.prec == max(precs)
         finally:
             sys.setswitchinterval(interval)
 

@@ -29,6 +29,7 @@ from jacobiflow.maps import (
 )
 from jacobiflow.powerseries import TruncatedSeries, series_sqrt
 from jacobiflow.specfun import laguerre
+from jacobiflow.verify import run_checks
 from conftest import assert_entries, entries
 
 
@@ -489,6 +490,31 @@ class TestPsi:
             a = cmath.sqrt(kappa * kappa + (1 - kappa * kappa) * s * s)
             p = FlowParams(kappa, t)
             assert entry.residual == abs(psi(p, worst) - big_phi(p, a))
+
+    def test_chain_skips_terms_that_are_not_finite(self, monkeypatch):
+        # NaN at the first three z, as where e^{ta} overflows at large t:
+        # the entry reads the two z left
+        nan_at = {0.1, 0.05 - 0.1j, 0.02}
+        phi = maps.big_phi
+
+        def patched(params, a):
+            s = (a * a - params.kappa**2) / (1 - params.kappa**2)
+            z = (cmath.sqrt(s) - 1) / (cmath.sqrt(s) + 1)
+            if any(abs(z - w) < 1e-9 for w in nan_at):
+                return complex(math.nan, math.nan)
+            return phi(params, a)
+
+        monkeypatch.setattr(maps, "big_phi", patched)
+        [entry] = [e for e in run_checks(0.5, 1.0, "fast").entries
+                   if e.name == "psi-chain-identity"]
+        assert entry.passed and dict(entry.context)["z"] in ("0.005", "0.001")
+
+    def test_chain_with_no_z_evaluated_fails(self, monkeypatch):
+        monkeypatch.setattr(maps, "big_phi", lambda params, a: complex(math.nan, math.nan))
+        [entry] = [e for e in run_checks(0.5, 1.0, "fast").entries
+                   if e.name == "psi-chain-identity"]
+        assert not entry.passed
+        assert dict(entry.context) == {"evaluated": "0"}
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):

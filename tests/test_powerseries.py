@@ -176,6 +176,31 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             frac_series(0, 1).reciprocal()
 
+    @pytest.mark.parametrize("length,order", [(9, 8), (4, 10), (1, 5)])
+    def test_fraction_reciprocal_matches_ring_loop(self, length, order):
+        # the all-Fraction route runs on integer numerators over powers of
+        # the leading one; the ring loop on the same Fractions is the reference
+        def ring_loop(a, order):
+            out = [Fraction(1) / a[0]]
+            for n in range(1, order + 1):
+                acc = sum((a[i] * out[n - i] for i in range(1, min(n, len(a) - 1) + 1)),
+                          Fraction(0))
+                out.append(-out[0] * acc)
+            return out
+
+        rng = random.Random(length * 31 + order)
+        for lead in (Fraction(3, 7), Fraction(-5, 2), Fraction(1)):
+            a = [lead] + [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                          for _ in range(length - 1)]
+            got = powerseries._recip_trunc(a, order)
+            assert got == ring_loop(a, order)
+            assert all(type(c) is Fraction for c in got) and len(got) == order + 1
+
+    def test_float_reciprocal_takes_the_ring_loop(self):
+        r = TruncatedSeries(0.0, [2.0, 1.0, 0.0]).reciprocal()
+        assert r.coeffs == [0.5, -0.25, 0.125]
+        assert all(type(c) is float for c in r.coeffs)
+
 
 class TestCompose:
     def test_identity_inner(self):
