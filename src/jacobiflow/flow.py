@@ -261,13 +261,14 @@ class _TBalls:
     keeps exactly, and rho_n[r] = sum_{k>r} C(2n, n-k) Delta_k[r]:
 
     * (-1)**N L_N^{(1)}(2kt), from the integer recurrence, becomes a ball by
-      one floor division (radius 1).  The 2r-fold prefix sums run on the
+      one floor division, by 2**(tau N) and then N! (radius 1).  The 2r-fold prefix sums run on the
       midpoints and add no error: entry r has radius C(k-1+r, 2r).  Times
       4**r and e^{-kt} = (D / 2**delta)**k, formed with as many bits as the
       largest midpoint, the radius is at most
       C(k-1+r, 2r) 4**r e^{-kt} + 3; ``_delta_radius`` bounds it over r.
-    * ``rows(n)[n] = (rho_n, e_n, beta_n)``: the midpoints of rho_n[r] for
-      r < n, one radius for all of them, and the bit length of the largest.
+    * Row n of ``rows`` is (rho_n, e_n, beta_n): the midpoints of rho_n[r]
+      for r < n, one radius for all of them, and the bit length of the
+      largest midpoint.
 
     A request at a higher prec starts the table again at that prec; a lower
     one is served at the prec the table has.  Lists are indexed from 1,
@@ -286,7 +287,7 @@ class _TBalls:
         """(midpoints of Delta_k[r] for r < k, their common radius)."""
         prec, tau = self.prec, self.tau
         series = _laguerre_scaled(2 * k * self.T, tau, k)
-        lag = [(v << prec) // (math.factorial(N) << tau * N) for N, v in enumerate(series)]
+        lag = [((v << prec) >> tau * N) // math.factorial(N) for N, v in enumerate(series)]
         mids = [lag[k - 1]]
         for r in range(1, k):  # divide by (1-s)**2, keeping k-r coefficients
             lag = list(accumulate(accumulate(lag[: k - r])))
