@@ -3,10 +3,11 @@ process, plus the binomial-transform pair and the moment expansion.
 
 The closed forms are nested alternating binomial sums.  Summed in binary64
 they cancel catastrophically (twelve orders of magnitude are lost already at
-n = 16), so the engine keeps every factor exact.  Its inputs are exact
+n = 16), so the engine never sums in binary64.  Its inputs are exact
 rationals: eps = kappa**2 is the exact square of the input, t is dyadic, and
 e^{-k t} enters as the k-th power of the once-rounded dyadic e^{-t}.  The
-sums run on integer numerators over known denominators:
+exact engine's sums run on integer numerators over known denominators, and
+the ball pass below uses the same identities:
 
 * The sum over m of L_{k-m-1}^{(m+1)}(2kt) 2**m P_{n,m}(eps) is reordered
   into sum_j (-1)**j C(n, j) eps**j Q(k, j), where
@@ -25,7 +26,17 @@ sums run on integer numerators over known denominators:
   (eps = E / e_d) up to half the order; the rows C(n, r) and the signed
   weights of S_n depend on n alone and are cached per order.
 
-A table is one pass, ``_CoeffEngine.table``.  Each coefficient is one integer
+Every public float is float(exact), but a table rarely needs the exact
+integers, whose thousands of bits rounding never reads.  ``_CoeffEngine.table``
+runs the same sums on balls first (midpoint-radius arithmetic, as in Arb): an
+integer midpoint m and radius e at scale 2**P stand for every real within
+e / 2**P of m / 2**P, and each radius is a proven bound (``_TBalls``,
+``_CoeffEngine._ball_table``).  An entry is kept when both ends of its ball
+round to the same binary64 (Ziv's test); rounding is monotone, so that float
+is float(exact).  P is a few hundred bits, set by the order and t
+(``_precisions``).  The exact engine makes only the rows no pass decides: a
+value halfway between two floats or exactly 0, and the tiny values of kappa
+near 0 or +-1 at large order * t.  Each of its coefficients is one integer
 quotient, which Python rounds to binary64 once: float(Fraction(num, den)).
 """
 

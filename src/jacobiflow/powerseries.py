@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from fractions import Fraction
-from itertools import accumulate, repeat
 
 MAX_ORDER = 64
 
@@ -166,15 +164,16 @@ def _mul_trunc(a, b, order):
 
 def _recip_trunc(a, order):
     if all(type(c) is Fraction for c in a):
-        # with a = N / d, 1/a = d sum_n C_n w**n / N_0**(n+1), where C_0 = 1
-        # and C_n = -sum_{0<i<=n} N_i N_0**(i-1) C_{n-i} are integers
+        # r_n = -r_0 sum_i a_i r_{n-i}: each sum on integer numerators over
+        # the common denominator of its terms, then one Fraction per r_n
         nums, den = _common_denominator(a)
-        lead = list(accumulate(repeat(nums[0], order), operator.mul, initial=1))
-        cs = [1]
+        out = [1 / a[0]]
         for n in range(1, order + 1):
-            cs.append(-sum(nums[i] * lead[i - 1] * cs[n - i]
-                           for i in range(1, min(n, len(nums) - 1) + 1)))
-        return [Fraction(den * c, lead[n] * nums[0]) for n, c in enumerate(cs)]
+            prev = [out[n - i] for i in range(1, min(n, len(a) - 1) + 1)]
+            lcm = math.lcm(*(c.denominator for c in prev))
+            acc = sum(nums[i] * c.numerator * (lcm // c.denominator) for i, c in enumerate(prev, 1))
+            out.append(-out[0] * Fraction(acc, den * lcm))
+        return out
     zero = a[0] * 0
     r0 = (zero + 1) / a[0]
     out = [zero] * (order + 1)

@@ -461,6 +461,17 @@ class TestBallPass:
         if precs in ([], [4]):
             assert made == list(range(1, 33))
 
+    def test_ci_coeffs_commands_take_both_paths(self, monkeypatch):
+        # the two `coeffs --n 64` commands of the CI's console-script step
+        made = []
+        exact_row = _CoeffEngine._exact_row
+        monkeypatch.setattr(_CoeffEngine, "_exact_row",
+                            lambda self, n: made.append(n) or exact_row(self, n))
+        _CoeffEngine(FlowParams(0.3, 0.001)).table(64)
+        assert made == []
+        _CoeffEngine(FlowParams(0.99999, 50.0)).table(64)
+        assert made
+
     def test_tie_goes_to_the_exact_engine(self, monkeypatch):
         # b_1 = 2 (1 - eps) e^{-t} at eps = 1/4 is 3 D / 2**(delta-1), and 3 D
         # is odd with 54 bits: halfway between two floats, which no ball decides

@@ -178,8 +178,9 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("length,order", [(9, 8), (4, 10), (1, 5)])
     def test_fraction_reciprocal_matches_ring_loop(self, length, order):
-        # the all-Fraction route runs on integer numerators over powers of
-        # the leading one; the ring loop on the same Fractions is the reference
+        # the all-Fraction route sums integer numerators over one common
+        # denominator per coefficient; the ring loop on the same Fractions
+        # is the reference
         def ring_loop(a, order):
             out = [Fraction(1) / a[0]]
             for n in range(1, order + 1):
