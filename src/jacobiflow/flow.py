@@ -34,9 +34,9 @@ e / 2**P of m / 2**P, and each radius is a proven bound (``_TBalls``,
 ``_CoeffEngine._ball_table``).  An entry is kept when both ends of its ball
 round to the same binary64 (Ziv's test); rounding is monotone, so that float
 is float(exact).  P is a few hundred bits, set by the order and t
-(``_precisions``).  The exact engine makes only the rows no pass decides: a
-value halfway between two floats or exactly 0, and the tiny values of kappa
-near 0 or +-1 at large order * t.  Each of its coefficients is one integer
+(``_precision``).  The exact engine makes only the rows the pass leaves
+open: a value halfway between two floats or exactly 0, and the values of
+kappa near 0 or +-1 at t >= 5, which shrink like e^{-n t}.  Each of its coefficients is one integer
 quotient, which Python rounds to binary64 once: float(Fraction(num, den)).
 """
 
@@ -271,9 +271,10 @@ class _TBalls:
     Delta_k[r] = e^{-kt} Delta**r Q(k, 0), the value ``_TTable._diffs``
     keeps exactly, and rho_n[r] = sum_{k>r} C(2n, n-k) Delta_k[r]:
 
-    * (-1)**N L_N^{(1)}(2kt), from the integer recurrence, becomes a ball by
-      one floor division, by 2**(tau N) and then N! (radius 1).  The 2r-fold prefix sums run on the
-      midpoints and add no error: entry r has radius C(k-1+r, 2r).  Times
+    * (-1)**N L_N^{(1)}(2kt), from the integer recurrence, becomes a ball of
+      radius 1: its value times 2**prec, floored (a shift by tau N, then a
+      floor division by N!).  The 2r-fold prefix sums run on the midpoints
+      and add no error: entry r has radius C(k-1+r, 2r).  Times
       4**r and e^{-kt} = (D / 2**delta)**k, formed with as many bits as the
       largest midpoint, the radius is at most
       C(k-1+r, 2r) 4**r e^{-kt} + 3; ``_delta_radius`` bounds it over r.
@@ -336,24 +337,16 @@ def _t_balls(t: float) -> _TBalls:
     return _TBalls(t)
 
 
-def _precisions(order: int, t: float, sigma: int) -> list:
-    """The precisions of the ball passes to try for a table, lowest first.
+def _precision(order: int, t: float) -> int:
+    """P of the ball pass for a table to ``order`` at t.
 
     A ball's radius, in units of 2**-P, is about 2**(3.5 order + 50) after
-    the sums (measured up to order 64); a coefficient is about e^{-t} or
-    larger for most kappa, but about e^{-order t} near kappa = 0; rounding
-    reads 53 bits.  So the first pass has 4 order + 96 bits above e^{-t},
-    the second as many above e^{-order t}.  P is rounded up to a multiple
-    of 32, so nearby orders share a t-table.  A pass with 2 P > sigma order,
-    half the bits of the exact t-table's scale 2**(sigma order), is left out:
-    there it costs as much as the exact engine.
+    the sums (measured up to order 64), a coefficient is about e^{-t} or
+    larger unless kappa is near 0 or +-1, and rounding reads 53 bits: so P
+    has 4 order + 96 bits above e^{-t}, rounded up to a multiple of 32, so
+    that nearby orders share a t-table.
     """
-    out = []
-    for decay in (t, order * t):
-        prec = -(-(96 + 4 * order + math.ceil(decay / math.log(2))) // 32) * 32
-        if 2 * prec <= sigma * order and prec not in out:
-            out.append(prec)
-    return out
+    return -(-(96 + 4 * order + math.ceil(t / math.log(2))) // 32) * 32
 
 
 def _rounded(mid: int, rad: int, den: int):
@@ -373,7 +366,7 @@ class _CoeffEngine:
     """Flow coefficients for one (kappa, t), each float(exact).
 
     ``table`` rounds each entry from a ball pass (``_ball_table``) and runs
-    the exact engine (``_exact_row``) only for rows no pass decides.  The
+    the exact engine (``_exact_row``) only for the rows it leaves open.  The
     exact engine keeps b_n and S_n as integer numerators over ``_den(n)``;
     a float is one integer quotient, which rounds once, and an exact value
     one Fraction.  Power rows grow in ``_powers``.
@@ -436,10 +429,9 @@ class _CoeffEngine:
         den, b, s = self._den(n), self._b_num(n), self._s_num(n)
         return (b / (den * n << 2 * n), b / den, s / den, s / (den * n))
 
-    def _ball_table(self, order: int, prec: int) -> list:
-        """(a_n, b_n, S_n, S_n / n) for n = 1..order from balls at scale
-        2**P, P >= prec, each float(exact), or None where the ball does not
-        round to one float (``_rounded``).
+    def _balls(self, order: int, prec: int) -> tuple:
+        """(P, [(b_n, e_n, S_n, f_n) for n = 1..order]) with P >= prec: b_n
+        and S_n as balls of radius e_n and f_n at scale 2**P.
 
         With (-eps)**r and (1-eps)**j as balls of radius 2r and 2j (each
         power one floor step from the last), the products p_r =
@@ -460,37 +452,34 @@ class _CoeffEngine:
             row, rad, beta = rhos[n]
             acc = sum(map(operator.mul, map(operator.mul, _binomial_row(n), xs),
                           map(operator.mul, ys[n:0:-1], row)))
-            b = acc >> 2 * prec - 1
-            b_rad = 2 * rad + (((n << prec + 1) + 4 * n * n << n + 1 + beta) >> 2 * prec) + 2
-            b_mids.append(b)
-            b_rads.append(b_rad)
+            b_mids.append(2 * acc >> 2 * prec)
+            spread = (n << prec + 1) + 4 * n * n << n + 1 + beta
+            b_rads.append(2 * rad + (spread >> 2 * prec) + 2)
             weights = _weight_row(n)[1:]
-            s = sum(map(operator.mul, weights, b_mids))
-            s_rad = sum(map(operator.mul, map(abs, weights), b_rads))
-            out.append((_rounded(b, b_rad, n << 2 * n + prec), _rounded(b, b_rad, one),
-                        _rounded(s, s_rad, one), _rounded(s, s_rad, n << prec)))
-        return out
+            out.append((b_mids[-1], b_rads[-1], sum(map(operator.mul, weights, b_mids)),
+                        sum(map(operator.mul, map(abs, weights), b_rads))))
+        return prec, out
+
+    def _ball_table(self, order: int, prec: int) -> list:
+        """(a_n, b_n, S_n, S_n / n) for n = 1..order from ``_balls``, each
+        float(exact), or None where the ball does not round to one float."""
+        prec, balls = self._balls(order, prec)
+        one = 1 << prec
+        return [(_rounded(b, e, n << 2 * n + prec), _rounded(b, e, one),
+                 _rounded(s, f, one), _rounded(s, f, n << prec))
+                for n, (b, e, s, f) in enumerate(balls, 1)]
 
     def table(self, order: int) -> list:
-        """(a_n, b_n, S_n, S_n / n) for n = 1..order, each float(exact).
-
-        Ball passes at the precisions of ``_precisions`` decide what they
-        can.  A further pass runs only while a row in the upper half is open:
-        the exact engine's rows up to n cost about (n/order)**3 of its whole
-        table, less than a pass.  The exact engine makes every row still
-        open.  The rows made, at least 16 (a pass to order 16 takes about a
-        millisecond), are kept, so single coefficients by rising n share one
-        table.
+        """(a_n, b_n, S_n, S_n / n) for n = 1..order, each float(exact): from
+        one ball pass at ``_precision``, and from the exact engine for the
+        rows the pass leaves open.  The rows made, at least 16 (a pass to
+        order 16 takes about a millisecond), are kept, so single
+        coefficients by rising n share one table.
         """
         rows = self._rows
         if len(rows) < order:
             size = max(order, 16)
-            rows = [(None,) * 4] * size
-            for prec in _precisions(size, self.t, self.sigma):
-                if not any(None in row for row in rows[size // 2:]):
-                    break
-                rows = [tuple(new if old is None else old for old, new in zip(*pair))
-                        for pair in zip(rows, self._ball_table(size, prec))]
+            rows = self._ball_table(size, _precision(size, self.t))
             open_rows = [n for n, row in enumerate(rows, 1) if None in row]
             if open_rows:
                 self._powers((open_rows[-1] + 1) // 2)

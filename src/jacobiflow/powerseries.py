@@ -171,7 +171,8 @@ def _recip_trunc(a, order):
         for n in range(1, order + 1):
             prev = [out[n - i] for i in range(1, min(n, len(a) - 1) + 1)]
             lcm = math.lcm(*(c.denominator for c in prev))
-            acc = sum(nums[i] * c.numerator * (lcm // c.denominator) for i, c in enumerate(prev, 1))
+            acc = sum(nums[i] * c.numerator * (lcm // c.denominator)
+                      for i, c in enumerate(prev, 1))
             out.append(-out[0] * Fraction(acc, den * lcm))
         return out
     zero = a[0] * 0

@@ -391,15 +391,20 @@ class TestExactEngine:
             sys.setswitchinterval(interval)
 
 
+def _hex(rows) -> list:
+    """Table rows as float.hex strings, which tell -0.0 from 0.0."""
+    return [tuple(x.hex() for x in row) for row in rows]
+
+
 def _exact_floats(p, order):
-    """(a_n, b_n, S_n, S_n / n) as float(Fraction) from the exact engine's
-    integer numerators, on an engine of its own."""
+    """``_hex`` of (a_n, b_n, S_n, S_n / n) as float(Fraction) from the
+    exact engine's integer numerators, on an engine of its own."""
     eng = _CoeffEngine(p)
     out = []
     for n in range(1, order + 1):
         a, b, s = _exact(eng, n)
         out.append((float(a), float(b), float(s), float(s / n)))
-    return out
+    return _hex(out)
 
 
 def _no_exact_rows(self, n):
@@ -430,14 +435,14 @@ class TestBallPass:
             p = FlowParams(kappa, t)
             want = _exact_floats(p, order)
             _engine.cache_clear()
-            assert _engine(p).table(order) == want, (kappa, t, order)
+            assert _hex(_engine(p).table(order)) == want, (kappa, t, order)
             inv, m = phi_inv_coeffs(p, order), m_series_coeffs(p, order)
             _engine.cache_clear()  # the accessors, each from a cold engine
             for n in (1, (order + 1) // 2, order):
-                assert a_coeff(p, n) == want[n - 1][0], (kappa, t, n)
-                assert b_coeff(p, n) == want[n - 1][1], (kappa, t, n)
-                assert s_coeff(p, n) == m.coeffs[n] == want[n - 1][2], (kappa, t, n)
-                assert inv.coeffs[n] == want[n - 1][3], (kappa, t, n)
+                assert a_coeff(p, n).hex() == want[n - 1][0], (kappa, t, n)
+                assert b_coeff(p, n).hex() == want[n - 1][1], (kappa, t, n)
+                assert s_coeff(p, n).hex() == m.coeffs[n].hex() == want[n - 1][2], (kappa, t, n)
+                assert inv.coeffs[n].hex() == want[n - 1][3], (kappa, t, n)
 
     @pytest.mark.parametrize("kappa,t", [(0.37, 1.23), (-0.81, 0.14), (Fraction(1, 3), 2.5),
                                          (0.3, 1e-6), (0.7, 700.0)])
@@ -445,21 +450,54 @@ class TestBallPass:
         p = FlowParams(kappa, t)
         want = _exact_floats(p, 48)
         monkeypatch.setattr(_CoeffEngine, "_exact_row", _no_exact_rows)
-        assert _CoeffEngine(p).table(48) == want
+        assert _hex(_CoeffEngine(p).table(48)) == want
 
-    @pytest.mark.parametrize("precs", [[], [4], [12, 40], [64]])
+    @pytest.mark.parametrize("prec", [0, 4, 40, 64])
     @pytest.mark.parametrize("kappa,t", [(0.37, 1.23), (0.0, 8.0), (0.5, 1.35)])
-    def test_forced_fallback_keeps_every_float(self, precs, kappa, t, monkeypatch):
+    def test_forced_fallback_keeps_every_float(self, prec, kappa, t, monkeypatch):
+        # a pass at a few bits decides few rows or none; the exact engine
+        # makes the rest
         p = FlowParams(kappa, t)
         want = _exact_floats(p, 32)
         made = []
         exact_row = _CoeffEngine._exact_row
-        monkeypatch.setattr(flow, "_precisions", lambda order, t, sigma: precs)
+        monkeypatch.setattr(flow, "_precision", lambda order, t: prec)
         monkeypatch.setattr(_CoeffEngine, "_exact_row",
                             lambda self, n: made.append(n) or exact_row(self, n))
-        assert _CoeffEngine(p).table(32) == want
-        if precs in ([], [4]):
+        assert _hex(_CoeffEngine(p).table(32)) == want
+        if prec <= 4:
             assert made == list(range(1, 33))
+
+    @pytest.mark.parametrize("prec", [8, 128])
+    @pytest.mark.parametrize("kappa,t", [(0.37, 1.23), (0.0, 8.0), (Fraction(2, 7), 0.01),
+                                         (-0.99999, 40.0), (0.5, 700.0)])
+    def test_balls_hold_the_exact_values(self, kappa, t, prec):
+        # every midpoint is within its radius of the exact value, at any P:
+        # Delta_k[r] and rho_n[r] against the exact t-table, b_n and S_n
+        # against the exact engine
+        order = 24
+        exact = _TTable(t)
+        exact.row(order)
+        balls = _TBalls(t)
+        P, rows = balls.rows(order, prec)
+        assert P == prec
+        _, tau, _, delta = flow._t_scales(t)
+        for k in range(1, order + 1):
+            scale = math.factorial(k - 1) << tau * (k - 1) + delta * k
+            for r in range(k):
+                value = Fraction(exact._diffs[k][r] << P, scale)
+                assert abs(value - balls._cols[r][k - r - 1]) <= balls._rads[k], (k, r)
+        for n in range(1, order + 1):
+            scale = math.factorial(n - 1) << exact.sigma * n - tau
+            mids, rad, beta = rows[n]
+            assert max(abs(m) for m in mids) < 1 << beta
+            for r, mid in enumerate(mids):
+                assert abs(Fraction(exact.row(n)[r] << P, scale) - mid) <= rad, (n, r)
+        eng = _CoeffEngine(FlowParams(kappa, t))
+        P, got = eng._balls(order, prec)
+        for n, (b, e, s, f) in enumerate(got, 1):
+            _, b_exact, s_exact = _exact(eng, n)
+            assert abs(b_exact * 2**P - b) <= e and abs(s_exact * 2**P - s) <= f, n
 
     def test_ci_coeffs_commands_take_both_paths(self, monkeypatch):
         # the two `coeffs --n 64` commands of the CI's console-script step
@@ -482,17 +520,13 @@ class TestBallPass:
         exact_row = _CoeffEngine._exact_row
         monkeypatch.setattr(_CoeffEngine, "_exact_row",
                             lambda self, n: made.append(n) or exact_row(self, n))
-        assert _CoeffEngine(p).table(48) == _exact_floats(p, 48)
+        assert _hex(_CoeffEngine(p).table(48)) == _exact_floats(p, 48)
         assert made == [1]
 
-    def test_precisions(self):
-        sigma = 106  # t = 1.35: tau = 52, delta = 54
-        assert flow._precisions(48, 1.35, sigma) == [320, 384]
-        assert flow._precisions(24, 1.35, sigma) == [224, 256]
-        assert flow._precisions(24, 0.1, sigma) == [224]  # one pass when the two agree
-        assert flow._precisions(2, 1.35, sigma) == []  # below the exact scale
-        big = _TTable(700.0).sigma
-        assert flow._precisions(64, 700.0, big) == [1376]  # no pass at 64 t bits
+    def test_precision(self):
+        assert flow._precision(48, 1.35) == 320  # 96 + 192 + 2, rounded up
+        assert flow._precision(64, 1e-6) == 384  # 96 + 256 + 1
+        assert flow._precision(64, 700.0) == 1376
 
     def test_shared_ball_table_under_threads(self):
         t, n_max, precs = 0.6180339887, 14, (96, 160)
