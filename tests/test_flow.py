@@ -365,7 +365,7 @@ class TestExactEngine:
             sys.setswitchinterval(interval)
 
     def test_shared_engine_under_threads(self):
-        # the power rows grow lazily, to ceil(n/2) for each n asked for
+        # the kept rows are replaced as larger orders are asked for
         p, n_max = FlowParams(0.6180339887, 0.5772156649), 20
         want = _CoeffEngine(p).table(n_max)
         jobs = [(kind, n) for kind in ("table", "a", "s") for n in range(1, n_max + 1)]
