@@ -22,16 +22,17 @@ the ball pass below uses the same identities:
 * sum_j C(n, j) (-eps)**j C(j, r) = C(n, r) (-eps)**r (1-eps)**(n-r) turns
   the eps-sum into a sum over r < n, so b_n = n 4**n a_n is one integer over
   a known denominator; S_n is another, derived from the b_k.
-* Per (kappa, t) the engine keeps rows of the powers of -E and e_d - E
-  (eps = E / e_d) up to half the order; the rows C(n, r) and the signed
-  weights of S_n depend on n alone and are cached per order.
+* The exact engine makes the open rows of a table in one pass: the powers
+  of -E and e_d - E (eps = E / e_d) up to half the largest open order, b_n
+  up to that order, and S_n for the open n only.  The rows C(n, r) and the
+  signed weights of S_n depend on n alone and are cached per order.
 
 Every public float is float(exact), but a table rarely needs the exact
 integers, whose thousands of bits rounding never reads.  ``_CoeffEngine.table``
 runs the same sums on balls first (midpoint-radius arithmetic, as in Arb): an
 integer midpoint m and radius e at scale 2**P stand for every real within
 e / 2**P of m / 2**P, and each radius is a proven bound (``_TBalls``,
-``_CoeffEngine._ball_table``).  An entry is kept when both ends of its ball
+``_CoeffEngine._balls``).  An entry is kept when both ends of its ball
 round to the same binary64 (Ziv's test); rounding is monotone, so that float
 is float(exact).  P is a few hundred bits, set by the order and t
 (``_precision``).  The exact engine makes only the rows the pass leaves
@@ -88,6 +89,18 @@ def _laguerre_scaled(x: int, tau: int, count: int) -> list:
         prev = series[N]
         series.append(u)
     return series
+
+
+def _delta_rows(series: list) -> list:
+    """4**r [s**(k-1-r)] (1-s)**(-2r) sum_N series[N] s**N for r < k, with
+    k = len(series): each division by (1-s)**2 is two prefix sums, keeping
+    k-r coefficients."""
+    k = len(series)
+    out = [series[k - 1]]
+    for r in range(1, k):
+        series = list(accumulate(accumulate(series[: k - r])))
+        out.append(series[k - 1 - r] << 2 * r)
+    return out
 
 
 @dataclass(frozen=True)
@@ -199,7 +212,7 @@ class _TTable:
     * ``_diffs[k][r] = D**k (k-1)! 2**(tau (k-1)) Delta**r Q(k, 0)`` for
       r < k.  (-1)**N L_N^{(1)}(2kt) N! 2**(tau N), N < k, comes from the
       integer three-term recurrence and is brought to the common scale
-      (k-1)! 2**(tau (k-1)); each division by (1-s)**2 is two prefix sums.
+      (k-1)! 2**(tau (k-1)) and divided by (1-s)**2 in ``_delta_rows``.
     * ``row(n)[r] = sum_{k>r} C(2n, n-k) (n-1)!/(k-1)! 2**(sigma (n-k))
       _diffs[k][r]`` for r < n, by Horner steps over ascending k with the
       multiplier (k-1) 2**sigma.
@@ -227,16 +240,12 @@ class _TTable:
             series[N] *= scale
             scale = scale * N << tau
         dk = self.D**k if k % 2 else -(self.D**k)  # carries (-1)**(k-1)
-        row = [series[k - 1] * dk]
-        for r in range(1, k):  # divide by (1-s)**2, keeping k-r coefficients
-            series = list(accumulate(accumulate(series[: k - r])))
-            row.append(series[k - 1 - r] * dk << 2 * r)
-        return row
+        return [v * dk for v in _delta_rows(series)]
 
     def _grow(self):
         n = len(self._rows)
         self._diffs.append(self._diff_row(n))
-        weight = [binomial(2 * n, n - k) for k in range(n + 1)]
+        weight = _binomial_row(2 * n)[n::-1]  # C(2n, n-k) for k <= n
         row = []
         for r in range(n):
             acc = 0
@@ -282,14 +291,13 @@ class _TBalls:
       for r < n, one radius for all of them, and the bit length of the
       largest midpoint.
 
-    A request at a higher prec starts the table again at that prec; a lower
-    one is served at the prec the table has.  Lists are indexed from 1,
-    rebound or appended to, never changed in place, under a lock.
+    Lists are indexed from 1 and appended to, never changed in place, under
+    a lock.
     """
 
-    def __init__(self, t: float):
+    def __init__(self, t: float, prec: int):
         self.T, self.tau, self.D, self.delta = _t_scales(t)
-        self.prec = 0
+        self.prec = prec
         self._lock = threading.Lock()
         self._cols: list = []  # _cols[r]: midpoints of Delta_k[r], k > r
         self._rads: list = [None]
@@ -299,11 +307,8 @@ class _TBalls:
         """(midpoints of Delta_k[r] for r < k, their common radius)."""
         prec, tau = self.prec, self.tau
         series = _laguerre_scaled(2 * k * self.T, tau, k)
-        lag = [((v << prec) >> tau * N) // math.factorial(N) for N, v in enumerate(series)]
-        mids = [lag[k - 1]]
-        for r in range(1, k):  # divide by (1-s)**2, keeping k-r coefficients
-            lag = list(accumulate(accumulate(lag[: k - r])))
-            mids.append(lag[k - 1 - r] << 2 * r)
+        mids = _delta_rows([((v << prec) >> tau * N) // math.factorial(N)
+                            for N, v in enumerate(series)])
         shift = max(prec, max(abs(m).bit_length() for m in mids))
         decay = (self.D**k << shift) >> self.delta * k  # floor(e^{-kt} 2**shift)
         sign = 1 if k % 2 else -1  # (-1)**(k-1)
@@ -322,19 +327,17 @@ class _TBalls:
         self._rows.append((row, sum(map(operator.mul, weight[1:], self._rads[1:])),
                            max(abs(v).bit_length() for v in row)))
 
-    def rows(self, order: int, prec: int) -> tuple:
-        """(the prec served, a list whose entries 1..order are the rho rows)."""
+    def rows(self, order: int) -> list:
+        """A list whose entries 1..order are the rho rows."""
         with self._lock:
-            if prec > self.prec:
-                self.prec, self._cols, self._rads, self._rows = prec, [], [None], [None]
             while len(self._rows) <= order:
                 self._grow()
-            return self.prec, self._rows
+            return self._rows
 
 
 @lru_cache(maxsize=4)
-def _t_balls(t: float) -> _TBalls:
-    return _TBalls(t)
+def _t_balls(t: float, prec: int) -> _TBalls:
+    return _TBalls(t, prec)
 
 
 def _precision(order: int, t: float) -> int:
@@ -351,9 +354,12 @@ def _precision(order: int, t: float) -> int:
 
 def _rounded(mid: int, rad: int, den: int):
     """The binary64 nearest every point of [mid - rad, mid + rad] / den, or
-    None when the ends round apart or the ball holds 0.  Each end is an
-    int/int quotient, rounded correctly, and rounding is monotone, so the
-    float is that of any exact value in the ball."""
+    None when the ends round apart or the ball holds 0 with rad > 0.  Each
+    end is an int/int quotient, rounded correctly, and rounding is monotone,
+    so the float is that of any exact value in the ball; at rad = 0 it is
+    the exact quotient, 0.0 for an exact 0."""
+    if not rad:
+        return mid / den
     lo, hi = mid - rad, mid + rad
     if lo > 0 or hi < 0:
         value = lo / den
@@ -362,48 +368,47 @@ def _rounded(mid: int, rad: int, den: int):
     return None
 
 
+def _rounded_row(n: int, b: int, e: int, s: int, f: int, den: int) -> tuple:
+    """(a_n, b_n, S_n, S_n / n) by ``_rounded`` from the balls (b, e) of
+    b_n and (s, f) of S_n over den, each entry a float or None."""
+    return (_rounded(b, e, den * n << 2 * n), _rounded(b, e, den),
+            _rounded(s, f, den), _rounded(s, f, den * n))
+
+
 class _CoeffEngine:
     """Flow coefficients for one (kappa, t), each float(exact).
 
-    ``table`` rounds each entry from a ball pass (``_ball_table``) and runs
-    the exact engine (``_exact_row``) only for the rows it leaves open.  The
-    exact engine keeps b_n and S_n as integer numerators over ``_den(n)``;
-    a float is one integer quotient, which rounds once, and an exact value
-    one Fraction.  Power rows grow in ``_powers``.
+    ``table`` rounds each entry from a ball pass (``_balls``) and runs the
+    exact engine (``_exact_nums``) only for the rows it leaves open.  Both
+    phases round through ``_rounded_row``: the exact engine's b_n and S_n
+    are integer numerators over one denominator, balls of radius 0, so a
+    float is one integer quotient, which rounds once.
     """
 
     def __init__(self, params: FlowParams):
         self.t = float(params.t)
         eps = Fraction(params.kappa) ** 2
         self.eps_num, self.eps_den = eps.numerator, eps.denominator
-        _, self.tau, _, delta = _t_scales(self.t)
-        self.sigma = self.tau + delta
-        self._pows = ([1], [1])
-        self._b: dict = {}
-        self._s: dict = {}
         self._rows: list = []
 
-    def _den(self, n: int) -> int:
-        return self.eps_den**n * math.factorial(n - 1) << self.sigma * n - self.tau
+    def _exact_nums(self, ns: list) -> list:
+        """(b_n den_n, S_n den_n, den_n) for each n of the ascending ns, all
+        integers, with den_n = e_d**n (n-1)! 2**(sigma n - tau).
 
-    def _powers(self, m: int) -> tuple:
-        """(x**i, y**i for i <= m).  The rows are rebound, never changed in
-        place, and each caller returns the rows it read or built."""
-        pows = self._pows
-        if len(pows[0]) <= m:
-            pows = self._pows = tuple(list(accumulate(repeat(v, m), operator.mul, initial=1))
-                                      for v in (-self.eps_num, self.eps_den - self.eps_num))
-        return pows
-
-    def _b_num(self, n: int) -> int:
-        """b_n * _den(n) = 2 y sum_{r<n} C(n, r) x**r y**(n-1-r) row(n)[r]
-        with x = -E and y = e_d - E, eps = E / e_d.  The sum over
-        lo <= r < hi is split at mid into (sum over [lo, mid)) y**(hi-mid)
-        and x**(mid-lo) (sum over [mid, hi)), so the big products are
-        balanced; the powers, up to ceil(n/2), come from ``_powers``."""
-        if n not in self._b:
-            row, binom = _t_table(self.t).row(n), _binomial_row(n)
-            xs, ys = self._powers((n + 1) // 2)
+        b_n den_n = 2 y sum_{r<n} C(n, r) x**r y**(n-1-r) row(n)[r] with
+        x = -E and y = e_d - E, eps = E / e_d.  The sum over lo <= r < hi
+        is split at mid into (sum over [lo, mid)) y**(hi-mid) and
+        x**(mid-lo) (sum over [mid, hi)), so the big products are balanced;
+        the powers go up to ceil(max(ns)/2).  S_n den_n is the signed
+        weights times b_1..b_n, each b_k raised to den_n by Horner steps.
+        """
+        table, top = _t_table(self.t), ns[-1]
+        num, den, sigma = self.eps_num, self.eps_den, table.sigma
+        xs, ys = (list(accumulate(repeat(v, (top + 1) // 2), operator.mul, initial=1))
+                  for v in (-num, den - num))
+        bs = []
+        for n in range(1, top + 1):
+            row, binom = table.row(n), _binomial_row(n)
 
             def part(lo: int, hi: int) -> int:
                 if hi - lo == 1:
@@ -411,27 +416,19 @@ class _CoeffEngine:
                 mid = (lo + hi) // 2
                 return part(lo, mid) * ys[hi - mid] + xs[mid - lo] * part(mid, hi)
 
-            self._b[n] = 2 * ys[1] * part(0, n)
-        return self._b[n]
-
-    def _s_num(self, n: int) -> int:
-        """S_n * _den(n): the signed weights times the b_k, each b_k raised
-        to _den(n) by Horner steps."""
-        if n not in self._s:
+            bs.append(2 * ys[1] * part(0, n))
+        out = []
+        for n in ns:
             acc, weights = 0, _weight_row(n)
             for k in range(1, n + 1):
-                acc = (acc * (self.eps_den * (k - 1)) << self.sigma) + weights[k] * self._b_num(k)
-            self._s[n] = acc
-        return self._s[n]
+                acc = (acc * (den * (k - 1)) << sigma) + weights[k] * bs[k - 1]
+            out.append((bs[n - 1], acc,
+                        den**n * math.factorial(n - 1) << sigma * n - table.tau))
+        return out
 
-    def _exact_row(self, n: int) -> tuple:
-        """(a_n, b_n, S_n, S_n / n), each one integer quotient over _den(n)."""
-        den, b, s = self._den(n), self._b_num(n), self._s_num(n)
-        return (b / (den * n << 2 * n), b / den, s / den, s / (den * n))
-
-    def _balls(self, order: int, prec: int) -> tuple:
-        """(P, [(b_n, e_n, S_n, f_n) for n = 1..order]) with P >= prec: b_n
-        and S_n as balls of radius e_n and f_n at scale 2**P.
+    def _balls(self, order: int, prec: int) -> list:
+        """[(b_n, e_n, S_n, f_n) for n = 1..order]: b_n and S_n as balls of
+        radius e_n and f_n at scale 2**prec.
 
         With (-eps)**r and (1-eps)**j as balls of radius 2r and 2j (each
         power one floor step from the last), the products p_r =
@@ -442,7 +439,7 @@ class _CoeffEngine:
         S_n's radius is the sum of |w(n, k)| times those of the b_k.  The
         bounds hold at every P.
         """
-        prec, rhos = _t_balls(self.t).rows(order, prec)
+        rhos = _t_balls(self.t, prec).rows(order)
         num, den, one = self.eps_num, self.eps_den, 1 << prec
         xs, ys = (list(accumulate(repeat(v * one // den, order),
                                   lambda p, q: p * q >> prec, initial=one))
@@ -458,16 +455,7 @@ class _CoeffEngine:
             weights = _weight_row(n)[1:]
             out.append((b_mids[-1], b_rads[-1], sum(map(operator.mul, weights, b_mids)),
                         sum(map(operator.mul, map(abs, weights), b_rads))))
-        return prec, out
-
-    def _ball_table(self, order: int, prec: int) -> list:
-        """(a_n, b_n, S_n, S_n / n) for n = 1..order from ``_balls``, each
-        float(exact), or None where the ball does not round to one float."""
-        prec, balls = self._balls(order, prec)
-        one = 1 << prec
-        return [(_rounded(b, e, n << 2 * n + prec), _rounded(b, e, one),
-                 _rounded(s, f, one), _rounded(s, f, n << prec))
-                for n, (b, e, s, f) in enumerate(balls, 1)]
+        return out
 
     def table(self, order: int) -> list:
         """(a_n, b_n, S_n, S_n / n) for n = 1..order, each float(exact): from
@@ -479,12 +467,13 @@ class _CoeffEngine:
         rows = self._rows
         if len(rows) < order:
             size = max(order, 16)
-            rows = self._ball_table(size, _precision(size, self.t))
+            prec = _precision(size, self.t)
+            rows = [_rounded_row(n, b, e, s, f, 1 << prec)
+                    for n, (b, e, s, f) in enumerate(self._balls(size, prec), 1)]
             open_rows = [n for n, row in enumerate(rows, 1) if None in row]
             if open_rows:
-                self._powers((open_rows[-1] + 1) // 2)
-                for n in open_rows:
-                    rows[n - 1] = self._exact_row(n)
+                for n, (b, s, den) in zip(open_rows, self._exact_nums(open_rows)):
+                    rows[n - 1] = _rounded_row(n, b, 0, s, 0, den)
             if len(rows) > len(self._rows):
                 self._rows = rows
         return rows[:order]

@@ -141,7 +141,9 @@ def _herglotz_delta(t: float, y):
         raise DomainError("Herglotz transform needs |y| < 1")
     big_d, delta = _exp_neg_t(t)  # refuses a t whose e^{-t} is not a normal float
     decay = math.ldexp(big_d, -delta)
-    phase = np.divide(flat, radius, out=np.zeros_like(flat), where=radius > 0)
+    # a step is at least MIN_STEP, so the phase is read only where
+    # radius > MIN_STEP; a subnormal |y| would overflow the division
+    phase = np.divide(flat, radius, out=np.zeros_like(flat), where=radius > MIN_STEP)
     # every point starts at delta(0) = 0, where the slope is 1/2, and walks
     # out along its ray with a step of its own, from reached = u(r) to u(|y|)
     D = np.zeros_like(flat)

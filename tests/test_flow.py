@@ -14,6 +14,7 @@ from jacobiflow.flow import (
     _CoeffEngine,
     _engine,
     _exp_neg_t,
+    _rounded,
     _t_balls,
     _t_table,
     _TBalls,
@@ -73,15 +74,16 @@ def _reference_ttable(t, n_max):
     return q, rows
 
 
-def _exact(eng, n):
-    """(a_n, b_n, S_n) as Fractions, from the engine's integer numerators."""
-    den = eng._den(n)
-    return (Fraction(eng._b_num(n), den * n << 2 * n), Fraction(eng._b_num(n), den),
-            Fraction(eng._s_num(n), den))
+def _exact(eng, order):
+    """[(a_n, b_n, S_n) for n = 1..order] as Fractions, from the engine's
+    integer numerators."""
+    nums = eng._exact_nums(list(range(1, order + 1)))
+    return [(Fraction(b, den * n << 2 * n), Fraction(b, den), Fraction(s, den))
+            for n, (b, s, den) in enumerate(nums, 1)]
 
 
 def _reference_b_num(rows, kappa, n):
-    """b_n * _den(n) as 2 sum_j (-1)**j C(n, j) E**j e_d**(n-j) rows[n][j]."""
+    """b_n den_n as 2 sum_j (-1)**j C(n, j) E**j e_d**(n-j) rows[n][j]."""
     eps = Fraction(kappa) ** 2
     return 2 * sum(
         (-1) ** j * binomial(n, j) * eps.numerator**j * eps.denominator ** (n - j) * rows[n][j]
@@ -267,11 +269,11 @@ class TestSeries:
 
     @pytest.mark.parametrize("build,t", [(phi_inv_coeffs, 1.128), (m_series_coeffs, 1.129)])
     def test_order_cap_checked_before_the_work(self, build, t):
-        tables = (_t_balls(t), _t_table(t))
-        rows = [len(table._rows) for table in tables]
+        caches = (_t_balls, _t_table)
+        infos = [cache.cache_info() for cache in caches]
         with pytest.raises(ValueError, match=f"capped at {MAX_ORDER}"):
             build(FlowParams(0.37, t), MAX_ORDER + 1)
-        assert [len(table._rows) for table in tables] == rows
+        assert [cache.cache_info() for cache in caches] == infos
 
 
 class TestExactEngine:
@@ -282,8 +284,7 @@ class TestExactEngine:
         eng = _engine(p)
         rows = cli._table_rows(kappa, t, 40)
         m = m_series_coeffs(p, 40)
-        for n, row in enumerate(rows, start=1):
-            _, b, s = _exact(eng, n)
+        for n, (row, (_, b, s)) in enumerate(zip(rows, _exact(eng, 40)), start=1):
             assert b_coeff(p, n) == float(b)
             assert row["M"] == float(s)
             assert m.coeffs[n] == float(s)
@@ -294,23 +295,21 @@ class TestExactEngine:
     def test_matches_exact_reversion_oracle(self, kappa, t):
         p = FlowParams(kappa, t)
         oracle = series_revert(maps.big_phi_series(p, 10))
-        eng = _engine(p)
-        for n in range(1, 11):
-            assert _exact(eng, n)[2] / n == oracle.coeffs[n]
+        for n, (_, _, s) in enumerate(_exact(_engine(p), 10), start=1):
+            assert s / n == oracle.coeffs[n]
 
     @pytest.mark.parametrize("kappa,t", [(0.5, 1.0), (0.7, 0.5)])
     def test_matches_exact_reversion_oracle_to_order_24(self, kappa, t):
         p = FlowParams(kappa, t)
         oracle = series_revert(maps.big_phi_series(p, 24))
-        eng = _engine(p)
-        for n in range(1, 25):
-            assert _exact(eng, n)[2] / n == oracle.coeffs[n]
+        for n, (_, _, s) in enumerate(_exact(_engine(p), 24), start=1):
+            assert s / n == oracle.coeffs[n]
 
     def test_matches_laguerre_pnm_sum(self):
         # the nested sum in its original order, over specfun and pnm_poly
         kappa, t = Fraction(2, 5), 0.75
         eps, decay = kappa**2, Fraction(math.exp(-t))
-        eng = _engine(FlowParams(kappa, t))
+        exact = _exact(_engine(FlowParams(kappa, t)), 8)
         for n in range(1, 9):
             total = sum(
                 binomial(2 * n, n - k) * decay**k * sum(
@@ -319,7 +318,7 @@ class TestExactEngine:
                 )
                 for k in range(1, n + 1)
             )
-            assert _exact(eng, n)[0] == Fraction(2, 4**n * n) * total
+            assert exact[n - 1][0] == Fraction(2, 4**n * n) * total
 
     @pytest.mark.parametrize("t", [1e-6, 0.5, 1.37, 2.5, 40.0, 800.0])
     def test_b_num_matches_point_value_table(self, t):
@@ -329,9 +328,9 @@ class TestExactEngine:
             return
         _, rows = _reference_ttable(t, 48)
         for kappa in (0.0, -0.61, 0.37, Fraction(1, 3), 0.999):
-            eng = _engine(FlowParams(kappa, t))
-            for n in range(1, 49):
-                assert eng._b_num(n) == _reference_b_num(rows, kappa, n)
+            nums = _engine(FlowParams(kappa, t))._exact_nums(list(range(1, 49)))
+            for n, (b, _, _) in enumerate(nums, start=1):
+                assert b == _reference_b_num(rows, kappa, n)
 
     @pytest.mark.parametrize("t", [1e-6, 1.37, 40.0])
     def test_diffs_are_forward_differences_of_q(self, t):
@@ -399,16 +398,20 @@ def _hex(rows) -> list:
 def _exact_floats(p, order):
     """``_hex`` of (a_n, b_n, S_n, S_n / n) as float(Fraction) from the
     exact engine's integer numerators, on an engine of its own."""
-    eng = _CoeffEngine(p)
-    out = []
-    for n in range(1, order + 1):
-        a, b, s = _exact(eng, n)
-        out.append((float(a), float(b), float(s), float(s / n)))
-    return _hex(out)
+    return _hex([(float(a), float(b), float(s), float(s / n))
+                 for n, (a, b, s) in enumerate(_exact(_CoeffEngine(p), order), start=1)])
 
 
-def _no_exact_rows(self, n):
-    raise AssertionError(f"the exact engine made row {n}")
+def _no_exact_rows(self, ns):
+    raise AssertionError(f"the exact engine made rows {ns}")
+
+
+def _record_exact_rows(monkeypatch):
+    """The list of rows the exact engine makes from here on."""
+    made, exact_nums = [], _CoeffEngine._exact_nums
+    monkeypatch.setattr(_CoeffEngine, "_exact_nums",
+                        lambda self, ns: made.extend(ns) or exact_nums(self, ns))
+    return made
 
 
 class TestBallPass:
@@ -449,7 +452,7 @@ class TestBallPass:
     def test_ball_pass_decides_alone(self, kappa, t, monkeypatch):
         p = FlowParams(kappa, t)
         want = _exact_floats(p, 48)
-        monkeypatch.setattr(_CoeffEngine, "_exact_row", _no_exact_rows)
+        monkeypatch.setattr(_CoeffEngine, "_exact_nums", _no_exact_rows)
         assert _hex(_CoeffEngine(p).table(48)) == want
 
     @pytest.mark.parametrize("prec", [0, 4, 40, 64])
@@ -459,11 +462,8 @@ class TestBallPass:
         # makes the rest
         p = FlowParams(kappa, t)
         want = _exact_floats(p, 32)
-        made = []
-        exact_row = _CoeffEngine._exact_row
         monkeypatch.setattr(flow, "_precision", lambda order, t: prec)
-        monkeypatch.setattr(_CoeffEngine, "_exact_row",
-                            lambda self, n: made.append(n) or exact_row(self, n))
+        made = _record_exact_rows(monkeypatch)
         assert _hex(_CoeffEngine(p).table(32)) == want
         if prec <= 4:
             assert made == list(range(1, 33))
@@ -478,9 +478,9 @@ class TestBallPass:
         order = 24
         exact = _TTable(t)
         exact.row(order)
-        balls = _TBalls(t)
-        P, rows = balls.rows(order, prec)
-        assert P == prec
+        P = prec
+        balls = _TBalls(t, P)
+        rows = balls.rows(order)
         _, tau, _, delta = flow._t_scales(t)
         for k in range(1, order + 1):
             scale = math.factorial(k - 1) << tau * (k - 1) + delta * k
@@ -494,17 +494,13 @@ class TestBallPass:
             for r, mid in enumerate(mids):
                 assert abs(Fraction(exact.row(n)[r] << P, scale) - mid) <= rad, (n, r)
         eng = _CoeffEngine(FlowParams(kappa, t))
-        P, got = eng._balls(order, prec)
-        for n, (b, e, s, f) in enumerate(got, 1):
-            _, b_exact, s_exact = _exact(eng, n)
+        for n, ((b, e, s, f), (_, b_exact, s_exact)) in enumerate(
+                zip(eng._balls(order, P), _exact(eng, order)), 1):
             assert abs(b_exact * 2**P - b) <= e and abs(s_exact * 2**P - s) <= f, n
 
     def test_ci_coeffs_commands_take_both_paths(self, monkeypatch):
         # the two `coeffs --n 64` commands of the CI's console-script step
-        made = []
-        exact_row = _CoeffEngine._exact_row
-        monkeypatch.setattr(_CoeffEngine, "_exact_row",
-                            lambda self, n: made.append(n) or exact_row(self, n))
+        made = _record_exact_rows(monkeypatch)
         _CoeffEngine(FlowParams(0.3, 0.001)).table(64)
         assert made == []
         _CoeffEngine(FlowParams(0.99999, 50.0)).table(64)
@@ -516,11 +512,9 @@ class TestBallPass:
         p = FlowParams(0.5, 1.35)
         big_d, _ = _exp_neg_t(1.35)
         assert (3 * big_d).bit_length() == 54 and big_d % 2 == 1
-        made = []
-        exact_row = _CoeffEngine._exact_row
-        monkeypatch.setattr(_CoeffEngine, "_exact_row",
-                            lambda self, n: made.append(n) or exact_row(self, n))
-        assert _hex(_CoeffEngine(p).table(48)) == _exact_floats(p, 48)
+        want = _exact_floats(p, 48)
+        made = _record_exact_rows(monkeypatch)
+        assert _hex(_CoeffEngine(p).table(48)) == want
         assert made == [1]
 
     def test_precision(self):
@@ -528,27 +522,54 @@ class TestBallPass:
         assert flow._precision(64, 1e-6) == 384  # 96 + 256 + 1
         assert flow._precision(64, 700.0) == 1376
 
+    def test_rounded_at_radius_zero(self):
+        # the exact engine's rows: the int/int quotient, rounded once
+        assert _rounded(0, 0, 7).hex() == "0x0.0p+0"
+        assert _rounded(2**53 + 1, 0, 1) == 2**53  # ties to even
+        assert _rounded(2**53 + 3, 0, 1) == 2**53 + 4
+        assert _rounded(-(2**54 + 2), 0, 2) == -(2**53)
+        rng = random.Random(41)
+        for _ in range(200):
+            mid, den = rng.randrange(-(2**300), 2**300), rng.randrange(1, 2**250)
+            assert _rounded(mid, 0, den) == float(Fraction(mid, den))
+
+    def test_rounded_ball_holding_zero_is_open(self):
+        for mid, rad in [(0, 1), (3, 3), (-2, 5), (2, 2)]:
+            assert _rounded(mid, rad, 9) is None
+        assert _rounded(10**30, 1, 3) == 10**30 / 3
+
+    def test_t_balls_one_table_per_precision(self):
+        t = 0.4142135623
+        low = _t_balls(t, 96)
+        first = low.rows(8)[1:9]
+        high = _t_balls(t, 160)
+        high.rows(12)
+        assert high is not low and (low.prec, high.prec) == (96, 160)
+        assert _t_balls(t, 96) is low and low.rows(10)[1:9] == first  # no restart
+        assert high.rows(12)[1:] == _TBalls(t, 160).rows(12)[1:]
+
     def test_shared_ball_table_under_threads(self):
+        # one table per P, each shared by threads that grow it in any order
         t, n_max, precs = 0.6180339887, 14, (96, 160)
-        serial = {prec: _TBalls(t).rows(n_max, prec)[1][1:] for prec in precs}
+        serial = {prec: _TBalls(t, prec).rows(n_max)[1:] for prec in precs}
         jobs = [(n, prec) for n in range(1, n_max + 1) for prec in precs]
         orders = [random.Random(seed).sample(jobs, len(jobs)) for seed in range(8)]
 
-        def work(tab, order):
-            return [(n, prec, *tab.rows(n, prec)) for n, prec in order]
+        def work(tabs, order):
+            return [(n, prec, tabs[prec].rows(n)) for n, prec in order]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 for _ in range(10):
-                    shared = _TBalls(t)
+                    shared = {prec: _TBalls(t, prec) for prec in precs}
                     futures = [pool.submit(work, shared, o) for o in orders]
                     for f in futures:
-                        for n, asked, served, rows in f.result(timeout=60):
-                            assert served >= asked
-                            assert rows[n] == serial[served][n - 1]
-                    assert shared.prec == max(precs)
+                        for n, prec, rows in f.result(timeout=60):
+                            assert rows[n] == serial[prec][n - 1]
+                    for prec, tab in shared.items():
+                        assert tab.prec == prec and tab.rows(n_max)[1:] == serial[prec]
         finally:
             sys.setswitchinterval(interval)
 
@@ -560,11 +581,10 @@ class TestRoundedOnce:
     @pytest.mark.parametrize("kappa,t", [(0.0, 1.0), (-0.61, 0.83), (0.37, 2.5), (0.5, 700.0),
                                          (Fraction(1, 3), 0.7)])
     def test_table_columns(self, kappa, t):
-        eng = _engine(FlowParams(kappa, t))
+        exact = _exact(_engine(FlowParams(kappa, t)), MAX_ORDER)
         rows = cli._table_rows(kappa, t, MAX_ORDER)
         assert len(rows) == MAX_ORDER
-        for n, row in enumerate(rows, start=1):
-            a, b, s = _exact(eng, n)
+        for n, (row, (a, b, s)) in enumerate(zip(rows, exact), start=1):
             assert row == {"n": n, "a_n": float(a), "b_n": float(b),
                            "S_n": float(s), "phi_inv": float(s / n), "M": float(s)}
         if t == 700.0:  # the tail of a_n is subnormal
@@ -574,10 +594,8 @@ class TestRoundedOnce:
     @pytest.mark.parametrize("t", [0.5, 700.0])
     def test_library_accessors(self, kappa, t):
         p = FlowParams(kappa, t)
-        eng = _engine(p)
         inv, m = phi_inv_coeffs(p, 32), m_series_coeffs(p, 32)
-        for n in range(1, 33):
-            a, b, s = _exact(eng, n)
+        for n, (a, b, s) in enumerate(_exact(_engine(p), 32), start=1):
             assert a_coeff(p, n) == float(a)
             assert b_coeff(p, n) == float(b)
             assert s_coeff(p, n) == m.coeffs[n] == float(s)

@@ -74,6 +74,15 @@ class TestHerglotz:
         for t in (0.5, 1.0, 2.5):
             assert herglotz_k(t, 0.0) == 1.0
 
+    def test_subnormal_points(self):
+        # warnings are errors here: the phase y / |y| of a subnormal y
+        # overflows, and no step may form it
+        ys = np.array([1e-320, 5e-324j, -1e-310 + 1e-310j])
+        delta = maps._herglotz_delta(1.0, ys)
+        assert list(delta) == [maps._herglotz_delta(1.0, y) for y in ys]
+        assert delta[2] == pytest.approx(2 * math.exp(-1) * ys[2], rel=1e-9)
+        assert herglotz_k(1.0, 1e-320) == 1
+
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.5])
     def test_compositional_inverse_on_radial_grid(self, t):
         assert_entries("herglotz-inverse-grid", 0.5, t)

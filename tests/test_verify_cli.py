@@ -554,9 +554,13 @@ class TestSeededSweep:
     # a verify draw takes 0.3 to 2 s (exact Laguerre sums at a tiny t), a
     # draw of any other subcommand 20 ms at most
     COMMANDS = ("coeffs", "integral", "sweep") * 6 + ("verify",)
+    # |z| of the integral draws in turn: uniform over the unit disc, then
+    # log-uniform in (1e-300, 1), then down to the subnormals
+    Z_BANDS = (None, (1e-300, 1), (1e-320, 1e-300))
 
     def test_every_outcome_is_classified(self, tmp_path, capsys):
         rng = random.Random(17)
+        z_moduli = []
 
         def log_uniform(lo, hi):
             return math.exp(rng.uniform(math.log(lo), math.log(hi)))
@@ -566,7 +570,9 @@ class TestSeededSweep:
                       for _ in range(2 if command == "sweep" else 1)]
             values = {"--kappa": ",".join(kappas), "--t": repr(log_uniform(1e-300, 708.39))}
             if command == "integral":
-                z = cmath.rect(math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+                band = self.Z_BANDS[len(z_moduli) % len(self.Z_BANDS)]
+                z_moduli.append(log_uniform(*band) if band else math.sqrt(rng.random()))
+                z = cmath.rect(z_moduli[-1], rng.uniform(-math.pi, math.pi))
                 values["--z"] = f"{z.real!r},{z.imag!r}"
             if command == "sweep":
                 values.update({"--n": "4", "--out": str(tmp_path / str(i))})
@@ -581,6 +587,7 @@ class TestSeededSweep:
                 assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
             if (code, command) == (1, "verify"):
                 assert re.search(r"^FAIL  (?!overall:)\S+:", out, re.M), (argv, out)
+        assert min(z_moduli) < 1e-308, z_moduli  # a subnormal z was drawn
 
 
 class TestNegativeValues:
@@ -761,6 +768,19 @@ class TestPinnedBytes:
         argv = ["integral", "--kappa", "0.2", "--t", "1.7", "--z", "0.7,0.1", "--format", fmt]
         assert main(argv) == 0
         assert capsys.readouterr().out == (self.CONTOUR_CSV if fmt == "csv" else self.CONTOUR_JSON)
+
+    # z = 1e-320 is subnormal, and so are the y it maps to
+    SUBNORMAL_Z_CSV = {
+        "0.5": "5.5187132640467239e-321,0,corollary,0.125,512,0\n",
+        "0": "7.3615781230345735e-321,0,closed,0,0,0\n",
+    }
+
+    @pytest.mark.parametrize("kappa", ["0", "0.5"])
+    def test_subnormal_z(self, kappa, capsys):
+        argv = ["integral", "--kappa", kappa, "--t", "1", "--z", "1e-320"]
+        assert _run(argv, capsys) == (
+            0, "value_re,value_im,form,radius,samples,forms_residual\n"
+            + self.SUBNORMAL_Z_CSV[kappa], "")
 
     def test_sweep_manifest(self, tmp_path):
         out = tmp_path / "tables"
