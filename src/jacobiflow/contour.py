@@ -98,27 +98,25 @@ def contour_nodes(spec: ContourSpec, count: int | None = None) -> np.ndarray:
     return spec.center + spec.radius * np.exp(1j * theta)
 
 
-def _adaptive_quadrature(level, spec: ContourSpec, shape=(1, 1)):
+def _adaptive_quadrature(level, spec: ContourSpec, groups=1):
     """(1/2 pi i) contour integrals over one circle, by doubling, of
-    ``shape[0]`` groups of ``shape[1]`` integrands each.  ``level(n, live)``
-    returns the n nodes and (rows, stack) pairs for the still-live groups,
-    ``live`` their ascending indices: ``rows`` indexes live, and ``stack``
-    holds the integrands' values there, of shape values[rows].shape + (n,).
-    A group leaves at its first doubling where each of its integrands has
-    moved by less than ``QUAD_TOL``.  Returns (values, samples, delta) for
-    each group, with delta the largest of its last moves."""
-    out, live, previous, n = [None] * shape[0], np.arange(shape[0]), None, spec.samples
+    ``groups`` groups of integrands.  ``level(n, live)`` returns the n nodes
+    w and one complex array ``stack`` of the integrands' values on them for
+    the still-live groups, ``live`` their ascending indices: ``stack`` has
+    shape (live.size, integrands per group, n).  A group leaves at its
+    first doubling where each of its integrands has moved by less than
+    ``QUAD_TOL``.  Returns (values, samples, delta) for each group, with
+    delta the largest of its last moves."""
+    out, live, previous, n = [None] * groups, np.arange(groups), None, spec.samples
     while live.size:
         if n > MAX_SAMPLES:
             raise QuadratureError(f"quadrature did not converge within {MAX_SAMPLES} samples")
-        values = np.empty((live.size, shape[1]), dtype=complex)
         try:
             # an overflow or a zero division, in an integrand or in its sum,
             # shows as a value that is not finite
             with np.errstate(all="ignore"):
-                w, stacks = level(n, live)
-                for rows, stack in stacks:
-                    values[rows] = np.sum(stack * (w - spec.center), axis=-1) / n
+                w, stack = level(n, live)
+                values = np.sum(stack * (w - spec.center), axis=-1) / n
         except DomainError as exc:
             # a doubling's new nodes, which no admissibility check has seen
             raise QuadratureError(f"{exc} at {n} nodes") from exc
@@ -145,7 +143,7 @@ def circle_quadrature(f, spec: ContourSpec) -> complex:
         fw = np.asarray(f(w), dtype=complex)
         if fw.shape != w.shape:
             raise ValueError("integrand must return one value per node")
-        return w, [(0, fw[None])]
+        return w, fw[None, None]
 
     return _adaptive_quadrature(level, spec)[0][0][0]
 
@@ -201,9 +199,9 @@ def pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
     oracle of the whole contour machinery.
 
     Each pair is a group of :func:`_adaptive_quadrature` and leaves at its own
-    first converged doubling; a level hands the loop one stack per m of the
-    live pairs.  Each power is formed once, with a scalar exponent: numpy
-    squares ``w ** 2`` by its own path."""
+    first converged doubling; a level fills the live pairs' rows one m at a
+    time.  Each power is formed once, with a scalar exponent: numpy squares
+    ``w ** 2`` by its own path."""
     if any(k < 1 or m < 0 for k, m in pairs):
         raise ValueError("pkm_residues needs k >= 1 and m >= 0")
     kap = float(params.kappa)
@@ -220,17 +218,15 @@ def pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
         ks, ms = all_ks[live], all_ms[live]
         one_minus_w2, w_minus_kap = 1 - w * w, w - kap
         k_pow = {k: one_minus_w2**k for k in set(ks.tolist())}
+        stack = np.empty((live.size, 1, n), dtype=complex)
+        for m in set(ms.tolist()):
+            at = ms == m
+            rows = np.array([k_pow[k] for k in ks[at].tolist()])
+            # kappa goes inside: QUAD_TOL is absolute, and the rest is of size 1/|kappa|
+            stack[at, 0] = kap * w ** (m - 1) * rows / w_minus_kap ** (m + 1)
+        return w, stack
 
-        def stacks():
-            for m in set(ms.tolist()):
-                at = ms == m
-                stack = np.array([k_pow[k] for k in ks[at].tolist()])
-                # kappa goes inside: QUAD_TOL is absolute, and the rest is of size 1/|kappa|
-                yield at, (kap * w ** (m - 1) * stack / w_minus_kap ** (m + 1))[:, None]
-
-        return w, stacks()
-
-    groups = _adaptive_quadrature(level, spec, (len(pairs), 1))
+    groups = _adaptive_quadrature(level, spec, len(pairs))
     return [values[0].real for values, _, _ in groups]
 
 
@@ -344,10 +340,10 @@ def m_integral_detailed(params: FlowParams, z) -> IntegralResult:
         D2 = D * (2 + D)
         core = D2 / ((2 + t * D2) * ((w - kap) + w * D))
         # kappa goes inside: QUAD_TOL is absolute, and the rest is of size 1/|kappa|
-        return w, [(0, np.array([(1 + D) * core / rr, kap * core / (w * rr)]))]
+        return w, np.array([[(1 + D) * core / rr, kap * core / (w * rr)]])
 
     # one group of both forms: they stop together, at one node count
-    [((cor, prop), samples, delta)] = _adaptive_quadrature(level, spec, (1, 2))
+    [((cor, prop), samples, delta)] = _adaptive_quadrature(level, spec)
     w, D, _ = _kernel(t, z, spec, samples)
     return IntegralResult(
         corollary=(1 - z) * cor,

@@ -484,16 +484,16 @@ def _engine(params: FlowParams) -> _CoeffEngine:
     return _CoeffEngine(params)
 
 
-def _check_index(n) -> int:
+def _check_index(n, name="coefficient index") -> int:
     """``n`` as an int, from any integer type but bool."""
     if isinstance(n, bool) or not hasattr(type(n), "__index__") or n < 1:
-        raise ValueError(f"coefficient index must be a positive integer, got {n!r}")
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
     return operator.index(n)
 
 
 def _check_order(order) -> int:
     """A series order in [1, MAX_ORDER], checked before any coefficient is built."""
-    order = _check_index(order)
+    order = _check_index(order, "truncation order")
     if order > MAX_ORDER:
         raise ValueError(f"truncation order is capped at {MAX_ORDER}, got {order}")
     return order
@@ -577,15 +577,11 @@ def jacobi_moments(unitary_moments, params: FlowParams, order: int):
     u = list(unitary_moments)
     if len(u) < order:
         raise ValueError(f"need at least {order} unitary moments, got {len(u)}")
-    out = []
-    for n in range(1, order + 1):
-        tail = sum(
-            (binomial(2 * n, n - k) * u[k - 1] for k in range(1, n + 1)),
-            start=u[0] * 0,
-        )
-        out.append(
-            Fraction(binomial(2 * n, n), 2 ** (2 * n + 1))
-            + params.kappa * Fraction(1, 2)
-            + Fraction(1, 4**n) * tail
-        )
-    return out
+    # c_0 = 0 in the moments' own type, so Fractions keep the integer route
+    tails = binom_transform([c * 0 for c in u[:1]] + u[:order])
+    return [
+        Fraction(binomial(2 * n, n), 2 ** (2 * n + 1))
+        + params.kappa * Fraction(1, 2)
+        + Fraction(1, 4**n) * tails[n]
+        for n in range(1, order + 1)
+    ]

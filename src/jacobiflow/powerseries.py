@@ -10,12 +10,12 @@ runs over complex binary64 and exact Fractions.  Exact inputs give exact
 outputs, which makes the rational mode the oracle for the floating one.
 The exceptions to the generic loop are products and compositions of
 all-Fraction lists.  A product writes each operand as integer numerators
-over one common denominator, convolves the integers and reduces each
-output coefficient once: the same Fractions, with one gcd per coefficient
-instead of about two per term.  A composition keeps its Horner accumulator
-as integer numerators over one denominator, reduced by one gcd per step.
-Every other coefficient type, int mixed with Fraction included, runs the
-ring loop.
+over one common denominator, convolves the integers by the ring loop itself
+(integers are a ring) and reduces each output coefficient once: the same
+Fractions, with one gcd per coefficient instead of about two per term.  A
+composition keeps its Horner accumulator as integer numerators over one
+denominator, reduced by one gcd per step.  Every other coefficient type,
+int mixed with Fraction included, runs the ring loop.
 
 Compositional inversion (:func:`series_revert`) is done by Newton iteration
 with order doubling.  It never touches any closed-form coefficient formula,
@@ -38,9 +38,7 @@ class NonInvertibleError(ValueError):
 
 def _assert_finite(coeffs):
     for c in coeffs:
-        if isinstance(c, complex) and not cmath.isfinite(c):
-            raise ValueError("series coefficients must be finite")
-        if isinstance(c, float) and not math.isfinite(c):
+        if isinstance(c, (float, complex)) and not cmath.isfinite(c):
             raise ValueError("series coefficients must be finite")
 
 
@@ -134,16 +132,6 @@ def _common_denominator(fracs):
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
-def _int_mul_trunc(a, b, order):
-    """The product of two integer lists, cut after ``order``."""
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai:
-            for j, bj in enumerate(b[: order + 1 - i]):
-                out[i + j] += ai * bj
-    return out
-
-
 def _mul_trunc(a, b, order):
     a = a[: order + 1]
     b = b[: order + 1]
@@ -151,7 +139,7 @@ def _mul_trunc(a, b, order):
         # one exact integer convolution, then one gcd per output coefficient
         na, da = _common_denominator(a)
         nb, db = _common_denominator(b)
-        return [Fraction(c, da * db) for c in _int_mul_trunc(na, nb, order)]
+        return [Fraction(c, da * db) for c in _mul_trunc(na, nb, order)]
     zero = a[0] * 0
     out = [zero] * (order + 1)
     for i, ai in enumerate(a):
@@ -199,7 +187,7 @@ def _compose_trunc(f, g, order):
         nums, den = [f[-1].numerator], f[-1].denominator
         for k in range(len(f) - 2, -1, -1):
             q = f[k].denominator
-            nums = [c * q for c in _int_mul_trunc(nums, ng, order - k)]
+            nums = [c * q for c in _mul_trunc(nums, ng, order - k)]
             nums[0] += f[k].numerator * den * dg
             den *= dg * q
             common = math.gcd(den, *nums)

@@ -35,7 +35,7 @@ def _lagrange_inverse(f: TruncatedSeries) -> list:
     ratio, rden = powerseries._common_denominator(powerseries._recip_trunc(f.coeffs[1:], top))
     power, den, out = ratio, rden, [Fraction(ratio[0], rden)]
     for n in range(2, f.order + 1):
-        power = powerseries._int_mul_trunc(power, ratio, top)
+        power = powerseries._mul_trunc(power, ratio, top)
         common = math.gcd(den * rden, *power)
         power, den = [c // common for c in power], den * rden // common
         out.append(Fraction(power[n - 1], den * n))

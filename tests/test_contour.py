@@ -102,9 +102,9 @@ class TestStopRule:
 
         def level(n, live):
             w = contour_nodes(spec, n)
-            return w, [(0, np.array([self.fast(w), self.slow(w)]))]
+            return w, np.array([[self.fast(w), self.slow(w)]])
 
-        [(values, samples, delta)] = contour._adaptive_quadrature(level, spec, (1, 2))
+        [(values, samples, delta)] = contour._adaptive_quadrature(level, spec)
         assert samples == 128
         # both values come from the 128-node doubling, the fast one too
         w = contour_nodes(spec, 128)
@@ -167,7 +167,7 @@ class TestPkmResidue:
             def level(n, live, k=k, m=m):
                 w = contour_nodes(spec, n)
                 fw = kappa * w ** (m - 1) * (1 - w * w) ** k / (w - kappa) ** (m + 1)
-                return w, [(0, fw[None])]
+                return w, fw[None, None]
 
             [(values, samples, _)] = contour._adaptive_quadrature(level, spec)
             out.append((values[0].real, samples))

@@ -692,3 +692,32 @@ class TestJacobiMoments:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             jacobi_moments([1.0, 1.0], FlowParams(0.0, 1.0), 3)
+
+    @staticmethod
+    def _inline_sum(u, params, order):
+        """Each moment from its own binomial sum, in the order it adds the terms."""
+        out = []
+        for n in range(1, order + 1):
+            tail = sum((binomial(2 * n, n - k) * u[k - 1] for k in range(1, n + 1)),
+                       start=u[0] * 0)
+            out.append(Fraction(binomial(2 * n, n), 2 ** (2 * n + 1))
+                       + params.kappa * Fraction(1, 2) + Fraction(1, 4**n) * tail)
+        return out
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.3])
+    def test_float_moments_bit_for_bit(self, kappa):
+        rng = random.Random(577)
+        p = FlowParams(kappa, 0.9)
+        # a unitary law's moments, and signed ones whose zero is -0.0
+        for u in ([maps.k_series_coeff(0.9, k) / 2 for k in range(1, 17)],
+                  [-0.5] + [rng.uniform(-1, 1) for _ in range(15)]):
+            got = jacobi_moments(u, p, 16)
+            assert [x.hex() for x in got] == [x.hex() for x in self._inline_sum(u, p, 16)]
+
+    def test_fraction_moments_exact(self):
+        rng = random.Random(578)
+        u = [Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(12)]
+        p = FlowParams(Fraction(-2, 9), 1.0)
+        got = jacobi_moments(u, p, 12)
+        assert got == self._inline_sum(u, p, 12)
+        assert all(type(m) is Fraction for m in got)

@@ -58,6 +58,7 @@ _KINDS = {
     "int-mixed-right": lambda a, b, rng: (
         b, [rng.randint(-9, 9) if k % 2 else x for k, x in enumerate(a)]),
     "int-first": lambda a, b, rng: ([rng.randint(-9, 9)] + a[1:], b),
+    "int": lambda a, b, rng: ([x.numerator for x in a], [x.numerator for x in b]),
     "float": lambda a, b, rng: ([float(x) for x in a], [float(x) for x in b]),
     "complex": lambda a, b, rng: (
         [complex(float(x), -float(y)) for x, y in zip(a, a[::-1])],

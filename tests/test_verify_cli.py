@@ -532,6 +532,9 @@ class TestFailureClasses:
             (["integral", "--kappa", "0.45119595864816286", "--t", "1.6551909559023368",
               "--z", "0.6130674614296436,-0.5379044737059789"], 3,
              "error: numerical failure: ", 1),
+            # --n is the table's truncation order, not a coefficient index
+            (["coeffs", "--kappa", "0.5", "--t", "1", "--n", "0"], 64,
+             "error: truncation order must be a positive integer", 1),
         ],
     )
     def test_exit_code_and_one_message(self, argv, code, prefix, lines, tmp_path, capsys,
