@@ -305,8 +305,8 @@ def phi_series(params: FlowParams, order: int) -> TruncatedSeries:
 
 def big_phi_series(params: FlowParams, order: int) -> TruncatedSeries:
     """Taylor expansion of alpha(phi(z)) about z = 1, exact like
-    :func:`phi_series`; reverting it is the independent oracle for the
-    inverted-flow coefficients."""
+    :func:`phi_series`; its reversion is the inverted-flow series, which
+    ``verify`` forms as the reversion of phi composed with alpha_inv."""
     return _alpha_series(phi_series(params, order))
 
 
@@ -315,3 +315,8 @@ def _alpha_series(v: TruncatedSeries) -> TruncatedSeries:
     its base point: the Catalan generating function less 1, one composition."""
     cat = [Fraction(math.comb(2 * n, n), (n + 1) * 4**n) for n in range(1, v.order + 1)]
     return series_compose(TruncatedSeries(Fraction(0), [Fraction(0)] + cat), v)
+
+
+def _alpha_inv_series(order: int) -> TruncatedSeries:
+    """alpha_inv(w) = 4w/(1 + w)**2 = sum_{n>=1} 4 (-1)**(n-1) n w**n, exact, about 0."""
+    return TruncatedSeries(Fraction(0), [Fraction(-4 * n * (-1) ** n) for n in range(order + 1)])

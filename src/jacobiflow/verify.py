@@ -4,13 +4,17 @@ oracle, every branch and kernel condition on explicit grids.
 ``run_checks`` is the one definition of each named check: the test suite
 asserts its entries over a grid of parameters, and the command line re-runs
 them for arbitrary ones.  ``fast`` keeps the grids small; ``full`` runs
-acceptance-sized ones.  A run expands phi about z = 1 once, exactly, and
-hands truncations of it to every check that reads it.
+acceptance-sized ones.  The 14 checks that read neither kappa nor t run once
+per process and level, in ``_fixed_entries`` (``cache_clear()`` resets it).
+A run expands phi about z = 1 once, exactly, and hands truncations of it to
+every check that reads it.  The reversion oracle reverts phi and composes
+that with alpha_inv's integer series: (alpha o phi)^-1 = phi^-1 o alpha_inv.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction
@@ -142,7 +146,7 @@ def _check_powerseries(rep: VerifyReport, full: bool):
 # -- combinatorial layer --------------------------------------------------------
 
 
-def _check_flow_exact(rep: VerifyReport, kappa: float, full: bool):
+def _check_flow_fixed(rep: VerifyReport, full: bool):
     worst = 0
     n_max = 20 if full else 12
     for n in range(1, n_max + 1):
@@ -169,10 +173,11 @@ def _check_flow_exact(rep: VerifyReport, kappa: float, full: bool):
                 for n in range(1, 31) for k in range(n + 1))
     rep.check("invrel-forms-agree", 0.0 if agree else 1.0, 0.0)
 
+
+def _check_flow_kappa(rep: VerifyReport, kappa: float):
     kap_exact = Fraction(kappa)
     p = flow.FlowParams(kap_exact, 1.0)
-    ones = [Fraction(1)] * 16
-    moments = flow.jacobi_moments(ones, p, 16)
+    moments = flow.jacobi_moments([Fraction(1)] * 16, p, 16)
     want = (1 + kap_exact) / 2
     worst = max(abs(m - want) for m in moments)
     rep.check("moment-expansion-constant", float(worst), 0.0, kappa=kappa)
@@ -180,9 +185,7 @@ def _check_flow_exact(rep: VerifyReport, kappa: float, full: bool):
     if kappa != 0.0:
         pp = flow.FlowParams(kappa, 1.0)
         pm = flow.FlowParams(-kappa, 1.0)
-        worst = max(
-            abs(flow.a_coeff(pp, n) - flow.a_coeff(pm, n)) for n in range(1, 11)
-        )
+        worst = max(abs(flow.a_coeff(pp, n) - flow.a_coeff(pm, n)) for n in range(1, 11))
         rep.check("evenness-in-kappa", worst, 0.0)
 
 
@@ -200,7 +203,7 @@ def _check_oracles(rep: VerifyReport, params: flow.FlowParams, phi_s, full: bool
     rep.check("lagrange-inversion-oracle", worst, 1e-9, n_max=n_max)
 
     order = phi_s.order
-    oracle = series_revert(maps._alpha_series(phi_s))
+    oracle = series_compose(series_revert(phi_s), maps._alpha_inv_series(order))
     closed = flow.phi_inv_coeffs(params, order)
     worst = max(_rel(float(a), b) for a, b in zip(oracle.coeffs, closed.coeffs))
     rep.check("reversion-oracle", worst, 1e-9, order=order,
@@ -225,16 +228,38 @@ def _check_oracles(rep: VerifyReport, params: flow.FlowParams, phi_s, full: bool
 # -- conformal maps -------------------------------------------------------------
 
 
-def _check_maps(rep: VerifyReport, params: flow.FlowParams, phi_s, full: bool):
-    t = float(params.t)
-    kap = float(params.kappa)
-
+def _check_helpers(rep: VerifyReport, full: bool):
     res = abs(maps.alpha(0.75) - 1 / 3) + abs(maps.alpha_inv(1 / 3) - 0.75)
     for z in (-0.5, 0.2 + 0.4j):
         res = max(res, abs(maps.alpha_inv(maps.alpha(z)) - z))
     res = max(res, abs(maps.alpha(maps.alpha_inv(0.3j)) - 0.3j))
     rep.check("alpha-roundtrip", res, 1e-13)
 
+    res = abs(maps.r_func(0.3 + 0.1j, 0.0) - (1 - (0.3 + 0.1j)))
+    res = max(res, abs(maps.r_func(0.0, 0.4) - 1.0))
+    res = max(res, abs(maps.y_func(0.2 + 0.1j, 0.0) - (0.2 + 0.1j)))
+    res = max(res, abs(maps.y_func(0.0, 0.4)))
+    for z, w in ((0.1 + 0.05j, 0.45), (0.2, 0.3 + 0.2j)):
+        rr = maps.r_func(z, w)
+        res = max(res, abs(maps.y_func(z, w) - (1 + z - rr) / (1 + z + rr)))
+    rep.check("kernel-identities", res, 1e-13)
+
+    spec = contour.ContourSpec(0.4 + 0j, 0.2, 64)
+    res = abs(contour.circle_quadrature(lambda w: 1.0 / (w - 0.4), spec) - 1.0)
+    res = max(res, abs(contour.circle_quadrature(lambda w: np.ones_like(w), spec)))
+    res = max(res, abs(contour.circle_quadrature(lambda w: (w - 0.4) ** -2.0, spec)))
+    rep.check("quadrature-residues", res, 1e-12)
+
+    rep.add(contour.jacobi_gen_check(1, 0.2, 0.6, n_terms=100, tol=1e-9))
+    for j in (2,) if not full else (2, 3, 4):
+        rep.add(contour.jacobi_gen_check(j, 0.15, 0.5 + 0.1j, n_terms=150, tol=1e-8))
+
+
+def _check_maps(rep: VerifyReport, params: flow.FlowParams, phi_s, full: bool):
+    t = float(params.t)
+    kap = float(params.kappa)
+
+    rep.entries += _fixed_entries(full)["alpha-roundtrip"]
     radii = (0.1, 0.3, 0.5, 0.7, 0.9)
     angles = np.linspace(0.0, 2 * np.pi, 12 if full else 8, endpoint=False)
     worst = abs(maps.herglotz_k(t, 0.0) - 1.0)
@@ -333,15 +358,7 @@ def _check_maps(rep: VerifyReport, params: flow.FlowParams, phi_s, full: bool):
         worst = max(worst, abs(maps.big_phi(params, inv(z)) - z))
     rep.check("flow-roundtrip-pointwise", worst, 1e-8)
 
-    # kernel helpers
-    res = abs(maps.r_func(0.3 + 0.1j, 0.0) - (1 - (0.3 + 0.1j)))
-    res = max(res, abs(maps.r_func(0.0, 0.4) - 1.0))
-    res = max(res, abs(maps.y_func(0.2 + 0.1j, 0.0) - (0.2 + 0.1j)))
-    res = max(res, abs(maps.y_func(0.0, 0.4)))
-    for z, w in ((0.1 + 0.05j, 0.45), (0.2, 0.3 + 0.2j)):
-        rr = maps.r_func(z, w)
-        res = max(res, abs(maps.y_func(z, w) - (1 + z - rr) / (1 + z + rr)))
-    rep.check("kernel-identities", res, 1e-13)
+    rep.entries += _fixed_entries(full)["kernel-identities"]
 
     probe_kap = kap if kap != 0.0 else 0.3
     zs = np.linspace(-0.95, 0.95, 39)
@@ -367,12 +384,7 @@ def _check_contour(rep: VerifyReport, params: flow.FlowParams, full: bool):
     t = float(params.t)
     kap = float(params.kappa)
 
-    spec = contour.ContourSpec(0.4 + 0j, 0.2, 64)
-    res = abs(contour.circle_quadrature(lambda w: 1.0 / (w - 0.4), spec) - 1.0)
-    res = max(res, abs(contour.circle_quadrature(lambda w: np.ones_like(w), spec)))
-    res = max(res, abs(contour.circle_quadrature(lambda w: (w - 0.4) ** -2.0, spec)))
-    rep.check("quadrature-residues", res, 1e-12)
-
+    rep.entries += _fixed_entries(full)["quadrature-residues"]
     probe = flow.FlowParams(kap if kap != 0.0 else 0.6, t)
     pk = float(probe.kappa)
     cs = contour._circle(pk, abs(pk) / 2, 64)
@@ -390,11 +402,8 @@ def _check_contour(rep: VerifyReport, params: flow.FlowParams, full: bool):
 
     specs = [(0, 0.2, 80, 1e-10)]  # (m, y, n_terms, tol)
     specs += [(m, 0.3, 120, 1e-8) for m in ((1, 2) if not full else (1, 2, 3, 4))]
-    for entry in contour.laguerre_gen_checks(specs, t):
-        rep.add(entry)
-    rep.add(contour.jacobi_gen_check(1, 0.2, 0.6, n_terms=100, tol=1e-9))
-    for j in (2,) if not full else (2, 3, 4):
-        rep.add(contour.jacobi_gen_check(j, 0.15, 0.5 + 0.1j, n_terms=150, tol=1e-8))
+    rep.entries += contour.laguerre_gen_checks(specs, t)
+    rep.entries += _fixed_entries(full)["jacobi-generating"]
 
     mser = flow.m_series_coeffs(params, 16)
     if kap == 0.0:
@@ -429,16 +438,31 @@ def _check_contour(rep: VerifyReport, params: flow.FlowParams, full: bool):
     rep.check("branch-bound-estimate", max(0.0, bound_gap), 1e-12)
 
 
+@functools.cache
+def _fixed_entries(full: bool) -> dict:
+    """The entries that read neither kappa nor t, by name, computed once per
+    process and level; reports share them, as VerifyEntry is frozen."""
+    rep = VerifyReport()
+    for check in (_check_specfun, _check_powerseries, _check_flow_fixed, _check_helpers):
+        check(rep, full)
+    names = dict.fromkeys(e.name for e in rep.entries)
+    return {name: tuple(e for e in rep.entries if e.name == name) for name in names}
+
+
 def run_checks(kappa: float, t: float, level: str = "fast") -> VerifyReport:
-    """Run the named verification suite for one parameter pair."""
+    """Run the named verification suite for one parameter pair; the entries
+    of ``_fixed_entries`` go where their sections put them."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     full = level == "full"
     params = flow.FlowParams(kappa, t)
     rep = VerifyReport()
-    _check_specfun(rep, full)
-    _check_powerseries(rep, full)
-    _check_flow_exact(rep, kappa, full)
+    for name in ("pochhammer-convention", "binomial-edges", "jacobi-symmetry",
+                 "jacobi-exact-complex", "laguerre-exact-consistency", "series-roundtrip-complex",
+                 "series-reversion-exact", "pnm-structure", "transform-roundtrip-exact",
+                 "invrel-forms-agree"):
+        rep.entries += _fixed_entries(full)[name]
+    _check_flow_kappa(rep, kappa)
     phi_s = maps.phi_series(params, 12 if full else 8)
     _check_oracles(rep, params, phi_s, full)
     _check_maps(rep, params, phi_s, full)

@@ -693,6 +693,12 @@ class TestJacobiMoments:
         with pytest.raises(ValueError):
             jacobi_moments([1.0, 1.0], FlowParams(0.0, 1.0), 3)
 
+    @pytest.mark.parametrize("order", [0, -2, 2.0])
+    def test_order_validation(self, order):
+        # an order below 1 once returned [] and a float one a bare TypeError
+        with pytest.raises(ValueError, match="truncation order must be a positive integer"):
+            jacobi_moments([0.5] * 3, FlowParams(0.3, 1.0), order)
+
     @staticmethod
     def _inline_sum(u, params, order):
         """Each moment from its own binomial sum, in the order it adds the terms."""

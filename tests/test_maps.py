@@ -27,7 +27,7 @@ from jacobiflow.maps import (
     xi,
     y_func,
 )
-from jacobiflow.powerseries import TruncatedSeries, series_sqrt
+from jacobiflow.powerseries import TruncatedSeries, series_compose, series_revert, series_sqrt
 from jacobiflow.specfun import laguerre
 from jacobiflow.verify import run_checks
 from conftest import assert_entries, entries
@@ -467,6 +467,28 @@ class TestFlowMaps:
         z = 1.02
         assert phi_series(p, 24)(z) == pytest.approx(phi(p, z), rel=1e-12, abs=0)
         assert big_phi_series(p, 24)(z) == pytest.approx(big_phi(p, z), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kappa, t", [(0.5, 1.0), (0.0, 2.0), (-0.3, 0.01), (0.99999, 50.0)])
+    @pytest.mark.parametrize("order", [8, 12])
+    def test_reversion_through_phi_inverse(self, kappa, t, order):
+        # verify's reversion oracle: (alpha o phi)^-1 = phi^-1 o alpha_inv, exactly
+        p = FlowParams(kappa, t)
+        got = series_compose(series_revert(phi_series(p, order)), maps._alpha_inv_series(order))
+        want = series_revert(big_phi_series(p, order))
+        assert got.base == want.base
+        assert got.coeffs == want.coeffs
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+    @pytest.mark.parametrize("order", [1, 2, 8, 12, 64])
+    def test_alpha_inv_series(self, order):
+        # 4 xi / (1 + xi)**2 in the exact series arithmetic phi_series uses
+        one = Fraction(1)
+        xi_s = TruncatedSeries.variable(Fraction(0), order, one=one)
+        want = 4 * xi_s * ((1 + xi_s) * (1 + xi_s)).reciprocal()
+        got = maps._alpha_inv_series(order)
+        assert got.base == want.base
+        assert got.coeffs == want.coeffs
+        assert all(type(c) is Fraction for c in got.coeffs)
 
 
 class TestPsi:

@@ -94,12 +94,22 @@ class TestEntryNames:
         assert [e.name for e in report(kappa, 1.0, level).entries] == want
 
 
+@pytest.fixture
+def fresh_fixed_entries():
+    """verify's parameter-free entries recomputed in the test, and again after it."""
+    verify._fixed_entries.cache_clear()
+    yield
+    verify._fixed_entries.cache_clear()
+
+
 class TestUnchangedReport:
     """The term-ratio evaluators leave every verify residual where the
-    term-by-term sums put it."""
+    term-by-term sums put it.  The parameter-free entries are recomputed with
+    the patched functions too."""
 
     @pytest.mark.parametrize("kappa,t", [(0.44, 1.78), (0.0, 1.0)])
-    def test_reference_sums_give_the_same_report(self, kappa, t, monkeypatch):
+    def test_reference_sums_give_the_same_report(self, kappa, t, fresh_fixed_entries,
+                                                 monkeypatch):
         got = report(kappa, t, "fast").to_dict()
         # k_series_coeff reads the unreduced sum behind laguerre
         references = {
@@ -114,11 +124,62 @@ class TestUnchangedReport:
         want = run_checks(kappa, t, "fast").to_dict()
         assert got == want
 
-    def test_ring_loop_products_give_the_same_full_report(self, monkeypatch):
+    def test_ring_loop_products_give_the_same_full_report(self, fresh_fixed_entries,
+                                                           monkeypatch):
         got = run_checks(0.44, 1.78, "full").to_dict()
         monkeypatch.setattr(powerseries, "_mul_trunc", _reference_mul_trunc)
+        verify._fixed_entries.cache_clear()
         want = run_checks(0.44, 1.78, "full").to_dict()
         assert got == want
+
+
+class TestFixedEntries:
+    """The entries that read neither kappa nor t are computed once per
+    process and level and shared by every report."""
+
+    def test_each_fixed_check_runs_once_per_level(self, fresh_fixed_entries, monkeypatch):
+        calls = {}
+
+        def counting(module, name):
+            func = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return func(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("_check_specfun", "_check_powerseries", "_check_flow_fixed",
+                     "_check_helpers"):
+            counting(verify, name)
+        counting(contour, "jacobi_gen_check")
+        for level in ("fast", "full", "fast", "full"):
+            for kappa, t in ((0.5, 1.0), (0.3, 2.0)):
+                assert run_checks(kappa, t, level).passed
+        # one call per level; the Jacobi generating checks are 2 at fast, 4 at full
+        assert calls == {"_check_specfun": 2, "_check_powerseries": 2, "_check_flow_fixed": 2,
+                         "_check_helpers": 2, "jacobi_gen_check": 6}
+
+    @pytest.mark.parametrize("kappa,t,level", [(0.5, 1.0, "full"), (0.0, 1.0, "fast")])
+    def test_cold_and_warm_reports_agree(self, kappa, t, level, fresh_fixed_entries):
+        cold = run_checks(kappa, t, level)
+        run_checks(0.3, 2.0, level)
+        warm = run_checks(kappa, t, level)
+        assert warm.to_dict() == cold.to_dict()
+        assert warm.format() == cold.format()
+        # the warm report holds the cold one's entry objects for every fixed name
+        fixed = verify._fixed_entries(level == "full")
+        shared = [e for e in warm.entries if e.name in fixed]
+        assert len(shared) == sum(map(len, fixed.values())) == (15 if level == "fast" else 17)
+        assert all(any(e is f for f in fixed[e.name]) for e in shared)
+
+    def test_fault_shows_after_cache_clear(self, fresh_fixed_entries, monkeypatch):
+        assert run_checks(0.5, 1.0, "fast").passed
+        binomial = verify.binomial
+        monkeypatch.setattr(verify, "binomial", lambda n, k: binomial(n, k) + (n == 40))
+        verify._fixed_entries.cache_clear()
+        rep = run_checks(0.5, 1.0, "fast")
+        assert [e.name for e in rep.entries if not e.passed] == ["binomial-edges"]
+        assert "FAIL  binomial-edges" in rep.format()
 
 
 class TestHerglotzCalls:
