@@ -574,7 +574,7 @@ def jacobi_moments(unitary_moments, params: FlowParams, order: int):
     ``unitary_moments[k-1]`` holds tau(U^k).  Exact when the moments and
     kappa are Fractions.
     """
-    order = _check_order(order)
+    order = _check_index(order, "truncation order")
     u = list(unitary_moments)
     if len(u) < order:
         raise ValueError(f"need at least {order} unitary moments, got {len(u)}")

@@ -699,6 +699,13 @@ class TestJacobiMoments:
         with pytest.raises(ValueError, match="truncation order must be a positive integer"):
             jacobi_moments([0.5] * 3, FlowParams(0.3, 1.0), order)
 
+    def test_order_above_the_series_cap(self):
+        # the coefficient engine's MAX_ORDER does not bound the moment expansion
+        kappa = Fraction(3, 10)
+        order = MAX_ORDER + 6
+        got = jacobi_moments([Fraction(1)] * order, FlowParams(kappa, 1.0), order)
+        assert got == [(1 + kappa) / 2] * order
+
     @staticmethod
     def _inline_sum(u, params, order):
         """Each moment from its own binomial sum, in the order it adds the terms."""

@@ -121,6 +121,7 @@ class TestUnchangedReport:
             for name, ref in references.items():
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, ref)
+        verify._fixed_entries.cache_clear()
         want = run_checks(kappa, t, "fast").to_dict()
         assert got == want
 
@@ -166,11 +167,10 @@ class TestFixedEntries:
         warm = run_checks(kappa, t, level)
         assert warm.to_dict() == cold.to_dict()
         assert warm.format() == cold.format()
-        # the warm report holds the cold one's entry objects for every fixed name
-        fixed = verify._fixed_entries(level == "full")
-        shared = [e for e in warm.entries if e.name in fixed]
-        assert len(shared) == sum(map(len, fixed.values())) == (15 if level == "fast" else 17)
-        assert all(any(e is f for f in fixed[e.name]) for e in shared)
+        # the warm report holds every cached entry object, each once
+        fixed = [e for part in verify._fixed_entries(level == "full").values() for e in part]
+        assert len(fixed) == (15 if level == "fast" else 17)
+        assert sum(any(e is f for f in fixed) for e in warm.entries) == len(fixed)
 
     def test_fault_shows_after_cache_clear(self, fresh_fixed_entries, monkeypatch):
         assert run_checks(0.5, 1.0, "fast").passed
