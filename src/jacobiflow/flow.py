@@ -53,7 +53,7 @@ from functools import cache, lru_cache
 from itertools import accumulate, repeat
 
 from .powerseries import MAX_ORDER, TruncatedSeries, _common_denominator
-from .specfun import binomial, pochhammer
+from .specfun import binomial
 
 
 def _exp_neg_t(t) -> tuple[int, int]:
@@ -128,14 +128,13 @@ class FlowParams:
 
 @dataclass(frozen=True)
 class RationalPoly:
-    """Polynomial in eps with exact Fraction coefficients (low degree first)."""
+    """Polynomial in eps with exact coefficients (low degree first): ints
+    stay ints, and every other entry becomes a Fraction."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
-        if not cs:
-            cs = (Fraction(0),)
+        cs = tuple(c if type(c) is int else Fraction(c) for c in self.coeffs) or (0,)
         while len(cs) > 1 and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
@@ -156,14 +155,15 @@ def pnm_poly(n: int, m: int) -> RationalPoly:
     """Exact coefficient polynomial of the (z-1)^m term in the binomial
     expansion of (1 - eps/z**2)**n about z = 1.
 
-    The eps**k coefficient is (-1)**(m+k) C(n, k) (2k)_m / m!.
+    The eps**k coefficient is (-1)**(m+k) C(n, k) (2k)_m / m!, an integer:
+    (2k)_m / m! = C(2k+m-1, m) for k >= 1, and (0)_m / m! is 1 at m = 0 and
+    0 otherwise.
     """
     if n < 0 or m < 0:
         raise ValueError("pnm_poly needs n, m >= 0")
-    fact_m = math.factorial(m)
-    coeffs = [
-        Fraction((-1) ** (m + k) * binomial(n, k) * pochhammer(2 * k, m), fact_m)
-        for k in range(n + 1)
+    coeffs = [int(m == 0)] + [
+        (-1) ** (m + k) * math.comb(n, k) * math.comb(2 * k + m - 1, m)
+        for k in range(1, n + 1)
     ]
     return RationalPoly(tuple(coeffs))
 
@@ -481,7 +481,12 @@ class _CoeffEngine:
 
 @lru_cache(maxsize=16)
 def _engine(params: FlowParams) -> _CoeffEngine:
-    return _CoeffEngine(params)
+    """The engine of (eps, t), filed under |kappa|, a float where that is
+    exact, and float t: kappa enters only through eps, so -kappa, and a
+    float kappa and its equal Fraction, share one engine."""
+    root = abs(Fraction(params.kappa))
+    key = FlowParams(float(root) if float(root) == root else root, float(params.t))
+    return _CoeffEngine(params) if key == params else _engine(key)
 
 
 def _check_index(n, name="coefficient index") -> int:

@@ -183,16 +183,18 @@ def _compose_trunc(f, g, order):
     """
     zero = g[0] * 0
     if all(type(c) is Fraction for c in f + g):
+        # the accumulator is nums / (df scale), scale a divisor of a power of dg
+        nf, df = _common_denominator(f)
         ng, dg = _common_denominator(g)
-        nums, den = [f[-1].numerator], f[-1].denominator
+        nums, scale = [nf[-1]], 1
         for k in range(len(f) - 2, -1, -1):
-            q = f[k].denominator
-            nums = [c * q for c in _mul_trunc(nums, ng, order - k)]
-            nums[0] += f[k].numerator * den * dg
-            den *= dg * q
-            common = math.gcd(den, *nums)
-            nums, den = [c // common for c in nums], den // common
-        acc = [Fraction(c, den) for c in nums]
+            nums = _mul_trunc(nums, ng, order - k)
+            scale *= dg
+            nums[0] += nf[k] * scale
+            common = math.gcd(scale, *nums)
+            if common > 1:
+                nums, scale = [c // common for c in nums], scale // common
+        acc = [Fraction(c, df * scale) for c in nums]
     else:
         acc = [f[-1]]
         for k in range(len(f) - 2, -1, -1):

@@ -147,19 +147,20 @@ def _check_powerseries(rep: VerifyReport, full: bool):
 
 
 def _check_flow_fixed(rep: VerifyReport, full: bool):
-    worst = 0
+    # each P_{n,m} against its definition: the value at eps = 3 is the x**m
+    # coefficient of (1 - 3/(1+x)**2)**n, expanded on integers by the ring
+    # loop, with 1/(1+x)**2 = sum_j (-1)**j (j+1) x**j; and P_{n,0} is
+    # (1-eps)**n, P_{n,m}(0) is 1 at m = 0 and 0 otherwise, the degree <= n
     n_max = 20 if full else 12
+    base = [-2] + [3 * (-1) ** (j + 1) * (j + 1) for j in range(1, n_max + 1)]
+    power, worst = [1] + [0] * n_max, 0
     for n in range(1, n_max + 1):
-        p0 = flow.pnm_poly(n, 0)
-        binom_row = tuple(Fraction((-1) ** k * binomial(n, k)) for k in range(n + 1))
-        if p0.coeffs != binom_row:
-            worst = max(worst, 1)
-        for m in range(0, n_max + 1):
+        power = powerseries._mul_trunc(power, base, n_max)
+        bad = flow.pnm_poly(n, 0).coeffs != tuple((-1) ** k * binomial(n, k) for k in range(n + 1))
+        for m in range(n_max + 1):
             poly = flow.pnm_poly(n, m)
-            if poly.degree > n:
-                worst = max(worst, 1)
-            if poly.coeffs[0] != (1 if m == 0 else 0):
-                worst = max(worst, 1)
+            bad |= poly.degree > n or poly.coeffs[0] != int(m == 0) or poly(3) != power[m]
+        worst = max(worst, int(bad))
     rep.check("pnm-structure", float(worst), 0.0, n_max=n_max)
 
     rng = random.Random(41)
@@ -192,7 +193,7 @@ def _check_flow_kappa(rep: VerifyReport, kappa: float):
 # -- oracles for the coefficient formulas --------------------------------------
 
 
-def _check_oracles(rep: VerifyReport, params: flow.FlowParams, phi_s, full: bool):
+def _check_oracles(rep: VerifyReport, params: flow.FlowParams, phi_s, k_coeffs, full: bool):
     n_max = 10 if full else 6
     # truncated products leave the low coefficients alone, so the extraction
     # reads phi_s cut to the order it needs
@@ -213,7 +214,7 @@ def _check_oracles(rep: VerifyReport, params: flow.FlowParams, phi_s, full: bool
     t = float(params.t)
     p0 = flow.FlowParams(0.0, t)
     inv0 = flow.phi_inv_coeffs(p0, 16)
-    worst = max(_rel(inv0.coeffs[n], maps.k_series_coeff(t, n)) for n in range(1, 17))
+    worst = max(_rel(a, b) for a, b in zip(inv0.coeffs[1:], k_coeffs))
     rep.check("kzero-closed-form", worst, 1e-10, t=t)
 
     # derivative series: z d/dz of the inverted-flow series against the
@@ -255,7 +256,7 @@ def _check_helpers(rep: VerifyReport, full: bool):
         rep.add(contour.jacobi_gen_check(j, 0.15, 0.5 + 0.1j, n_terms=150, tol=1e-8))
 
 
-def _check_maps(rep: VerifyReport, params: flow.FlowParams, phi_s, full: bool):
+def _check_maps(rep: VerifyReport, params: flow.FlowParams, phi_s, k_coeffs, full: bool):
     t = float(params.t)
     kap = float(params.kappa)
 
@@ -276,11 +277,10 @@ def _check_maps(rep: VerifyReport, params: flow.FlowParams, phi_s, full: bool):
     rep.check("herglotz-positivity", max(0.0, -pos), 0.0, min_real=pos)
     rep.check("herglotz-conjugate-symmetry", sym, 1e-12)
 
-    coeffs = [maps.k_series_coeff(t, n) for n in range(1, 61)]
     ys = (0.2, -0.3, 0.15 + 0.2j, 0.3j)
     worst = 0.0
     for y, K in zip(ys, maps.herglotz_k(t, np.array(ys)).tolist()):
-        partial = 1.0 + sum(c * y**n for n, c in enumerate(coeffs, start=1))
+        partial = 1.0 + sum(c * y**n for n, c in enumerate(k_coeffs, start=1))
         worst = max(worst, abs(partial - K))
     rep.check("herglotz-series-agreement", worst, 1e-10, t=t)
 
@@ -464,7 +464,9 @@ def run_checks(kappa: float, t: float, level: str = "fast") -> VerifyReport:
     rep.entries += _fixed_entries(full)["lead"]
     _check_flow_kappa(rep, kappa)
     phi_s = maps.phi_series(params, 12 if full else 8)
-    _check_oracles(rep, params, phi_s, full)
-    _check_maps(rep, params, phi_s, full)
+    # the Herglotz coefficients at kappa = 0: 16 for kzero-closed-form, 60 for the series
+    k_coeffs = [maps.k_series_coeff(float(t), n) for n in range(1, 61)]
+    _check_oracles(rep, params, phi_s, k_coeffs, full)
+    _check_maps(rep, params, phi_s, k_coeffs, full)
     _check_contour(rep, params, full)
     return rep

@@ -32,7 +32,7 @@ from jacobiflow.flow import (
     s_coeff,
 )
 from jacobiflow.powerseries import MAX_ORDER, series_revert
-from jacobiflow.specfun import binomial, laguerre
+from jacobiflow.specfun import binomial, laguerre, pochhammer
 from conftest import assert_entries
 
 
@@ -138,6 +138,22 @@ class TestPnmPoly:
         p = RationalPoly((Fraction(1), Fraction(0), Fraction(0)))
         assert p.coeffs == (Fraction(1),)
         assert p.degree == 0
+
+    def test_rational_poly_keeps_ints(self):
+        p = RationalPoly((3, Fraction(1, 2), 0.25, 0))
+        assert p.coeffs == (3, Fraction(1, 2), Fraction(1, 4))
+        assert [type(c) for c in p.coeffs] == [int, Fraction, Fraction]
+        assert RationalPoly(()).coeffs == (0,)
+
+    def test_integer_coefficients_equal_the_pochhammer_form(self):
+        # the eps**k coefficient (-1)**(m+k) C(n, k) (2k)_m / m!, as Fractions
+        for n in range(21):
+            for m in range(21):
+                old = [Fraction((-1) ** (m + k) * binomial(n, k) * pochhammer(2 * k, m),
+                                math.factorial(m)) for k in range(n + 1)]
+                got = pnm_poly(n, m).coeffs
+                assert all(type(c) is int for c in got), (n, m)
+                assert got == RationalPoly(tuple(old)).coeffs, (n, m)
 
 
 class TestACoeff:
@@ -277,6 +293,17 @@ class TestSeries:
 
 
 class TestExactEngine:
+    @pytest.mark.parametrize("kappa", [0.5, 0.37, Fraction(2, 7)])
+    def test_one_engine_per_eps_and_t(self, kappa):
+        # kappa enters through eps alone: -kappa, and a float kappa and its
+        # equal Fraction, share one engine
+        _engine.cache_clear()
+        eng = _engine(FlowParams(kappa, 1.25))
+        for k in (-kappa, Fraction(kappa), -Fraction(kappa)):
+            assert _engine(FlowParams(k, 1.25)) is eng
+        assert _engine(FlowParams(kappa, 1.5)) is not eng
+        assert a_coeff(FlowParams(-kappa, 1.25), 5) == a_coeff(FlowParams(kappa, 1.25), 5)
+
     @pytest.mark.parametrize("kappa", [0.3, 0.7])
     @pytest.mark.parametrize("t", [0.5, 2.5])
     def test_b_and_m_rounded_once(self, kappa, t):

@@ -117,6 +117,25 @@ class TestComposeTruncKernel:
                 assert got == _reference_compose_trunc(f, g, order), order
                 assert len(got) == order + 1
 
+    @pytest.mark.parametrize("f_kind", ["integer", "unequal-denominators"])
+    def test_fractions_match_the_ring_loop(self, f_kind):
+        # f over its common denominator, Horner on integer numerators,
+        # against Horner on the Fractions themselves
+        rng = random.Random(1618)
+        dens = [1] if f_kind == "integer" else [1, 2, 3, 4, 7, 12, 2**20, 999983]
+        for order in range(1, 13):
+            for _ in range(3):
+                f = [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(order + 1)]
+                g = [Fraction(0)] + [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 4, 6, 9]))
+                                     for _ in range(order)]
+                want = [f[-1]]
+                for k in range(order - 1, -1, -1):
+                    want = _reference_mul_trunc(want, g, order)
+                    want[0] += f[k]
+                got = powerseries._compose_trunc(f, g, order)
+                assert got == want, (order, f, g)
+                assert all(type(c) is Fraction for c in got)
+
 
 class TestConstruction:
     def test_order(self):

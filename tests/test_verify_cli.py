@@ -1,4 +1,5 @@
 import cmath
+import functools
 import hashlib
 import json
 import math
@@ -180,6 +181,23 @@ class TestFixedEntries:
         rep = run_checks(0.5, 1.0, "fast")
         assert [e.name for e in rep.entries if not e.passed] == ["binomial-edges"]
         assert "FAIL  binomial-edges" in rep.format()
+
+
+    @pytest.mark.parametrize("kappa,t,level", [(0.5, 1.0, "fast"), (0.3, 2.0, "full")])
+    def test_pnm_formula_fault_fails_by_name(self, kappa, t, level, fresh_fixed_entries,
+                                             monkeypatch):
+        # C(2k+m, m) for C(2k+m-1, m): off by one in the integer formula
+        def faulty(n, m):
+            return flow.RationalPoly((int(m == 0),) + tuple(
+                (-1) ** (m + k) * math.comb(n, k) * math.comb(2 * k + m, m)
+                for k in range(1, n + 1)))
+
+        monkeypatch.setattr(flow, "pnm_poly", functools.lru_cache(maxsize=None)(faulty))
+        flow.pnm_poly.cache_clear()
+        verify._fixed_entries.cache_clear()
+        rep = run_checks(kappa, t, level)
+        assert [e.name for e in rep.entries if not e.passed] == ["pnm-structure",
+                                                                 "residue-oracle"]
 
 
 class TestHerglotzCalls:
