@@ -196,7 +196,11 @@ def pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
     over the circle, which equals (-1)**m P_k^(m)(eps).  For m = 0 the
     integrand has an extra pole at w = 0, so the circle must exclude the
     origin; the cross-check against the exact polynomials is the quadrature
-    oracle of the whole contour machinery.
+    oracle of the whole contour machinery.  The integrand is written in
+    u = (w - kappa)/rho, the unit-circle node, and c = kappa/rho, as
+    c (c + u)**(m-1) (1 - w**2)**k / (u**(m+1) rho): the quadrature's factor
+    w - kappa = rho u cancels the 1/rho, so every factor is of size 1 and no
+    power of w - kappa underflows at a tiny kappa.
 
     Each pair is a group of :func:`_adaptive_quadrature` and leaves at its own
     first converged doubling; a level fills the live pairs' rows one m at a
@@ -212,18 +216,20 @@ def pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
     if any(m == 0 for _, m in pairs) and spec.radius >= abs(kap):
         raise ValueError("for m = 0 the circle must exclude the origin pole")
     all_ks, all_ms = np.array(pairs, dtype=int).reshape(-1, 2).T
+    rho, unit = spec.radius, ContourSpec(0j, 1.0, spec.samples)
+    c = kap / rho
 
     def level(n, live):
-        w = contour_nodes(spec, n)
+        u = contour_nodes(unit, n)
+        w = spec.center + rho * u  # the nodes of spec, bit for bit
         ks, ms = all_ks[live], all_ms[live]
-        one_minus_w2, w_minus_kap = 1 - w * w, w - kap
+        one_minus_w2 = 1 - w * w
         k_pow = {k: one_minus_w2**k for k in set(ks.tolist())}
         stack = np.empty((live.size, 1, n), dtype=complex)
         for m in set(ms.tolist()):
             at = ms == m
             rows = np.array([k_pow[k] for k in ks[at].tolist()])
-            # kappa goes inside: QUAD_TOL is absolute, and the rest is of size 1/|kappa|
-            stack[at, 0] = kap * w ** (m - 1) * rows / w_minus_kap ** (m + 1)
+            stack[at, 0] = c * (c + u) ** (m - 1) * rows / (u ** (m + 1) * rho)
         return w, stack
 
     groups = _adaptive_quadrature(level, spec, len(pairs))

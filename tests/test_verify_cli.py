@@ -591,9 +591,9 @@ class TestFailureClasses:
             (["sweep", "--kappa", "0.5", "--t", "1"], 64, "error: sweep needs --out", 1),
             (["sweep", "--kappa", "0.5", "--t", "1", "--n", "2", "--out", "{tmp}/file/s"], 1,
              "error: cannot write {tmp}/file/s: ", 1),
-            # a circle around a tiny kappa overflows its integrand, or its
-            # radius is not a normal float: numerical failures, not exit 2
-            (["verify", "--kappa", "1e-200", "--t", "1"], 3, "error: numerical failure: ", 1),
+            # the radius of a circle around a tiny kappa is not a normal
+            # float: numerical failures, not exit 2
+            (["verify", "--kappa", "4e-308", "--t", "1"], 3, "error: numerical failure: ", 1),
             (["integral", "--kappa", "3e-308", "--t", "1", "--z", "0.03,0.01"], 3,
              "error: numerical failure: ", 1),
             (["integral", "--kappa", "3e-308", "--t", "1e-300", "--z", "0.03,0.01"], 3,
@@ -694,13 +694,20 @@ class TestNegativeValues:
 
 
 class TestTinyKappa:
-    @pytest.mark.parametrize("kappa", ["1e-9", "1e-12", "1e-15"])
+    @pytest.mark.parametrize("kappa", ["1e-9", "1e-12", "1e-15", "1e-34", "1e-62", "1e-300"])
     def test_verify_passes(self, kappa, capsys):
         # condition (iv)'s margin is relative to |kappa|, so a circle is
-        # admitted at |kappa| <= 1e-8 too
+        # admitted at |kappa| <= 1e-8 too; the residue oracle integrates in
+        # (w - kappa) / rho, so no power of w - kappa underflows
         got, out, err = _run(["verify", "--kappa", kappa, "--t", "1", "--level", "full"], capsys)
         assert (got, err) == (0, "")
         assert out.endswith("PASS  overall: 50/50 checks passed\n")
+
+    @pytest.mark.parametrize("kappa", ["1e-34", "1e-62", "1e-200", "1e-300"])
+    def test_verify_fast_passes(self, kappa, capsys):
+        got, out, err = _run(["verify", "--kappa", kappa, "--t", "1"], capsys)
+        assert (got, err) == (0, "")
+        assert out.endswith("PASS  overall: 42/42 checks passed\n")
 
 
     @pytest.mark.parametrize("t", ["1", "1e-300"])
