@@ -878,7 +878,7 @@ class TestPinnedBytes:
         assert (out / "manifest.json").read_text(encoding="utf-8") == self.MANIFEST
 
     # every residual, tolerance and context of the full report, bit for bit
-    VERIFY_FULL_JSON_SHA256 = "83b5013f81d46518f832b5fb32a74713a03f367f1708ec4560b09ddc273c142c"
+    VERIFY_FULL_JSON_SHA256 = "7d80d3ce7a66354c84b3854e1a82574ad319f060771101b25ad24bb921565f63"
 
     def test_verify_stdout(self, capsys):
         argv = ["verify", "--kappa", "0.5", "--t", "1", "--level", "full", "--format", "json"]
@@ -892,13 +892,13 @@ class TestPinnedBytes:
         "kappa,t,level,digest",
         [
             pytest.param("0.92", "1.12", "full",
-                         "58aa2a5d7905cc80840e874c0b62702ebae2c994f2ae12650bb3acd72d506c4f",
+                         "da0fe99ea42fad128e8bc312602b80c1f3c290b9a400b3af0473af11358d46fc",
                          id="0.92-1.12-full"),
             pytest.param("0", "1", "full",
-                         "73fe7bb3791b81853a79f47b1cb7d8623375949da36b611726fda12a746f17d6",
+                         "67ce7c9e793686081059b43ea2d1203986fe62feb63cfe65d6250390d7b663d2",
                          id="0-1-full"),
             pytest.param("0.5", "1", "fast",
-                         "b61857ba56784ff6ff29ea38232acd713b85a4e374ee1b48c38f5124c162b0f6",
+                         "9767ef4e143bc9dbdce51f552663f1542da0288a65ea10154f6e23140128f973",
                          id="0.5-1-fast"),
         ],
     )
