@@ -196,11 +196,10 @@ def pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
     over the circle, which equals (-1)**m P_k^(m)(eps).  For m = 0 the
     integrand has an extra pole at w = 0, so the circle must exclude the
     origin; the cross-check against the exact polynomials is the quadrature
-    oracle of the whole contour machinery.  The integrand is written in
-    u = (w - kappa)/rho, the unit-circle node, and c = kappa/rho, as
-    c (c + u)**(m-1) (1 - w**2)**k / (u**(m+1) rho): the quadrature's factor
-    w - kappa = rho u cancels the 1/rho, so every factor is of size 1 and no
-    power of w - kappa underflows at a tiny kappa.
+    oracle of the whole contour machinery.  In u = (w - kappa)/rho and
+    c = kappa/rho the integrand is c (c + u)**(m-1) (1 - w**2)**k / (u**(m+1) rho),
+    and the quadrature's factor w - kappa = rho u cancels the 1/rho: every
+    factor is of size 1, and none underflows at a tiny kappa.
 
     Each pair is a group of :func:`_adaptive_quadrature` and leaves at its own
     first converged doubling; a level fills the live pairs' rows one m at a

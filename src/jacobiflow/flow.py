@@ -161,11 +161,8 @@ def pnm_poly(n: int, m: int) -> RationalPoly:
     """
     if n < 0 or m < 0:
         raise ValueError("pnm_poly needs n, m >= 0")
-    coeffs = [int(m == 0)] + [
-        (-1) ** (m + k) * math.comb(n, k) * math.comb(2 * k + m - 1, m)
-        for k in range(1, n + 1)
-    ]
-    return RationalPoly(tuple(coeffs))
+    return RationalPoly((int(m == 0),) + tuple(
+        (-1) ** (m + k) * math.comb(n, k) * math.comb(2 * k + m - 1, m) for k in range(1, n + 1)))
 
 
 def invrel_weight(n: int, k: int) -> Fraction:
@@ -481,9 +478,8 @@ class _CoeffEngine:
 
 @lru_cache(maxsize=16)
 def _engine(params: FlowParams) -> _CoeffEngine:
-    """The engine of (eps, t), filed under |kappa|, a float where that is
-    exact, and float t: kappa enters only through eps, so -kappa, and a
-    float kappa and its equal Fraction, share one engine."""
+    """One engine per (eps, t), filed under |kappa| (a float where exact) and
+    float t: -kappa, and a float kappa and its equal Fraction, share it."""
     root = abs(Fraction(params.kappa))
     key = FlowParams(float(root) if float(root) == root else root, float(params.t))
     return _CoeffEngine(params) if key == params else _engine(key)

@@ -210,10 +210,9 @@ def _check_oracles(rep: VerifyReport, params: flow.FlowParams, phi_s, k_coeffs, 
     rep.check("reversion-oracle", worst, 1e-9, order=order,
               kappa=params.kappa, t=params.t)
 
-    # symmetric-case reduction to the Herglotz coefficients
+    # symmetric-case reduction to the first 16 Herglotz coefficients
     t = float(params.t)
-    p0 = flow.FlowParams(0.0, t)
-    inv0 = flow.phi_inv_coeffs(p0, 16)
+    inv0 = flow.phi_inv_coeffs(flow.FlowParams(0.0, t), 16)
     worst = max(_rel(a, b) for a, b in zip(inv0.coeffs[1:], k_coeffs))
     rep.check("kzero-closed-form", worst, 1e-10, t=t)
 
@@ -391,12 +390,12 @@ def _check_contour(rep: VerifyReport, params: flow.FlowParams, full: bool):
     worst = 0.0
     k_max, m_max = (12, 8) if full else (6, 4)
     eps = Fraction(pk) ** 2
-    # float(pnm_poly(k, m)(eps)) rounds the int quotient below, over lcm(dens) den(eps)**k_max
+    # float(pnm_poly(k, m)(eps)) rounds the int quotient below, over den(eps)**k_max
     scaled = [eps.numerator**j * eps.denominator ** (k_max - j) for j in range(k_max + 1)]
     pairs = [(k, m) for k in range(1, k_max + 1) for m in range(0, m_max + 1)]
     for (k, m), got in zip(pairs, contour.pkm_residues(pairs, probe, cs)):
-        nums, den = powerseries._common_denominator(flow.pnm_poly(k, m).coeffs)
-        want = (-1) ** m * sum(c * p for c, p in zip(nums, scaled)) / (den * scaled[0])
+        coeffs = flow.pnm_poly(k, m).coeffs
+        want = (-1) ** m * sum(c * p for c, p in zip(coeffs, scaled)) / scaled[0]
         worst = max(worst, abs(got - want))
     rep.check("residue-oracle", worst, 1e-10, kappa=pk, k_max=k_max, m_max=m_max)
 
