@@ -13,8 +13,9 @@ all-Fraction lists.  A product writes each operand as integer numerators
 over one common denominator, convolves the integers by the ring loop itself
 (integers are a ring) and reduces each output coefficient once: the same
 Fractions, with one gcd per coefficient instead of about two per term.  A
-composition keeps its Horner accumulator as integer numerators over one
-denominator, reduced by one gcd per step.  Every other coefficient type,
+composition writes f once over its common denominator and runs Horner on
+integer numerators, dividing a step by a gcd only when that gcd exceeds 1:
+over an integer g no step is divided.  Every other coefficient type,
 int mixed with Fraction included, runs the ring loop.
 
 Compositional inversion (:func:`series_revert`) is done by Newton iteration
