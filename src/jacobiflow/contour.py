@@ -98,15 +98,18 @@ def contour_nodes(spec: ContourSpec, count: int | None = None) -> np.ndarray:
     return spec.center + spec.radius * np.exp(1j * theta)
 
 
-def _adaptive_quadrature(level, spec: ContourSpec, groups=1):
+def _adaptive_quadrature(level, spec: ContourSpec, groups=1, relative=False):
     """(1/2 pi i) contour integrals over one circle, by doubling, of
     ``groups`` groups of integrands.  ``level(n, live)`` returns the n nodes
     w and one complex array ``stack`` of the integrands' values on them for
     the still-live groups, ``live`` their ascending indices: ``stack`` has
     shape (live.size, integrands per group, n).  A group leaves at its
     first doubling where each of its integrands has moved by less than
-    ``QUAD_TOL``.  Returns (values, samples, delta) for each group, with
-    delta the largest of its last moves."""
+    ``QUAD_TOL``; with ``relative``, by less than ``QUAD_TOL`` times the
+    group's largest term |f(w) (w - center)| where that exceeds 1, since
+    rounding alone moves a sum by about its largest term times the unit
+    roundoff.  Returns (values, samples, delta) for each group, with delta
+    the largest of its last moves."""
     out, live, previous, n = [None] * groups, np.arange(groups), None, spec.samples
     while live.size:
         if n > MAX_SAMPLES:
@@ -116,7 +119,8 @@ def _adaptive_quadrature(level, spec: ContourSpec, groups=1):
             # shows as a value that is not finite
             with np.errstate(all="ignore"):
                 w, stack = level(n, live)
-                values = np.sum(stack * (w - spec.center), axis=-1) / n
+                terms = stack * (w - spec.center)
+                values = np.sum(terms, axis=-1) / n
         except DomainError as exc:
             # a doubling's new nodes, which no admissibility check has seen
             raise QuadratureError(f"{exc} at {n} nodes") from exc
@@ -124,7 +128,8 @@ def _adaptive_quadrature(level, spec: ContourSpec, groups=1):
             raise QuadratureError(f"integrand or its sum is not finite at {n} nodes")
         if previous is not None:
             moved = np.max(np.abs(values - previous), axis=1)
-            done = moved < QUAD_TOL
+            scale = np.maximum(1.0, np.max(np.abs(terms), axis=(1, 2))) if relative else 1.0
+            done = moved < QUAD_TOL * scale
             for group, vals, delta in zip(live[done], values[done], moved[done]):
                 out[group] = (vals.tolist(), n, float(delta))
             live, values = live[~done], values[~done]
@@ -199,7 +204,10 @@ def pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
     oracle of the whole contour machinery.  In u = (w - kappa)/rho and
     c = kappa/rho the integrand is c (c + u)**(m-1) (1 - w**2)**k / (u**(m+1) rho),
     and the quadrature's factor w - kappa = rho u cancels the 1/rho: every
-    factor is of size 1, and none underflows at a tiny kappa.
+    factor is of size 1, and none underflows at a tiny kappa.  On a wide
+    circle at large k and m the terms still reach 1e5, where rounding alone
+    moves a sum by more than ``QUAD_TOL``: the pairs stop relative to their
+    largest term.
 
     Each pair is a group of :func:`_adaptive_quadrature` and leaves at its own
     first converged doubling; a level fills the live pairs' rows one m at a
@@ -231,7 +239,7 @@ def pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
             stack[at, 0] = c * (c + u) ** (m - 1) * rows / (u ** (m + 1) * rho)
         return w, stack
 
-    groups = _adaptive_quadrature(level, spec, len(pairs))
+    groups = _adaptive_quadrature(level, spec, len(pairs), relative=True)
     return [values[0].real for values, _, _ in groups]
 
 

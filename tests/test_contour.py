@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -125,6 +126,22 @@ class TestStopRule:
         with pytest.raises(contour.QuadratureError, match="did not converge within 64"):
             pkm_residues(pairs, FlowParams(0.53, 1.0), spec)
 
+    def test_relative_stop(self):
+        # 1e6 (w + 2 + 1/w) sums to 2e6 exactly from 4 nodes on; rounding
+        # moves the sum by about 1e-11 per doubling, which the absolute stop
+        # chases and the relative one does not
+        spec = self.SPEC
+
+        def level(n, live):
+            w = contour_nodes(spec, n)
+            return w, np.array([[1e6 * (w + 2 + 1 / w) / w]])
+
+        [(values, samples, _)] = contour._adaptive_quadrature(level, spec, relative=True)
+        assert samples == 32
+        assert values[0] == pytest.approx(2e6, rel=1e-15, abs=1e-9)
+        [(_, samples, _)] = contour._adaptive_quadrature(level, spec)
+        assert samples > 32
+
     def test_domain_error_at_a_later_level(self):
         def f(w):
             if w.size == 64:
@@ -162,8 +179,7 @@ class TestPkmResidue:
     @staticmethod
     def _per_pair(kappa, spec, pairs):
         """Each pair's residue by its own quadrature, and the node count it
-        stopped at, or None where it does not converge: the integrand in
-        u = (w - kappa)/rho, c = kappa/rho."""
+        stopped at: the integrand in u = (w - kappa)/rho, c = kappa/rho."""
         rho, unit = spec.radius, ContourSpec(0j, 1.0, spec.samples)
         c = kappa / rho
         out = []
@@ -174,11 +190,7 @@ class TestPkmResidue:
                 fw = c * (c + u) ** (m - 1) * (1 - w * w) ** k / (u ** (m + 1) * rho)
                 return w, fw[None, None]
 
-            try:
-                [(values, samples, _)] = contour._adaptive_quadrature(level, spec)
-            except contour.QuadratureError:
-                out.append(None)
-                continue
+            [(values, samples, _)] = contour._adaptive_quadrature(level, spec, relative=True)
             out.append((values[0].real, samples))
         return out
 
@@ -210,27 +222,22 @@ class TestPkmResidue:
         # P_k^(m)(eps) at eps below 1e-67 is its constant term, 1 at m = 0 and 0 otherwise
         assert got == pytest.approx([float(m == 0) for _, m in pairs], abs=1e-12)
 
-    @pytest.mark.parametrize("kappa, share, samples", [(0.53, 0.5, 16), (-0.9, 0.85, 32)])
-    def test_rows_stop_at_their_own_doubling(self, kappa, share, samples):
+    @pytest.mark.parametrize("kappa, share, samples, stops", [
+        pytest.param(0.53, 0.5, 16, {32: 64, 64: 32, 128: 12}, id="0.53-0.5-16"),
+        pytest.param(-0.9, 0.85, 32, {64: 96, 512: 12}, id="-0.9-0.85-32"),
+    ])
+    def test_rows_stop_at_their_own_doubling(self, kappa, share, samples, stops):
         # a coarse first grid on a circle near the origin pole: the pairs
-        # converge at different node counts, and each row keeps its own value
-        # For m >= 1 the integrand times w - kappa is a Laurent polynomial in
-        # u, summed exactly from 64 nodes on, so its doublings measure
-        # rounding alone; on the 0.85 |kappa| circle at kappa = -0.9 the
-        # integrands of (12, 7) and (12, 8) reach 1e5 and their moves stay
-        # near QUAD_TOL.  A pair that does not converge on its own makes the
-        # batch raise as well; every other pair keeps its own value.
+        # converge at different node counts, and each row keeps its own value.
+        # For m >= 1 the sum is exact once the nodes outnumber the 2k + 2m
+        # powers of u in the integrand, and the next doubling stops it: on the
+        # second circle the terms of (12, 8) reach 1e5, so that doubling moves
+        # its sum by about 1e-11, by rounding alone
         spec = contour._circle(kappa, abs(kappa) * share, samples)
         pairs = [(k, m) for k in range(1, 13) for m in range(9)]
         want = self._per_pair(kappa, spec, pairs)
-        params = FlowParams(kappa, 1.0)
-        if None in want:
-            with pytest.raises(contour.QuadratureError, match="did not converge"):
-                pkm_residues(pairs, params, spec)
-        pairs, want = zip(*[(p, v) for p, v in zip(pairs, want) if v is not None])
-        assert len(pairs) >= 100
-        assert len({n for _, n in want}) >= 3
-        got = pkm_residues(list(pairs), params, spec)
+        assert collections.Counter(n for _, n in want) == stops
+        got = pkm_residues(pairs, FlowParams(kappa, 1.0), spec)
         assert [v.hex() for v in got] == [v.hex() for v, _ in want]
 
     def test_validation(self):
