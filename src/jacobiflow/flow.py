@@ -161,8 +161,11 @@ def pnm_poly(n: int, m: int) -> RationalPoly:
     """
     if n < 0 or m < 0:
         raise ValueError("pnm_poly needs n, m >= 0")
-    return RationalPoly((int(m == 0),) + tuple(
-        (-1) ** (m + k) * math.comb(n, k) * math.comb(2 * k + m - 1, m) for k in range(1, n + 1)))
+    coeffs = [int(m == 0)] + [
+        (-1) ** (m + k) * math.comb(n, k) * math.comb(2 * k + m - 1, m)
+        for k in range(1, n + 1)
+    ]
+    return RationalPoly(tuple(coeffs))
 
 
 def invrel_weight(n: int, k: int) -> Fraction:
@@ -478,10 +481,11 @@ class _CoeffEngine:
 
 @lru_cache(maxsize=16)
 def _engine(params: FlowParams) -> _CoeffEngine:
-    """One engine per (eps, t), filed under |kappa| (a float where exact) and
-    float t: -kappa, and a float kappa and its equal Fraction, share it."""
+    """One engine per (eps, t), filed under |kappa|, a float where that is
+    exact: the engine squares Fraction(kappa), so -kappa, and a float kappa
+    and its equal Fraction (whose FlowParams differ in epsilon), share it."""
     root = abs(Fraction(params.kappa))
-    key = FlowParams(float(root) if float(root) == root else root, float(params.t))
+    key = FlowParams(float(root) if float(root) == root else root, params.t)
     return _CoeffEngine(params) if key == params else _engine(key)
 
 

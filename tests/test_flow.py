@@ -296,7 +296,8 @@ class TestExactEngine:
     @pytest.mark.parametrize("kappa", [0.5, 0.37, Fraction(2, 7)])
     def test_one_engine_per_eps_and_t(self, kappa):
         # kappa enters through eps alone: -kappa, and a float kappa and its
-        # equal Fraction, share one engine
+        # equal Fraction, share one engine; at 0.37 the float's FlowParams
+        # rounds epsilon, so the two FlowParams are not equal
         _engine.cache_clear()
         eng = _engine(FlowParams(kappa, 1.25))
         for k in (-kappa, Fraction(kappa), -Fraction(kappa)):
