@@ -153,8 +153,11 @@ def _cmd_coeffs(args) -> int:
 def _cmd_verify(args) -> int:
     _check_params(args.kappa, args.t)
     report = run_checks(args.kappa, args.t, args.level)
-    text = json.dumps(report.to_dict()) if args.format == "json" else report.format()
-    _emit(text + "\n", args.out)
+    if args.format == "json":
+        text = json.dumps(report.to_dict()) + "\n"
+    else:
+        text = report.format() + "\n"
+    _emit(text, args.out)
     return 0 if report.passed else 1
 
 
@@ -174,8 +177,14 @@ def _cmd_integral(args) -> int:
         res = contour.m_integral_detailed(params, z)
         form, radius, samples = args.form, res.contour.radius, res.samples
         value, residual = getattr(res, form), abs(res.corollary - res.proposition)
-    record = {"value_re": value.real, "value_im": value.imag, "form": form,
-              "radius": radius, "samples": samples, "forms_residual": residual}
+    record = {
+        "value_re": value.real,
+        "value_im": value.imag,
+        "form": form,
+        "radius": radius,
+        "samples": samples,
+        "forms_residual": residual,
+    }
     text = _json(record) + "\n" if args.format == "json" else _csv([record])
     _emit(text, args.out)
     return 0
