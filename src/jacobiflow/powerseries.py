@@ -66,7 +66,7 @@ class TruncatedSeries:
     def variable(cls, base, order: int, one=1.0):
         """The identity function z, expanded about ``base``."""
         zero = one * 0
-        return cls(base, [base + zero, one] + [zero] * (order - 1))
+        return cls(base, ([base + zero, one] + [zero] * (order - 1))[: order + 1])
 
     def _like(self, coeffs):
         return TruncatedSeries(self.base, coeffs)

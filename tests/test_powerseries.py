@@ -158,6 +158,13 @@ class TestConstruction:
         z = TruncatedSeries.variable(2.0, 4)
         assert z(2.3) == pytest.approx(2.3)
 
+    def test_variable_at_order_zero(self):
+        assert TruncatedSeries.variable(2.0, 0).coeffs == [2.0]
+        one = Fraction(1)
+        assert TruncatedSeries.variable(one, 0, one=one).coeffs == [one]
+        # the series built on it keep order 0: the constant term phi(1) = 0
+        assert maps.phi_series(flow.FlowParams(0.4, 1.0), 0).coeffs == [0]
+
 
 class TestArithmetic:
     def test_product_truncates(self):
