@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .flow import FlowParams
-from .maps import DomainError, _herglotz_delta, _y_and_r, r_func
+from .maps import DomainError, _herglotz_delta, _m_of_delta, _y_and_r, r_func
 from .report import VerifyEntry
 
 QUAD_TOL = 1e-12
@@ -432,8 +432,7 @@ def laguerre_gen_checks(specs, t: float) -> list:
                 break
             lhs += term
         lhs *= 2 ** (m + 1)
-        D2 = D * (2 + D)
-        rhs = D2 / (2 + t * D2) * D**m
+        rhs = _m_of_delta(t, D) * D**m
         out.append(VerifyEntry.make("laguerre-generating", abs(lhs - rhs), tol,
                                     m=m, t=t, y=y, terms=terms, **summed))
     return out

@@ -273,7 +273,11 @@ def m_zero(t: float, z):
     """Closed form of the derivative series in the symmetric case:
     (K**2 - 1) / (t K**2 + (2 - t)) with K the Herglotz transform, formed
     from delta = K - 1 as delta (2 + delta) / (2 + t delta (2 + delta))."""
-    D = _herglotz_delta(t, z)
+    return _m_of_delta(t, _herglotz_delta(t, z))
+
+
+def _m_of_delta(t: float, D):
+    """The closed form of ``m_zero`` from delta = K - 1, in that grouping."""
     D2 = D * (2 + D)
     return D2 / (2 + t * D2)
 
