@@ -121,7 +121,7 @@ def _check_params(kappa: float, t: float, n: int | None = None) -> flow.FlowPara
 
 
 def _table_rows(kappa: float, t: float, n_max: int) -> list[dict]:
-    rows = flow._engine(flow.FlowParams(kappa, t)).table(n_max)
+    rows = flow._coeff_rows(flow.FlowParams(kappa, t), n_max)
     # M_n = n (S_n / n) = S_n, rounded once
     return [{"n": n, "a_n": a_n, "b_n": b_n, "S_n": s_n, "phi_inv": inv, "M": s_n}
             for n, (a_n, b_n, s_n, inv) in enumerate(rows, start=1)]

@@ -17,8 +17,8 @@ the ball pass below uses the same identities:
   difference at 0 is (-4)**r [s**(k-1-r)] (1+s)**(-2r) sum_N L_N^{(1)}(2kt) s**N,
   because Q(k, j) = [s**(k-1)] (1-s)**-2 e^{-2kts/(1-s)} ((1-s)/(1+s))**(2j)
   and ((1-s)/(1+s))**2 = 1 - 4s/(1+s)**2.  These integers, scaled by
-  D**k (k-1)! 2**(tau (k-1)) (see ``_TTable``), and their sums over k for
-  each order are cached per t and shared by every kappa.
+  D**k (k-1)! 2**(tau (k-1)) (see ``_t_rows``), are summed over k for each
+  order, and the sums are cached per t and shared by every kappa.
 * sum_j C(n, j) (-eps)**j C(j, r) = C(n, r) (-eps)**r (1-eps)**(n-r) turns
   the eps-sum into a sum over r < n, so b_n = n 4**n a_n is one integer over
   a known denominator; S_n is another, derived from the b_k.
@@ -28,11 +28,11 @@ the ball pass below uses the same identities:
   signed weights of S_n depend on n alone and are cached per order.
 
 Every public float is float(exact), but a table rarely needs the exact
-integers, whose thousands of bits rounding never reads.  ``_CoeffEngine.table``
+integers, whose thousands of bits rounding never reads.  ``_make_table``
 runs the same sums on balls first (midpoint-radius arithmetic, as in Arb): an
 integer midpoint m and radius e at scale 2**P stand for every real within
-e / 2**P of m / 2**P, and each radius is a proven bound (``_TBalls``,
-``_CoeffEngine._balls``).  An entry is kept when both ends of its ball
+e / 2**P of m / 2**P, and each radius is a proven bound (``_t_balls``,
+``_balls``).  An entry is kept when both ends of its ball
 round to the same binary64 (Ziv's test); rounding is monotone, so that float
 is float(exact).  P is a few hundred bits, set by the order and t
 (``_precision``).  The exact engine makes only the rows the pass leaves
@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -191,8 +190,22 @@ def _weight_row(n: int) -> list:
     return [(-1) ** (k + n) * invrel_weight_split(n, k) for k in range(n + 1)]
 
 
-class _TTable:
-    """The t-only integers of the coefficient sums, grown on demand.
+def _diff_row(t: float, k: int) -> list:
+    """D**k (k-1)! 2**(tau (k-1)) Delta**r Q(k, 0) for r < k: see ``_t_rows``."""
+    big_t, tau, big_d, _ = _t_scales(t)
+    series = _laguerre_scaled(2 * k * big_t, tau, k)
+    scale = 1
+    for N in range(k - 1, -1, -1):  # to (k-1)! 2**(tau (k-1))
+        series[N] *= scale
+        scale = scale * N << tau
+    dk = big_d**k if k % 2 else -(big_d**k)  # carries (-1)**(k-1)
+    return [v * dk for v in _delta_rows(series)]
+
+
+@lru_cache(maxsize=4)
+def _t_rows(t: float, top: int) -> tuple:
+    """The t-only integers of the coefficient sums: row n, for n = 1..top,
+    at index n - 1.
 
     With t = T / 2**tau and the once-rounded e^{-t} = D / 2**delta
     (``_exp_neg_t``), both binary64 and so dyadic, and sigma = tau + delta.
@@ -209,61 +222,30 @@ class _TTable:
                          = (-1)**(k-1) 4**r [s**(k-1-r)] (1-s)**(-2r)
                            sum_N (-1)**N L_N^{(1)}(2kt) s**N.
 
-    * ``_diffs[k][r] = D**k (k-1)! 2**(tau (k-1)) Delta**r Q(k, 0)`` for
-      r < k.  (-1)**N L_N^{(1)}(2kt) N! 2**(tau N), N < k, comes from the
-      integer three-term recurrence and is brought to the common scale
+    * ``_diff_row(t, k)[r] = D**k (k-1)! 2**(tau (k-1)) Delta**r Q(k, 0)``
+      for r < k.  (-1)**N L_N^{(1)}(2kt) N! 2**(tau N), N < k, comes from
+      the integer three-term recurrence and is brought to the common scale
       (k-1)! 2**(tau (k-1)) and divided by (1-s)**2 in ``_delta_rows``.
     * ``row(n)[r] = sum_{k>r} C(2n, n-k) (n-1)!/(k-1)! 2**(sigma (n-k))
-      _diffs[k][r]`` for r < n, by Horner steps over ascending k with the
-      multiplier (k-1) 2**sigma.
+      _diff_row(t, k)[r]`` for r < n, by Horner steps over ascending k with
+      the multiplier (k-1) 2**sigma.
 
-    With eps = E / e_d, sum_j C(n, j) (-eps)**j C(j, r)
-    = C(n, r) (-eps)**r (1-eps)**(n-r) gives
-    ``b_n = 2 sum_r C(n, r) (-E)**r (e_d-E)**(n-r) row(n)[r]
-    / (e_d**n (n-1)! 2**(sigma n - tau))``.  Lists are indexed from 1;
-    growth holds a lock, so threads may share one table.
+    ``_exact_nums`` forms b_n from row(n).
     """
-
-    def __init__(self, t: float):
-        self.T, self.tau, self.D, delta = _t_scales(t)
-        self.sigma = self.tau + delta
-        self._diffs: list = [None]
-        self._rows: list = [None]
-        self._lock = threading.Lock()
-
-    def _diff_row(self, k: int) -> list:
-        """_diffs[k][r] for r < k, from (-1)**N L_N^{(1)}(2kt) N! 2**(tau N)."""
-        tau = self.tau
-        series = _laguerre_scaled(2 * k * self.T, tau, k)
-        scale = 1
-        for N in range(k - 1, -1, -1):  # to (k-1)! 2**(tau (k-1))
-            series[N] *= scale
-            scale = scale * N << tau
-        dk = self.D**k if k % 2 else -(self.D**k)  # carries (-1)**(k-1)
-        return [v * dk for v in _delta_rows(series)]
-
-    def _grow(self):
-        n = len(self._rows)
-        self._diffs.append(self._diff_row(n))
+    _, tau, _, delta = _t_scales(t)
+    sigma = tau + delta
+    diffs, rows = [None], []  # diffs[k] = _diff_row(t, k)
+    for n in range(1, top + 1):
+        diffs.append(_diff_row(t, n))
         weight = _binomial_row(2 * n)[n::-1]  # C(2n, n-k) for k <= n
         row = []
         for r in range(n):
             acc = 0
             for k in range(r + 1, n + 1):
-                acc = (acc * (k - 1) << self.sigma) + weight[k] * self._diffs[k][r]
+                acc = (acc * (k - 1) << sigma) + weight[k] * diffs[k][r]
             row.append(acc)
-        self._rows.append(row)
-
-    def row(self, n: int) -> list:
-        with self._lock:
-            while len(self._rows) <= n:
-                self._grow()
-            return self._rows[n]
-
-
-@lru_cache(maxsize=4)
-def _t_table(t: float) -> _TTable:
-    return _TTable(t)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @cache
@@ -273,12 +255,27 @@ def _delta_radius(k: int) -> int:
     return max(math.comb(k - 1 + r, 2 * r) << 2 * r for r in range(k))
 
 
-class _TBalls:
-    """The t-only sums of ``_TTable`` as balls at scale 2**prec, grown on demand.
+def _diff_balls(t: float, prec: int, k: int) -> tuple:
+    """(midpoints of Delta_k[r] for r < k, their common radius): see ``_t_balls``."""
+    big_t, tau, big_d, delta = _t_scales(t)
+    series = _laguerre_scaled(2 * k * big_t, tau, k)
+    mids = _delta_rows([((v << prec) >> tau * N) // math.factorial(N)
+                        for N, v in enumerate(series)])
+    shift = max(prec, max(abs(m).bit_length() for m in mids))
+    decay = (big_d**k << shift) >> delta * k  # floor(e^{-kt} 2**shift)
+    sign = 1 if k % 2 else -1  # (-1)**(k-1)
+    return ([sign * (m * decay >> shift) for m in mids],
+            (_delta_radius(k) * (decay + 1) >> shift) + 3)
+
+
+@lru_cache(maxsize=4)
+def _t_balls(t: float, prec: int, order: int) -> tuple:
+    """The t-only sums of ``_t_rows`` as balls at scale 2**prec, for
+    n = 1..order at index n - 1.
 
     A ball (m, e) stands for every real x with |x 2**prec - m| <= e.  With
-    Delta_k[r] = e^{-kt} Delta**r Q(k, 0), the value ``_TTable._diffs``
-    keeps exactly, and rho_n[r] = sum_{k>r} C(2n, n-k) Delta_k[r]:
+    Delta_k[r] = e^{-kt} Delta**r Q(k, 0), the value ``_diff_row`` makes
+    exactly, and rho_n[r] = sum_{k>r} C(2n, n-k) Delta_k[r]:
 
     * (-1)**N L_N^{(1)}(2kt), from the integer recurrence, becomes a ball of
       radius 1: its value times 2**prec, floored (a shift by tau N, then a
@@ -287,57 +284,22 @@ class _TBalls:
       4**r and e^{-kt} = (D / 2**delta)**k, formed with as many bits as the
       largest midpoint, the radius is at most
       C(k-1+r, 2r) 4**r e^{-kt} + 3; ``_delta_radius`` bounds it over r.
-    * Row n of ``rows`` is (rho_n, e_n, beta_n): the midpoints of rho_n[r]
-      for r < n, one radius for all of them, and the bit length of the
-      largest midpoint.
-
-    Lists are indexed from 1 and appended to, never changed in place, under
-    a lock.
+    * Row n is (rho_n, e_n, beta_n): the midpoints of rho_n[r] for r < n,
+      one radius for all of them, and the bit length of the largest
+      midpoint.
     """
-
-    def __init__(self, t: float, prec: int):
-        self.T, self.tau, self.D, self.delta = _t_scales(t)
-        self.prec = prec
-        self._lock = threading.Lock()
-        self._cols: list = []  # _cols[r]: midpoints of Delta_k[r], k > r
-        self._rads: list = [None]
-        self._rows: list = [None]
-
-    def _delta_row(self, k: int) -> tuple:
-        """(midpoints of Delta_k[r] for r < k, their common radius)."""
-        prec, tau = self.prec, self.tau
-        series = _laguerre_scaled(2 * k * self.T, tau, k)
-        mids = _delta_rows([((v << prec) >> tau * N) // math.factorial(N)
-                            for N, v in enumerate(series)])
-        shift = max(prec, max(abs(m).bit_length() for m in mids))
-        decay = (self.D**k << shift) >> self.delta * k  # floor(e^{-kt} 2**shift)
-        sign = 1 if k % 2 else -1  # (-1)**(k-1)
-        return ([sign * (m * decay >> shift) for m in mids],
-                (_delta_radius(k) * (decay + 1) >> shift) + 3)
-
-    def _grow(self):
-        n = len(self._rows)
-        mids, rad = self._delta_row(n)
-        self._cols.append([])
-        for col, m in zip(self._cols, mids):
+    cols, rads, rows = [], [], []  # cols[r]: midpoints of Delta_k[r], k > r
+    for n in range(1, order + 1):
+        mids, rad = _diff_balls(t, prec, n)
+        cols.append([])
+        for col, m in zip(cols, mids):
             col.append(m)
-        self._rads.append(rad)
+        rads.append(rad)
         weight = _binomial_row(2 * n)[n::-1]  # C(2n, n-k) for k <= n
-        row = [sum(map(operator.mul, weight[r + 1:], col)) for r, col in enumerate(self._cols)]
-        self._rows.append((row, sum(map(operator.mul, weight[1:], self._rads[1:])),
-                           max(abs(v).bit_length() for v in row)))
-
-    def rows(self, order: int) -> list:
-        """A list whose entries 1..order are the rho rows."""
-        with self._lock:
-            while len(self._rows) <= order:
-                self._grow()
-            return self._rows
-
-
-@lru_cache(maxsize=4)
-def _t_balls(t: float, prec: int) -> _TBalls:
-    return _TBalls(t, prec)
+        row = tuple(sum(map(operator.mul, weight[r + 1:], col)) for r, col in enumerate(cols))
+        rows.append((row, sum(map(operator.mul, weight[1:], rads)),
+                     max(abs(v).bit_length() for v in row)))
+    return tuple(rows)
 
 
 def _precision(order: int, t: float) -> int:
@@ -346,8 +308,7 @@ def _precision(order: int, t: float) -> int:
     A ball's radius, in units of 2**-P, is about 2**(3.5 order + 50) after
     the sums (measured up to order 64), a coefficient is about e^{-t} or
     larger unless kappa is near 0 or +-1, and rounding reads 53 bits: so P
-    has 4 order + 96 bits above e^{-t}, rounded up to a multiple of 32, so
-    that nearby orders share a t-table.
+    has 4 order + 96 bits above e^{-t}, rounded up to a multiple of 32.
     """
     return -(-(96 + 4 * order + math.ceil(t / math.log(2))) // 32) * 32
 
@@ -375,118 +336,99 @@ def _rounded_row(n: int, b: int, e: int, s: int, f: int, den: int) -> tuple:
             _rounded(s, f, den), _rounded(s, f, den * n))
 
 
-class _CoeffEngine:
-    """Flow coefficients for one (kappa, t), each float(exact).
+def _exact_nums(eps: Fraction, t: float, ns: list) -> list:
+    """(b_n den_n, S_n den_n, den_n) at eps = kappa**2 and t for each n of
+    the ascending ns, all integers, with den_n = e_d**n (n-1)! 2**(sigma n - tau).
 
-    ``table`` rounds each entry from a ball pass (``_balls``) and runs the
-    exact engine (``_exact_nums``) only for the rows it leaves open.  Both
-    phases round through ``_rounded_row``: the exact engine's b_n and S_n
-    are integer numerators over one denominator, balls of radius 0, so a
-    float is one integer quotient, which rounds once.
+    b_n den_n = 2 y sum_{r<n} C(n, r) x**r y**(n-1-r) row(n)[r] with
+    x = -E and y = e_d - E, eps = E / e_d.  The sum over lo <= r < hi
+    is split at mid into (sum over [lo, mid)) y**(hi-mid) and
+    x**(mid-lo) (sum over [mid, hi)), so the big products are balanced;
+    the powers go up to ceil(max(ns)/2).  S_n den_n is the signed
+    weights times b_1..b_n, each b_k raised to den_n by Horner steps.
     """
+    top = ns[-1]
+    _, tau, _, delta = _t_scales(t)
+    num, den, sigma = eps.numerator, eps.denominator, tau + delta
+    xs, ys = (list(accumulate(repeat(v, (top + 1) // 2), operator.mul, initial=1))
+              for v in (-num, den - num))
+    bs = []
+    for n, row in enumerate(_t_rows(t, top), 1):
+        binom = _binomial_row(n)
 
-    def __init__(self, params: FlowParams):
-        self.t = float(params.t)
-        eps = Fraction(params.kappa) ** 2
-        self.eps_num, self.eps_den = eps.numerator, eps.denominator
-        self._rows: list = []
+        def part(lo: int, hi: int) -> int:
+            if hi - lo == 1:
+                return binom[lo] * row[lo]
+            mid = (lo + hi) // 2
+            return part(lo, mid) * ys[hi - mid] + xs[mid - lo] * part(mid, hi)
 
-    def _exact_nums(self, ns: list) -> list:
-        """(b_n den_n, S_n den_n, den_n) for each n of the ascending ns, all
-        integers, with den_n = e_d**n (n-1)! 2**(sigma n - tau).
-
-        b_n den_n = 2 y sum_{r<n} C(n, r) x**r y**(n-1-r) row(n)[r] with
-        x = -E and y = e_d - E, eps = E / e_d.  The sum over lo <= r < hi
-        is split at mid into (sum over [lo, mid)) y**(hi-mid) and
-        x**(mid-lo) (sum over [mid, hi)), so the big products are balanced;
-        the powers go up to ceil(max(ns)/2).  S_n den_n is the signed
-        weights times b_1..b_n, each b_k raised to den_n by Horner steps.
-        """
-        table, top = _t_table(self.t), ns[-1]
-        num, den, sigma = self.eps_num, self.eps_den, table.sigma
-        xs, ys = (list(accumulate(repeat(v, (top + 1) // 2), operator.mul, initial=1))
-                  for v in (-num, den - num))
-        bs = []
-        for n in range(1, top + 1):
-            row, binom = table.row(n), _binomial_row(n)
-
-            def part(lo: int, hi: int) -> int:
-                if hi - lo == 1:
-                    return binom[lo] * row[lo]
-                mid = (lo + hi) // 2
-                return part(lo, mid) * ys[hi - mid] + xs[mid - lo] * part(mid, hi)
-
-            bs.append(2 * ys[1] * part(0, n))
-        out = []
-        for n in ns:
-            acc, weights = 0, _weight_row(n)
-            for k in range(1, n + 1):
-                acc = (acc * (den * (k - 1)) << sigma) + weights[k] * bs[k - 1]
-            out.append((bs[n - 1], acc,
-                        den**n * math.factorial(n - 1) << sigma * n - table.tau))
-        return out
-
-    def _balls(self, order: int, prec: int) -> list:
-        """[(b_n, e_n, S_n, f_n) for n = 1..order]: b_n and S_n as balls of
-        radius e_n and f_n at scale 2**prec.
-
-        With (-eps)**r and (1-eps)**j as balls of radius 2r and 2j (each
-        power one floor step from the last), the products p_r =
-        x_r y_{n-r} are within 2n 2**P + 4n**2 of their values at scale
-        2**(2P), and the binomial weights C(n, r) |(-eps)**r (1-eps)**(n-r)|
-        sum to 1, so b_n = 2 sum_r C(n, r) p_r rho_n[r] has radius
-        2 e_n + (2n 2**P + 4n**2) 2**(n+1+beta_n-2P) + 2 (``_TBalls``).
-        S_n's radius is the sum of |w(n, k)| times those of the b_k.  The
-        bounds hold at every P.
-        """
-        rhos = _t_balls(self.t, prec).rows(order)
-        num, den, one = self.eps_num, self.eps_den, 1 << prec
-        xs, ys = (list(accumulate(repeat(v * one // den, order),
-                                  lambda p, q: p * q >> prec, initial=one))
-                  for v in (-num, den - num))
-        b_mids, b_rads, out = [], [], []
-        for n in range(1, order + 1):
-            row, rad, beta = rhos[n]
-            acc = sum(map(operator.mul, map(operator.mul, _binomial_row(n), xs),
-                          map(operator.mul, ys[n:0:-1], row)))
-            b_mids.append(2 * acc >> 2 * prec)
-            spread = (n << prec + 1) + 4 * n * n << n + 1 + beta
-            b_rads.append(2 * rad + (spread >> 2 * prec) + 2)
-            weights = _weight_row(n)[1:]
-            out.append((b_mids[-1], b_rads[-1], sum(map(operator.mul, weights, b_mids)),
-                        sum(map(operator.mul, map(abs, weights), b_rads))))
-        return out
-
-    def table(self, order: int) -> list:
-        """(a_n, b_n, S_n, S_n / n) for n = 1..order, each float(exact): from
-        one ball pass at ``_precision``, and from the exact engine for the
-        rows the pass leaves open.  The rows made, at least 16 (a pass to
-        order 16 takes about a millisecond), are kept, so single
-        coefficients by rising n share one table.
-        """
-        rows = self._rows
-        if len(rows) < order:
-            size = max(order, 16)
-            prec = _precision(size, self.t)
-            rows = [_rounded_row(n, b, e, s, f, 1 << prec)
-                    for n, (b, e, s, f) in enumerate(self._balls(size, prec), 1)]
-            open_rows = [n for n, row in enumerate(rows, 1) if None in row]
-            if open_rows:
-                for n, (b, s, den) in zip(open_rows, self._exact_nums(open_rows)):
-                    rows[n - 1] = _rounded_row(n, b, 0, s, 0, den)
-            if len(rows) > len(self._rows):
-                self._rows = rows
-        return rows[:order]
+        bs.append(2 * ys[1] * part(0, n))
+    out = []
+    for n in ns:
+        acc, weights = 0, _weight_row(n)
+        for k in range(1, n + 1):
+            acc = (acc * (den * (k - 1)) << sigma) + weights[k] * bs[k - 1]
+        out.append((bs[n - 1], acc,
+                    den**n * math.factorial(n - 1) << sigma * n - tau))
+    return out
 
 
-@lru_cache(maxsize=16)
-def _engine(params: FlowParams) -> _CoeffEngine:
-    """One engine per (eps, t), filed under |kappa|, a float where that is
-    exact: the engine squares Fraction(kappa), so -kappa, and a float kappa
-    and its equal Fraction (whose FlowParams differ in epsilon), share it."""
-    root = abs(Fraction(params.kappa))
-    key = FlowParams(float(root) if float(root) == root else root, params.t)
-    return _CoeffEngine(params) if key == params else _engine(key)
+def _balls(eps: Fraction, t: float, order: int, prec: int) -> list:
+    """[(b_n, e_n, S_n, f_n) for n = 1..order] at eps = kappa**2 and t: b_n
+    and S_n as balls of radius e_n and f_n at scale 2**prec.
+
+    With (-eps)**r and (1-eps)**j as balls of radius 2r and 2j (each
+    power one floor step from the last), the products p_r =
+    x_r y_{n-r} are within 2n 2**P + 4n**2 of their values at scale
+    2**(2P), and the binomial weights C(n, r) |(-eps)**r (1-eps)**(n-r)|
+    sum to 1, so b_n = 2 sum_r C(n, r) p_r rho_n[r] has radius
+    2 e_n + (2n 2**P + 4n**2) 2**(n+1+beta_n-2P) + 2 (``_t_balls``).
+    S_n's radius is the sum of |w(n, k)| times those of the b_k.  The
+    bounds hold at every P.
+    """
+    num, den, one = eps.numerator, eps.denominator, 1 << prec
+    xs, ys = (list(accumulate(repeat(v * one // den, order),
+                              lambda p, q: p * q >> prec, initial=one))
+              for v in (-num, den - num))
+    b_mids, b_rads, out = [], [], []
+    for n, (row, rad, beta) in enumerate(_t_balls(t, prec, order), 1):
+        acc = sum(map(operator.mul, map(operator.mul, _binomial_row(n), xs),
+                      map(operator.mul, ys[n:0:-1], row)))
+        b_mids.append(2 * acc >> 2 * prec)
+        spread = (n << prec + 1) + 4 * n * n << n + 1 + beta
+        b_rads.append(2 * rad + (spread >> 2 * prec) + 2)
+        weights = _weight_row(n)[1:]
+        out.append((b_mids[-1], b_rads[-1], sum(map(operator.mul, weights, b_mids)),
+                    sum(map(operator.mul, map(abs, weights), b_rads))))
+    return out
+
+
+def _make_table(eps: Fraction, t: float, size: int) -> tuple:
+    """(a_n, b_n, S_n, S_n / n) for n = 1..size at eps = kappa**2 and t,
+    each float(exact): from one ball pass (``_balls``) at ``_precision``,
+    and from the exact engine (``_exact_nums``) for the rows the pass
+    leaves open.  Both phases round through ``_rounded_row``: the exact
+    engine's b_n and S_n are integer numerators over one denominator, balls
+    of radius 0, so a float is one integer quotient, which rounds once.
+    """
+    prec = _precision(size, t)
+    rows = [_rounded_row(n, b, e, s, f, 1 << prec)
+            for n, (b, e, s, f) in enumerate(_balls(eps, t, size, prec), 1)]
+    open_rows = [n for n, row in enumerate(rows, 1) if None in row]
+    if open_rows:
+        for n, (b, s, den) in zip(open_rows, _exact_nums(eps, t, open_rows)):
+            rows[n - 1] = _rounded_row(n, b, 0, s, 0, den)
+    return tuple(rows)
+
+
+_table = lru_cache(maxsize=16)(_make_table)
+
+
+def _coeff_rows(params: FlowParams, order: int) -> tuple:
+    """Rows 1..``order`` of the cached table of at least 16 rows (a pass to
+    order 16 takes about a millisecond), keyed by eps: -kappa, and a float
+    kappa and its equal Fraction, share it.  It is a tuple of tuples."""
+    return _table(Fraction(params.kappa) ** 2, float(params.t), max(order, 16))[:order]
 
 
 def _check_index(n, name="coefficient index") -> int:
@@ -508,20 +450,20 @@ def a_coeff(params: FlowParams, n: int) -> float:
     """Taylor coefficient a_n of the local inverse of the pre-inversion flow
     map about its critical value, by the nested Laguerre/binomial sum."""
     n = _check_index(n)
-    return _engine(params).table(n)[n - 1][0]
+    return _coeff_rows(params, n)[n - 1][0]
 
 
 def b_coeff(params: FlowParams, n: int) -> float:
     """Rescaled coefficient b_n = n 4**n a_n."""
     n = _check_index(n)
-    return _engine(params).table(n)[n - 1][1]
+    return _coeff_rows(params, n)[n - 1][1]
 
 
 def s_coeff(params: FlowParams, n: int) -> float:
     """Alternating binomial-weighted combination S_n of b_1..b_n; equals the
     n-th coefficient of z d/dz of the inverted-flow series."""
     n = _check_index(n)
-    return _engine(params).table(n)[n - 1][2]
+    return _coeff_rows(params, n)[n - 1][2]
 
 
 def phi_inv_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
@@ -531,7 +473,7 @@ def phi_inv_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
     reduces exactly to the Herglotz transform of the time-2t spectral
     distribution of free unitary Brownian motion.
     """
-    rows = _engine(params).table(_check_order(order))
+    rows = _coeff_rows(params, _check_order(order))
     return TruncatedSeries(0.0, [1.0] + [row[3] for row in rows])
 
 
@@ -541,7 +483,7 @@ def m_series_coeffs(params: FlowParams, order: int) -> TruncatedSeries:
     Constant term 0; the z**n coefficient is S_n, rounded once, as in the
     CLI ``M`` column.
     """
-    rows = _engine(params).table(_check_order(order))
+    rows = _coeff_rows(params, _check_order(order))
     return TruncatedSeries(0.0, [0.0] + [row[2] for row in rows])
 
 

@@ -184,9 +184,9 @@ def _check_flow_kappa(rep: VerifyReport, kappa: float):
     rep.check("moment-expansion-constant", float(worst), 0.0, kappa=kappa)
 
     if kappa != 0.0:
-        # a -kappa engine of its own: flow._engine files -kappa under +kappa
+        # a -kappa table of its own: flow._table files -kappa under +kappa
         pp = flow.FlowParams(kappa, 1.0)
-        minus = flow._CoeffEngine(flow.FlowParams(-kappa, 1.0)).table(10)
+        minus = flow._make_table(Fraction(-kappa) ** 2, 1.0, 16)[:10]
         worst = max(abs(flow.a_coeff(pp, n) - row[0]) for n, row in enumerate(minus, 1))
         rep.check("evenness-in-kappa", worst, 0.0)
 

@@ -11,14 +11,15 @@ from jacobiflow import cli, flow, maps
 from jacobiflow.flow import (
     FlowParams,
     RationalPoly,
-    _CoeffEngine,
-    _engine,
+    _coeff_rows,
+    _diff_balls,
+    _diff_row,
+    _exact_nums,
     _exp_neg_t,
     _rounded,
     _t_balls,
-    _t_table,
-    _TBalls,
-    _TTable,
+    _t_rows,
+    _table,
     a_coeff,
     b_coeff,
     binom_transform,
@@ -74,10 +75,10 @@ def _reference_ttable(t, n_max):
     return q, rows
 
 
-def _exact(eng, order):
-    """[(a_n, b_n, S_n) for n = 1..order] as Fractions, from the engine's
-    integer numerators."""
-    nums = eng._exact_nums(list(range(1, order + 1)))
+def _exact(p, order):
+    """[(a_n, b_n, S_n) for n = 1..order] as Fractions, from the exact
+    engine's integer numerators."""
+    nums = _exact_nums(Fraction(p.kappa) ** 2, float(p.t), list(range(1, order + 1)))
     return [(Fraction(b, den * n << 2 * n), Fraction(b, den), Fraction(s, den))
             for n, (b, s, den) in enumerate(nums, 1)]
 
@@ -285,7 +286,7 @@ class TestSeries:
 
     @pytest.mark.parametrize("build,t", [(phi_inv_coeffs, 1.128), (m_series_coeffs, 1.129)])
     def test_order_cap_checked_before_the_work(self, build, t):
-        caches = (_t_balls, _t_table)
+        caches = (_t_balls, _t_rows, _table)
         infos = [cache.cache_info() for cache in caches]
         with pytest.raises(ValueError, match=f"capped at {MAX_ORDER}"):
             build(FlowParams(0.37, t), MAX_ORDER + 1)
@@ -296,23 +297,23 @@ class TestExactEngine:
     @pytest.mark.parametrize("kappa", [0.5, 0.37, Fraction(2, 7)])
     def test_one_engine_per_eps_and_t(self, kappa):
         # kappa enters through eps alone: -kappa, and a float kappa and its
-        # equal Fraction, share one engine; at 0.37 the float's FlowParams
+        # equal Fraction, share one table; at 0.37 the float's FlowParams
         # rounds epsilon, so the two FlowParams are not equal
-        _engine.cache_clear()
-        eng = _engine(FlowParams(kappa, 1.25))
-        for k in (-kappa, Fraction(kappa), -Fraction(kappa)):
-            assert _engine(FlowParams(k, 1.25)) is eng
-        assert _engine(FlowParams(kappa, 1.5)) is not eng
+        _table.cache_clear()
+        for k in (kappa, -kappa, Fraction(kappa), -Fraction(kappa)):
+            a_coeff(FlowParams(k, 1.25), 5)
+        assert _table.cache_info()[:2] == (3, 1)  # (hits, misses)
+        a_coeff(FlowParams(kappa, 1.5), 5)
+        assert _table.cache_info()[:2] == (3, 2)
         assert a_coeff(FlowParams(-kappa, 1.25), 5) == a_coeff(FlowParams(kappa, 1.25), 5)
 
     @pytest.mark.parametrize("kappa", [0.3, 0.7])
     @pytest.mark.parametrize("t", [0.5, 2.5])
     def test_b_and_m_rounded_once(self, kappa, t):
         p = FlowParams(kappa, t)
-        eng = _engine(p)
         rows = cli._table_rows(kappa, t, 40)
         m = m_series_coeffs(p, 40)
-        for n, (row, (_, b, s)) in enumerate(zip(rows, _exact(eng, 40)), start=1):
+        for n, (row, (_, b, s)) in enumerate(zip(rows, _exact(p, 40)), start=1):
             assert b_coeff(p, n) == float(b)
             assert row["M"] == float(s)
             assert m.coeffs[n] == float(s)
@@ -323,21 +324,21 @@ class TestExactEngine:
     def test_matches_exact_reversion_oracle(self, kappa, t):
         p = FlowParams(kappa, t)
         oracle = series_revert(maps.big_phi_series(p, 10))
-        for n, (_, _, s) in enumerate(_exact(_engine(p), 10), start=1):
+        for n, (_, _, s) in enumerate(_exact(p, 10), start=1):
             assert s / n == oracle.coeffs[n]
 
     @pytest.mark.parametrize("kappa,t", [(0.5, 1.0), (0.7, 0.5)])
     def test_matches_exact_reversion_oracle_to_order_24(self, kappa, t):
         p = FlowParams(kappa, t)
         oracle = series_revert(maps.big_phi_series(p, 24))
-        for n, (_, _, s) in enumerate(_exact(_engine(p), 24), start=1):
+        for n, (_, _, s) in enumerate(_exact(p, 24), start=1):
             assert s / n == oracle.coeffs[n]
 
     def test_matches_laguerre_pnm_sum(self):
         # the nested sum in its original order, over specfun and pnm_poly
         kappa, t = Fraction(2, 5), 0.75
         eps, decay = kappa**2, Fraction(math.exp(-t))
-        exact = _exact(_engine(FlowParams(kappa, t)), 8)
+        exact = _exact(FlowParams(kappa, t), 8)
         for n in range(1, 9):
             total = sum(
                 binomial(2 * n, n - k) * decay**k * sum(
@@ -356,7 +357,7 @@ class TestExactEngine:
             return
         _, rows = _reference_ttable(t, 48)
         for kappa in (0.0, -0.61, 0.37, Fraction(1, 3), 0.999):
-            nums = _engine(FlowParams(kappa, t))._exact_nums(list(range(1, 49)))
+            nums = _exact_nums(Fraction(kappa) ** 2, t, list(range(1, 49)))
             for n, (b, _, _) in enumerate(nums, start=1):
                 assert b == _reference_b_num(rows, kappa, n)
 
@@ -364,40 +365,36 @@ class TestExactEngine:
     def test_diffs_are_forward_differences_of_q(self, t):
         q, _ = _reference_ttable(t, 24)
         d = math.exp(-t).as_integer_ratio()[0]
-        table = _TTable(t)
-        table.row(24)
         for k in range(1, 25):
             diffs = [sum((-1) ** (r - i) * binomial(r, i) * q[k][i] for i in range(r + 1))
                      for r in range(k + 1)]
-            assert table._diffs[k] == [d**k * diff for diff in diffs[:k]]
+            assert _diff_row(t, k) == [d**k * diff for diff in diffs[:k]]
             assert diffs[k] == 0  # Q(k, j) has degree k-1 in j
 
     def test_shared_table_under_threads(self):
         t, n_max = 0.6180339887, 14
-        serial = _TTable(t)
-        want = [serial.row(n) for n in range(1, n_max + 1)]
+        want = _t_rows.__wrapped__(t, n_max)
         orders = [random.Random(seed).sample(range(1, n_max + 1), n_max) for seed in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 for _ in range(10):
-                    shared = _TTable(t)
-                    futures = [pool.submit(lambda tab, o: [(n, tab.row(n)) for n in o], shared, o)
+                    _t_rows.cache_clear()
+                    futures = [pool.submit(lambda o: [(n, _t_rows(t, n)) for n in o], o)
                                for o in orders]
                     for f in futures:
-                        for n, row in f.result(timeout=60):
-                            assert row == want[n - 1]
+                        for n, rows in f.result(timeout=60):
+                            assert rows == want[:n]
         finally:
             sys.setswitchinterval(interval)
 
     def test_shared_engine_under_threads(self):
-        # the kept rows are replaced as larger orders are asked for
         p, n_max = FlowParams(0.6180339887, 0.5772156649), 20
-        want = _CoeffEngine(p).table(n_max)
+        want = _fresh_table(p, n_max)
         jobs = [(kind, n) for kind in ("table", "a", "s") for n in range(1, n_max + 1)]
         orders = [random.Random(seed).sample(jobs, len(jobs)) for seed in range(8)]
-        calls = {"table": lambda n: _engine(p).table(n),
+        calls = {"table": lambda n: _coeff_rows(p, n),
                  "a": lambda n: a_coeff(p, n), "s": lambda n: s_coeff(p, n)}
         serial = {"table": lambda n: want[:n],
                   "a": lambda n: want[n - 1][0], "s": lambda n: want[n - 1][2]}
@@ -406,14 +403,12 @@ class TestExactEngine:
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 for _ in range(10):
-                    _engine.cache_clear()
-                    shared = _engine(p)
+                    _table.cache_clear()
                     futures = [pool.submit(lambda o: [(k, n, calls[k](n)) for k, n in o], o)
                                for o in orders]
                     for f in futures:
                         for kind, n, value in f.result(timeout=60):
                             assert value == serial[kind](n)
-                    assert _engine(p) is shared
         finally:
             sys.setswitchinterval(interval)
 
@@ -423,22 +418,28 @@ def _hex(rows) -> list:
     return [tuple(x.hex() for x in row) for row in rows]
 
 
+def _fresh_table(p, order):
+    """The first ``order`` rows of a table made afresh, past the cache, by
+    ``flow._make_table``, which reads any patch of ``flow._exact_nums``."""
+    return flow._make_table(Fraction(p.kappa) ** 2, float(p.t), max(order, 16))[:order]
+
+
 def _exact_floats(p, order):
     """``_hex`` of (a_n, b_n, S_n, S_n / n) as float(Fraction) from the
-    exact engine's integer numerators, on an engine of its own."""
+    exact engine's integer numerators."""
     return _hex([(float(a), float(b), float(s), float(s / n))
-                 for n, (a, b, s) in enumerate(_exact(_CoeffEngine(p), order), start=1)])
+                 for n, (a, b, s) in enumerate(_exact(p, order), start=1)])
 
 
-def _no_exact_rows(self, ns):
+def _no_exact_rows(eps, t, ns):
     raise AssertionError(f"the exact engine made rows {ns}")
 
 
 def _record_exact_rows(monkeypatch):
     """The list of rows the exact engine makes from here on."""
-    made, exact_nums = [], _CoeffEngine._exact_nums
-    monkeypatch.setattr(_CoeffEngine, "_exact_nums",
-                        lambda self, ns: made.extend(ns) or exact_nums(self, ns))
+    made = []
+    monkeypatch.setattr(flow, "_exact_nums",
+                        lambda eps, t, ns: made.extend(ns) or _exact_nums(eps, t, ns))
     return made
 
 
@@ -465,10 +466,10 @@ class TestBallPass:
         for kappa, t, order in self._cases():
             p = FlowParams(kappa, t)
             want = _exact_floats(p, order)
-            _engine.cache_clear()
-            assert _hex(_engine(p).table(order)) == want, (kappa, t, order)
+            _table.cache_clear()
+            assert _hex(_coeff_rows(p, order)) == want, (kappa, t, order)
             inv, m = phi_inv_coeffs(p, order), m_series_coeffs(p, order)
-            _engine.cache_clear()  # the accessors, each from a cold engine
+            _table.cache_clear()  # the accessors, each from a cold table
             for n in (1, (order + 1) // 2, order):
                 assert a_coeff(p, n).hex() == want[n - 1][0], (kappa, t, n)
                 assert b_coeff(p, n).hex() == want[n - 1][1], (kappa, t, n)
@@ -480,8 +481,8 @@ class TestBallPass:
     def test_ball_pass_decides_alone(self, kappa, t, monkeypatch):
         p = FlowParams(kappa, t)
         want = _exact_floats(p, 48)
-        monkeypatch.setattr(_CoeffEngine, "_exact_nums", _no_exact_rows)
-        assert _hex(_CoeffEngine(p).table(48)) == want
+        monkeypatch.setattr(flow, "_exact_nums", _no_exact_rows)
+        assert _hex(_fresh_table(p, 48)) == want
 
     @pytest.mark.parametrize("prec", [0, 4, 40, 64])
     @pytest.mark.parametrize("kappa,t", [(0.37, 1.23), (0.0, 8.0), (0.5, 1.35)])
@@ -492,7 +493,7 @@ class TestBallPass:
         want = _exact_floats(p, 32)
         monkeypatch.setattr(flow, "_precision", lambda order, t: prec)
         made = _record_exact_rows(monkeypatch)
-        assert _hex(_CoeffEngine(p).table(32)) == want
+        assert _hex(_fresh_table(p, 32)) == want
         if prec <= 4:
             assert made == list(range(1, 33))
 
@@ -504,34 +505,30 @@ class TestBallPass:
         # Delta_k[r] and rho_n[r] against the exact t-table, b_n and S_n
         # against the exact engine
         order = 24
-        exact = _TTable(t)
-        exact.row(order)
         P = prec
-        balls = _TBalls(t, P)
-        rows = balls.rows(order)
         _, tau, _, delta = flow._t_scales(t)
         for k in range(1, order + 1):
             scale = math.factorial(k - 1) << tau * (k - 1) + delta * k
-            for r in range(k):
-                value = Fraction(exact._diffs[k][r] << P, scale)
-                assert abs(value - balls._cols[r][k - r - 1]) <= balls._rads[k], (k, r)
-        for n in range(1, order + 1):
-            scale = math.factorial(n - 1) << exact.sigma * n - tau
-            mids, rad, beta = rows[n]
+            mids, rad = _diff_balls(t, P, k)
+            for r, exact in enumerate(_diff_row(t, k)):
+                assert abs(Fraction(exact << P, scale) - mids[r]) <= rad, (k, r)
+        exact_rows = _t_rows(t, order)
+        for n, (mids, rad, beta) in enumerate(_t_balls(t, P, order), 1):
+            scale = math.factorial(n - 1) << (tau + delta) * n - tau
             assert max(abs(m) for m in mids) < 1 << beta
             for r, mid in enumerate(mids):
-                assert abs(Fraction(exact.row(n)[r] << P, scale) - mid) <= rad, (n, r)
-        eng = _CoeffEngine(FlowParams(kappa, t))
+                assert abs(Fraction(exact_rows[n - 1][r] << P, scale) - mid) <= rad, (n, r)
+        p = FlowParams(kappa, t)
         for n, ((b, e, s, f), (_, b_exact, s_exact)) in enumerate(
-                zip(eng._balls(order, P), _exact(eng, order)), 1):
+                zip(flow._balls(Fraction(kappa) ** 2, t, order, P), _exact(p, order)), 1):
             assert abs(b_exact * 2**P - b) <= e and abs(s_exact * 2**P - s) <= f, n
 
     def test_ci_coeffs_commands_take_both_paths(self, monkeypatch):
         # the two `coeffs --n 64` commands of the CI's console-script step
         made = _record_exact_rows(monkeypatch)
-        _CoeffEngine(FlowParams(0.3, 0.001)).table(64)
+        _fresh_table(FlowParams(0.3, 0.001), 64)
         assert made == []
-        _CoeffEngine(FlowParams(0.99999, 50.0)).table(64)
+        _fresh_table(FlowParams(0.99999, 50.0), 64)
         assert made
 
     def test_tie_goes_to_the_exact_engine(self, monkeypatch):
@@ -542,7 +539,7 @@ class TestBallPass:
         assert (3 * big_d).bit_length() == 54 and big_d % 2 == 1
         want = _exact_floats(p, 48)
         made = _record_exact_rows(monkeypatch)
-        assert _hex(_CoeffEngine(p).table(48)) == want
+        assert _hex(_fresh_table(p, 48)) == want
         assert made == [1]
 
     def test_precision(self):
@@ -568,38 +565,49 @@ class TestBallPass:
 
     def test_t_balls_one_table_per_precision(self):
         t = 0.4142135623
-        low = _t_balls(t, 96)
-        first = low.rows(8)[1:9]
-        high = _t_balls(t, 160)
-        high.rows(12)
-        assert high is not low and (low.prec, high.prec) == (96, 160)
-        assert _t_balls(t, 96) is low and low.rows(10)[1:9] == first  # no restart
-        assert high.rows(12)[1:] == _TBalls(t, 160).rows(12)[1:]
+        _t_balls.cache_clear()
+        low = _t_balls(t, 96, 8)
+        high = _t_balls(t, 160, 12)
+        assert high[:8] != low
+        assert _t_balls(t, 96, 8) is low and _t_balls.cache_info()[:2] == (1, 2)
+        assert _t_balls(t, 96, 10)[:8] == low  # row n does not depend on the order
+        assert high == _t_balls.__wrapped__(t, 160, 12)
 
     def test_shared_ball_table_under_threads(self):
-        # one table per P, each shared by threads that grow it in any order
+        # threads that ask for the tables of two P in any order
         t, n_max, precs = 0.6180339887, 14, (96, 160)
-        serial = {prec: _TBalls(t, prec).rows(n_max)[1:] for prec in precs}
+        serial = {prec: _t_balls.__wrapped__(t, prec, n_max) for prec in precs}
         jobs = [(n, prec) for n in range(1, n_max + 1) for prec in precs]
         orders = [random.Random(seed).sample(jobs, len(jobs)) for seed in range(8)]
 
-        def work(tabs, order):
-            return [(n, prec, tabs[prec].rows(n)) for n, prec in order]
+        def work(order):
+            return [(n, prec, _t_balls(t, prec, n)) for n, prec in order]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 for _ in range(10):
-                    shared = {prec: _TBalls(t, prec) for prec in precs}
-                    futures = [pool.submit(work, shared, o) for o in orders]
+                    _t_balls.cache_clear()
+                    futures = [pool.submit(work, o) for o in orders]
                     for f in futures:
                         for n, prec, rows in f.result(timeout=60):
-                            assert rows[n] == serial[prec][n - 1]
-                    for prec, tab in shared.items():
-                        assert tab.prec == prec and tab.rows(n_max)[1:] == serial[prec]
+                            assert rows == serial[prec][:n]
         finally:
             sys.setswitchinterval(interval)
+
+    def test_cached_tables_are_tuples(self):
+        # no caller can change a cached table in place
+        def frozen(value):
+            return not isinstance(value, list) and (
+                not isinstance(value, tuple) or all(map(frozen, value)))
+
+        t = 1.3
+        _coeff_rows(FlowParams(0.37, t), 20)
+        for table in (_table(Fraction(0.37) ** 2, t, 20), _t_balls(t, flow._precision(20, t), 20),
+                      _t_rows(t, 20)):
+            assert type(table) is tuple and len(table) == 20
+            assert all(type(row) is tuple for row in table) and frozen(table)
 
 
 class TestRoundedOnce:
@@ -609,7 +617,7 @@ class TestRoundedOnce:
     @pytest.mark.parametrize("kappa,t", [(0.0, 1.0), (-0.61, 0.83), (0.37, 2.5), (0.5, 700.0),
                                          (Fraction(1, 3), 0.7)])
     def test_table_columns(self, kappa, t):
-        exact = _exact(_engine(FlowParams(kappa, t)), MAX_ORDER)
+        exact = _exact(FlowParams(kappa, t), MAX_ORDER)
         rows = cli._table_rows(kappa, t, MAX_ORDER)
         assert len(rows) == MAX_ORDER
         for n, (row, (a, b, s)) in enumerate(zip(rows, exact), start=1):
@@ -623,7 +631,7 @@ class TestRoundedOnce:
     def test_library_accessors(self, kappa, t):
         p = FlowParams(kappa, t)
         inv, m = phi_inv_coeffs(p, 32), m_series_coeffs(p, 32)
-        for n, (a, b, s) in enumerate(_exact(_engine(p), 32), start=1):
+        for n, (a, b, s) in enumerate(_exact(p, 32), start=1):
             assert a_coeff(p, n) == float(a)
             assert b_coeff(p, n) == float(b)
             assert s_coeff(p, n) == m.coeffs[n] == float(s)

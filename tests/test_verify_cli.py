@@ -504,14 +504,14 @@ class TestCliSweep:
         # six t values, more than flow._t_balls keeps, at two kappas; every
         # entry is decided by a ball pass, so no exact t-table is built
         kappas, ts = ["0.2", "-0.7"], ["0.3", "2.5", "0.9", "1.7", "4", "0.6"]
-        flow._engine.cache_clear()
+        flow._table.cache_clear()
         flow._t_balls.cache_clear()
-        flow._t_table.cache_clear()
+        flow._t_rows.cache_clear()
         out = tmp_path / "tables"
         assert main(["sweep", "--kappa", ",".join(kappas), "--t", ",".join(ts), "--n", "12",
                      "--out", str(out)]) == 0
         assert flow._t_balls.cache_info().misses == 6
-        assert flow._t_table.cache_info().misses == 0
+        assert flow._t_rows.cache_info().misses == 0
         grid = [(float(k), float(t)) for k in kappas for t in ts]  # kappa-major
         manifest = json.loads((out / "manifest.json").read_text())
         assert [(e["index"], e["kappa"], e["t"], e["path"]) for e in manifest["entries"]] == [
