@@ -322,30 +322,32 @@ def _check_maps(rep: VerifyReport, params: flow.FlowParams, phi_s, k_coeffs, ful
     # the entry names the z whose term sets the residual, the later one on a tie
     res, z_worst = abs(maps.psi(params, 0.0)), 0.0
     s_of = lambda z: (1 + z) / (1 - z)
-    if kap == 0.0:
-        # the chain collapses onto xi(s) only while xi(s) stays in the disc
-        for z in (0.1, 0.05, 0.02, 0.005):
-            if abs(maps.xi(t, s_of(z))) < 1:
-                term = abs(maps.psi(params, z) - maps.xi(t, s_of(z)))
-                if term >= res:
-                    res, z_worst = term, z
-                break
     evaluated = 0
-    for z in (0.1, 0.05 - 0.1j, 0.02, 0.005, 0.001):
-        s = s_of(z)
-        a = cmath.sqrt(kap * kap + (1 - kap * kap) * s * s)
-        try:
-            # at large t, e^{ta} overflows for |a| > 1: the chain leaves
-            # binary64 there, and that z is skipped like one off the cut
-            with np.errstate(over="ignore", invalid="ignore"):
+    # at large t, e^{ts} and e^{ta} overflow for |s|, |a| > 1: the chain leaves
+    # binary64 there, and that z is skipped like one off the cut
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kap == 0.0:
+            # the chain collapses onto xi(s) only while xi(s) stays in the
+            # disc; a non-finite xi(s) is off it
+            for z in (0.1, 0.05, 0.02, 0.005):
+                y = maps.xi(t, s_of(z))
+                if abs(y) < 1:
+                    term = abs(maps.psi(params, z) - y)
+                    if term >= res:
+                        res, z_worst = term, z
+                    break
+        for z in (0.1, 0.05 - 0.1j, 0.02, 0.005, 0.001):
+            s = s_of(z)
+            a = cmath.sqrt(kap * kap + (1 - kap * kap) * s * s)
+            try:
                 term = abs(maps.psi(params, z) - maps.big_phi(params, a))
-        except maps.DomainError:
-            continue
-        if not math.isfinite(term):
-            continue
-        evaluated += 1
-        if term >= res:
-            res, z_worst = term, z
+            except maps.DomainError:
+                continue
+            if not math.isfinite(term):
+                continue
+            evaluated += 1
+            if term >= res:
+                res, z_worst = term, z
     if evaluated:
         rep.check("psi-chain-identity", res, 1e-12, z=z_worst)
     else:

@@ -413,6 +413,14 @@ class TestCliVerify:
         assert (got == 1) == bool(failed)
         assert set(failed) <= LARGE_TIME_FAILURES | {"overall"}
 
+    @pytest.mark.parametrize("t", ["600", "700"])
+    def test_symmetric_large_time_fails_cleanly(self, t, capsys):
+        # e^{ts} overflows in the kappa = 0 psi chain, whose xi is then off the disc
+        got, out, err = _run(["verify", "--kappa", "0", "--t", t], capsys)
+        assert (got, err) == (1, "")
+        assert re.findall(r"^FAIL  (\S+):", out, re.M) == [
+            "herglotz-inverse-grid", "phi-critical-point", "flow-roundtrip-pointwise", "overall"]
+
 
 class TestCliIntegral:
     def test_matches_series_value(self, capsys):
