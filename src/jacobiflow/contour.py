@@ -465,8 +465,7 @@ def jacobi_gen_check(j: int, z, w, n_terms: int = 150, tol: float = 1e-8) -> Ver
 
     together with its variant shifted by one degree (extra factor z).  The
     P_n come in one row from the binary64 recurrence of :func:`_jacobi_row`;
-    the verify entry ``jacobi-exact-complex`` tests that row against exact
-    values."""
+    the tests compare that row with exact values."""
     if j < 1:
         raise ValueError("j must be positive")
     z = complex(z)

@@ -4,8 +4,8 @@ oracle, every branch and kernel condition on explicit grids.
 ``run_checks`` is the one definition of each named check: the test suite
 asserts its entries over a grid of parameters, and the command line re-runs
 them for arbitrary ones.  ``fast`` keeps the grids small; ``full`` runs
-acceptance-sized ones.  The 14 checks that read neither kappa nor t run once
-per process and level, in ``_fixed_entries`` (``cache_clear()`` resets it).
+acceptance-sized ones.  Every entry reads kappa or t; a check that reads
+neither is a tier-1 test, since its result never depends on the run's input.
 A run expands phi about z = 1 once, exactly, and hands truncations of it to
 every check that reads it.  The reversion oracle reverts phi and composes
 that with alpha_inv's integer series: (alpha o phi)^-1 = phi^-1 o alpha_inv.
@@ -14,9 +14,7 @@ that with alpha_inv's integer series: (alpha o phi)^-1 = phi^-1 o alpha_inv.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +22,6 @@ import numpy as np
 from . import contour, flow, maps, powerseries
 from .powerseries import TruncatedSeries, series_compose, series_derive, series_revert
 from .report import VerifyReport
-from .specfun import binomial, jacobi_poly, laguerre, pochhammer
 
 
 def _rel(a, b) -> float:
@@ -46,135 +43,6 @@ def _lagrange_inverse(f: TruncatedSeries) -> list:
     return out
 
 
-# -- special functions ---------------------------------------------------------
-
-
-def _jacobi_taylor(n, a, b, x, y):
-    """Exact (re, im) of P_n^{a,b}(x + iy) for exact real a, b, x, y, by the
-    Taylor expansion at x that d/dx P_n^{a,b} = (n+a+b+1)/2 P_{n-1}^{a+1,b+1}
-    (DLMF 18.9.15) gives on the real exact path, each part's terms summed as
-    integers over the lcm of their denominators:
-
-        P_n^{a,b}(x + iy) = sum_k (n+a+b+1)_k / (2^k k!) P_{n-k}^{a+k,b+k}(x) (iy)^k."""
-    parts = ([], [])
-    for k in range(n + 1):
-        p = jacobi_poly(n - k, a + k, b + k, x)
-        num = (-1) ** (k // 2) * pochhammer(n + a + b + 1, k) * p.numerator * y.numerator**k
-        parts[k % 2].append((num, 2**k * math.factorial(k) * p.denominator * y.denominator**k))
-    lcms = [math.lcm(*(d for _, d in terms)) for terms in parts]
-    return tuple(Fraction(sum(c * (l // d) for c, d in terms), l) for terms, l in zip(parts, lcms))
-
-
-def _check_specfun(rep: VerifyReport, full: bool):
-    res = abs(pochhammer(0, 3)) + abs(pochhammer(1, 5) - 120) + abs(pochhammer(2.5, 0) - 1)
-    rep.check("pochhammer-convention", res, 0.0)
-
-    res = abs(binomial(5, 7)) + abs(binomial(4, 2) - 6) + abs(binomial(40, 20) - 137846528820)
-    rep.check("binomial-edges", res, 0.0)
-
-    # P_n^{a,b}(z) = (-1)^n P_n^{b,a}(-z), the recurrence at z against the
-    # exact value at -z (the recurrence alone is symmetric bit for bit)
-    n, a, b, x, y = 4, 2, 0, Fraction(3, 10), Fraction(1, 5)
-    re, im = _jacobi_taylor(n, b, a, -x, -y)
-    mirror = (-1) ** n * complex(float(re), float(im))
-    res = abs(contour._jacobi_row(n, a, b, complex(x, y))[n] - mirror)
-    rep.check("jacobi-symmetry", res, 1e-12, n=n, a=a, b=b)
-
-    # the recurrence behind the Jacobi generating checks, at 0.3 + 0.2i and
-    # at their complex argument 1 - 2 (0.5 + 0.1i)^2 = 0.52 - 0.2i
-    worst = 0.0
-    for x, y in ((Fraction(3, 10), Fraction(1, 5)), (Fraction(13, 25), Fraction(-1, 5))):
-        row = contour._jacobi_row(60, 0, 4, complex(x, y))
-        for n in (20, 60):
-            re, im = _jacobi_taylor(n, 0, 4, x, y)
-            exact = complex(float(re), float(im))
-            worst = max(worst, abs(row[n] - exact) / abs(exact))
-    rep.check("jacobi-exact-complex", worst, 1e-12)
-
-    rng = random.Random(1905)
-    worst = 0.0
-    n_max = 20 if full else 12
-    for _ in range(12):
-        n = rng.randint(0, n_max)
-        alpha = Fraction(rng.randint(-40, 40), 8)
-        z = Fraction(rng.randint(-32, 32), 16)
-        exact = laguerre(n, alpha, z)
-        approx = laguerre(n, float(alpha), float(z))
-        worst = max(worst, abs(approx - float(exact)) / max(abs(float(exact)), 1.0))
-        if n >= 2:  # three-term contiguous recurrence, exact arithmetic
-            rec = ((2 * n - 1 + alpha - z) * laguerre(n - 1, alpha, z)
-                   - (n - 1 + alpha) * laguerre(n - 2, alpha, z)) / n
-            if rec != exact:
-                worst = max(worst, 1.0)
-    rep.check("laguerre-exact-consistency", worst, 1e-13, n_max=n_max)
-
-
-# -- power series --------------------------------------------------------------
-
-
-def _check_powerseries(rep: VerifyReport, full: bool):
-    rng = random.Random(777)
-    worst = 0.0
-    for order in (16, 32 if full else 24):
-        # geometric decay keeps the inverse series well conditioned
-        coeffs = [0j, cmath.rect(rng.uniform(0.8, 1.2), rng.uniform(-3.1, 3.1))]
-        coeffs += [
-            cmath.rect(0.5**k * rng.uniform(0.0, 1.0), rng.uniform(-3.1, 3.1))
-            for k in range(2, order + 1)
-        ]
-        f = TruncatedSeries(0j, coeffs)
-        g = series_revert(f)
-        ident = series_compose(f, g)
-        want = [0j, 1.0 + 0j] + [0j] * (order - 1)
-        worst = max(worst, max(abs(a - b) for a, b in zip(ident.coeffs, want)))
-    rep.check("series-roundtrip-complex", worst, 1e-10)
-
-    coeffs = [Fraction(0), Fraction(1)] + [
-        Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(10)
-    ]
-    f = TruncatedSeries(Fraction(0), coeffs)
-    g = series_revert(f)
-    ident = series_compose(f, g)
-    want = [Fraction(0), Fraction(1)] + [Fraction(0)] * 10
-    worst = max(abs(a - b) for a, b in zip(ident.coeffs, want))
-    # reversion against the closed Lagrange extraction
-    for n, lagr in enumerate(_lagrange_inverse(f), 1):
-        worst = max(worst, abs(lagr - g.coeffs[n]))
-    rep.check("series-reversion-exact", float(worst), 0.0)
-
-
-# -- combinatorial layer --------------------------------------------------------
-
-
-def _check_flow_fixed(rep: VerifyReport, full: bool):
-    # each P_{n,m} against its definition: the value at eps = 3 is the x**m
-    # coefficient of (1 - 3/(1+x)**2)**n, expanded on integers by the ring
-    # loop, with 1/(1+x)**2 = sum_j (-1)**j (j+1) x**j; and P_{n,0} is
-    # (1-eps)**n, P_{n,m}(0) is 1 at m = 0 and 0 otherwise, the degree <= n
-    n_max = 20 if full else 12
-    base = [-2] + [3 * (-1) ** (j + 1) * (j + 1) for j in range(1, n_max + 1)]
-    power, worst = [1] + [0] * n_max, 0
-    for n in range(1, n_max + 1):
-        power = powerseries._mul_trunc(power, base, n_max)
-        bad = flow.pnm_poly(n, 0).coeffs != tuple((-1) ** k * binomial(n, k) for k in range(n + 1))
-        for m in range(n_max + 1):
-            poly = flow.pnm_poly(n, m)
-            bad |= poly.degree > n or poly.coeffs[0] != int(m == 0) or poly(3) != power[m]
-        worst = max(worst, int(bad))
-    rep.check("pnm-structure", float(worst), 0.0, n_max=n_max)
-
-    rng = random.Random(41)
-    length = 30 if full else 12
-    seq = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(length)]
-    back = flow.inv_binom_transform(flow.binom_transform(seq))
-    worst = max(abs(a - b) for a, b in zip(back, seq))
-    rep.check("transform-roundtrip-exact", float(worst), 0.0, length=length)
-
-    agree = all(flow.invrel_weight(n, k) == flow.invrel_weight_split(n, k)
-                for n in range(1, 31) for k in range(n + 1))
-    rep.check("invrel-forms-agree", 0.0 if agree else 1.0, 0.0)
-
-
 def _check_flow_kappa(rep: VerifyReport, kappa: float):
     kap_exact = Fraction(kappa)
     p = flow.FlowParams(kap_exact, 1.0)
@@ -182,13 +50,6 @@ def _check_flow_kappa(rep: VerifyReport, kappa: float):
     want = (1 + kap_exact) / 2
     worst = max(abs(m - want) for m in moments)
     rep.check("moment-expansion-constant", float(worst), 0.0, kappa=kappa)
-
-    if kappa != 0.0:
-        # a -kappa table of its own: flow._table files -kappa under +kappa
-        pp = flow.FlowParams(kappa, 1.0)
-        minus = flow._make_table(Fraction(-kappa) ** 2, 1.0, 16)[:10]
-        worst = max(abs(flow.a_coeff(pp, n) - row[0]) for n, row in enumerate(minus, 1))
-        rep.check("evenness-in-kappa", worst, 0.0)
 
 
 # -- oracles for the coefficient formulas --------------------------------------
@@ -208,7 +69,7 @@ def _check_oracles(rep: VerifyReport, params: flow.FlowParams, phi_s, k_coeffs, 
     oracle = series_compose(series_revert(phi_s), maps._alpha_inv_series(order))
     closed = flow.phi_inv_coeffs(params, order)
     worst = max(_rel(float(a), b) for a, b in zip(oracle.coeffs, closed.coeffs))
-    rep.check("reversion-oracle", worst, 1e-9, order=order,
+    rep.check("reversion-oracle", worst, 0.0, order=order,
               kappa=params.kappa, t=params.t)
 
     # symmetric-case reduction to the first 16 Herglotz coefficients
@@ -217,50 +78,19 @@ def _check_oracles(rep: VerifyReport, params: flow.FlowParams, phi_s, k_coeffs, 
     worst = max(_rel(a, b) for a, b in zip(inv0.coeffs[1:], k_coeffs))
     rep.check("kzero-closed-form", worst, 1e-10, t=t)
 
-    # derivative series: z d/dz of the inverted-flow series against the
-    # direct S_n route
-    derived = series_derive(flow.phi_inv_coeffs(params, 12))
-    mser = flow.m_series_coeffs(params, 12)
-    worst = max(_rel(a, b) for a, b in zip(derived.coeffs, mser.coeffs[1:]))
-    rep.check("m-series-two-routes", worst, 1e-12,
-              first_coeff=mser.coeffs[1], note="sum starts at n=1")
+    # S_n: the derivative of the exact oracle, n (S_n/n), against the engine
+    mser = flow.m_series_coeffs(params, order)
+    worst = max(_rel(float(a), b) for a, b in zip(series_derive(oracle).coeffs, mser.coeffs[1:]))
+    rep.check("m-series-two-routes", worst, 0.0, order=order, note="sum starts at n=1")
 
 
 # -- conformal maps -------------------------------------------------------------
-
-
-def _check_helpers(rep: VerifyReport, full: bool):
-    res = abs(maps.alpha(0.75) - 1 / 3) + abs(maps.alpha_inv(1 / 3) - 0.75)
-    for z in (-0.5, 0.2 + 0.4j):
-        res = max(res, abs(maps.alpha_inv(maps.alpha(z)) - z))
-    res = max(res, abs(maps.alpha(maps.alpha_inv(0.3j)) - 0.3j))
-    rep.check("alpha-roundtrip", res, 1e-13)
-
-    res = abs(maps.r_func(0.3 + 0.1j, 0.0) - (1 - (0.3 + 0.1j)))
-    res = max(res, abs(maps.r_func(0.0, 0.4) - 1.0))
-    res = max(res, abs(maps.y_func(0.2 + 0.1j, 0.0) - (0.2 + 0.1j)))
-    res = max(res, abs(maps.y_func(0.0, 0.4)))
-    for z, w in ((0.1 + 0.05j, 0.45), (0.2, 0.3 + 0.2j)):
-        rr = maps.r_func(z, w)
-        res = max(res, abs(maps.y_func(z, w) - (1 + z - rr) / (1 + z + rr)))
-    rep.check("kernel-identities", res, 1e-13)
-
-    spec = contour.ContourSpec(0.4 + 0j, 0.2, 64)
-    res = abs(contour.circle_quadrature(lambda w: 1.0 / (w - 0.4), spec) - 1.0)
-    res = max(res, abs(contour.circle_quadrature(lambda w: np.ones_like(w), spec)))
-    res = max(res, abs(contour.circle_quadrature(lambda w: (w - 0.4) ** -2.0, spec)))
-    rep.check("quadrature-residues", res, 1e-12)
-
-    rep.add(contour.jacobi_gen_check(1, 0.2, 0.6, n_terms=100, tol=1e-9))
-    for j in (2,) if not full else (2, 3, 4):
-        rep.add(contour.jacobi_gen_check(j, 0.15, 0.5 + 0.1j, n_terms=150, tol=1e-8))
 
 
 def _check_maps(rep: VerifyReport, params: flow.FlowParams, phi_s, k_coeffs, full: bool):
     t = float(params.t)
     kap = float(params.kappa)
 
-    rep.entries += _fixed_entries(full)["alpha-roundtrip"]
     radii = (0.1, 0.3, 0.5, 0.7, 0.9)
     angles = np.linspace(0.0, 2 * np.pi, 12 if full else 8, endpoint=False)
     worst = abs(maps.herglotz_k(t, 0.0) - 1.0)
@@ -360,8 +190,6 @@ def _check_maps(rep: VerifyReport, params: flow.FlowParams, phi_s, k_coeffs, ful
         worst = max(worst, abs(maps.big_phi(params, inv(z)) - z))
     rep.check("flow-roundtrip-pointwise", worst, 1e-8)
 
-    rep.entries += _fixed_entries(full)["kernel-identities"]
-
     probe_kap = kap if kap != 0.0 else 0.3
     zs = np.linspace(-0.95, 0.95, 39)
     inner = np.real((1 + zs) * np.conj(maps.r_func(zs, probe_kap)))
@@ -386,7 +214,6 @@ def _check_contour(rep: VerifyReport, params: flow.FlowParams, full: bool):
     t = float(params.t)
     kap = float(params.kappa)
 
-    rep.entries += _fixed_entries(full)["quadrature-residues"]
     probe = flow.FlowParams(kap if kap != 0.0 else 0.6, t)
     pk = float(probe.kappa)
     cs = contour._circle(pk, abs(pk) / 2, 64)
@@ -405,7 +232,6 @@ def _check_contour(rep: VerifyReport, params: flow.FlowParams, full: bool):
     specs = [(0, 0.2, 80, 1e-10)]  # (m, y, n_terms, tol)
     specs += [(m, 0.3, 120, 1e-8) for m in ((1, 2) if not full else (1, 2, 3, 4))]
     rep.entries += contour.laguerre_gen_checks(specs, t)
-    rep.entries += _fixed_entries(full)["jacobi-generating"]
 
     mser = flow.m_series_coeffs(params, 16)
     if kap == 0.0:
@@ -440,30 +266,13 @@ def _check_contour(rep: VerifyReport, params: flow.FlowParams, full: bool):
     rep.check("branch-bound-estimate", max(0.0, bound_gap), 1e-12)
 
 
-@functools.cache
-def _fixed_entries(full: bool) -> dict:
-    """The entries that read neither kappa nor t, once per process and level:
-    ``"lead"`` opens each report, in order; each ``_check_helpers`` entry sits
-    under its name.  Reports share them, as VerifyEntry is frozen."""
-    lead, helpers = VerifyReport(), VerifyReport()
-    for check in (_check_specfun, _check_powerseries, _check_flow_fixed):
-        check(lead, full)
-    _check_helpers(helpers, full)
-    parts = {"lead": tuple(lead.entries)}
-    for e in helpers.entries:
-        parts[e.name] = parts.get(e.name, ()) + (e,)
-    return parts
-
-
 def run_checks(kappa: float, t: float, level: str = "fast") -> VerifyReport:
-    """Run the named verification suite for one parameter pair; the entries
-    of ``_fixed_entries`` go where their sections put them."""
+    """Run the named verification suite for one parameter pair."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     full = level == "full"
     params = flow.FlowParams(kappa, t)
     rep = VerifyReport()
-    rep.entries += _fixed_entries(full)["lead"]
     _check_flow_kappa(rep, kappa)
     phi_s = maps.phi_series(params, 12 if full else 8)
     # the Herglotz coefficients at kappa = 0: 16 for kzero-closed-form, 60 for the series

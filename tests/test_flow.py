@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jacobiflow import cli, flow, maps
+from jacobiflow import cli, contour, flow, maps
 from jacobiflow.flow import (
     FlowParams,
     RationalPoly,
@@ -34,7 +34,6 @@ from jacobiflow.flow import (
 )
 from jacobiflow.powerseries import MAX_ORDER, series_revert
 from jacobiflow.specfun import binomial, laguerre, pochhammer
-from conftest import assert_entries
 
 
 def _reference_ttable(t, n_max):
@@ -122,18 +121,33 @@ class TestFlowParams:
 class TestPnmPoly:
     def test_m_zero_is_binomial_power(self):
         # (1 - eps)^n expanded
-        for n in range(0, 15):
+        for n in range(0, 21):
             want = tuple(Fraction((-1) ** k * binomial(n, k)) for k in range(n + 1))
             assert pnm_poly(n, 0).coeffs == want
 
     def test_value_at_zero_is_kronecker(self):
-        assert_entries("pnm-structure", 0.5, 1.0, "full")
+        for n in range(1, 21):
+            for m in range(21):
+                assert pnm_poly(n, m).coeffs[0] == int(m == 0), (n, m)
+
+    def test_value_at_three_is_its_definition(self):
+        # P_{n,m}(3) is the x**m coefficient of (1 - 3/(1+x)**2)**n, expanded
+        # on integers with 1/(1+x)**2 = sum_j (-1)**j (j+1) x**j; flow.pnm_poly
+        # is read at call time, so a patched one is checked too
+        n_max = 20
+        base = [-2] + [3 * (-1) ** (j + 1) * (j + 1) for j in range(1, n_max + 1)]
+        power = [1] + [0] * n_max
+        for n in range(1, n_max + 1):
+            power = [sum(power[i] * base[m - i] for i in range(m + 1)) for m in range(n_max + 1)]
+            assert [flow.pnm_poly(n, m)(3) for m in range(n_max + 1)] == power, n
 
     def test_hand_expanded_low_case(self):
         assert pnm_poly(1, 1).coeffs == (0, 2)  # 2 eps
 
     def test_degree_bound(self):
-        assert_entries("pnm-structure", 0.5, 1.0, "full")
+        for n in range(1, 21):
+            for m in range(21):
+                assert pnm_poly(n, m).degree <= n, (n, m)
 
     def test_rational_poly_trims(self):
         p = RationalPoly((Fraction(1), Fraction(0), Fraction(0)))
@@ -183,8 +197,15 @@ class TestACoeff:
             assert b_coeff(p, n) == pytest.approx(plain, rel=1e-12, abs=0)
 
     def test_even_in_kappa(self):
-        # the entry compares a_n at (0.4, 1) and (-0.4, 1), whatever the report's t
-        assert_entries("evenness-in-kappa", 0.4, 0.8)
+        # the contour integral on circles centred at kappa and at -kappa, whose
+        # nodes differ, against the 64-term series
+        for kappa, t, z in ((0.4, 0.8, 0.03), (0.5, 1.0, 0.02 + 0.01j), (0.9, 0.5, 0.05)):
+            want = m_series_coeffs(FlowParams(kappa, t), 64)(z)
+            for kap in (kappa, -kappa):
+                res = contour.m_integral_detailed(FlowParams(kap, t), z)
+                assert res.contour.center == kap
+                for got in (res.corollary, res.proposition):
+                    assert abs(got - want) <= 1e-16, (kap, t, z, got, want)
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -663,7 +684,9 @@ class TestBinomTransforms:
         assert binom_transform(inv_binom_transform(seq)) == seq
 
     def test_weight_forms_agree(self):
-        assert_entries("invrel-forms-agree", 0.5, 1.0)
+        for n in range(1, 31):
+            for k in range(n + 1):
+                assert invrel_weight(n, k) == invrel_weight_split(n, k), (n, k)
 
     @pytest.mark.parametrize("transform", [binom_transform, inv_binom_transform])
     def test_fraction_route_matches_ring_loop(self, transform):

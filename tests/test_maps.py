@@ -572,7 +572,9 @@ class TestKernels:
         assert y_func(0.0, 0.4) == 0
 
     def test_y_moebius_identity(self):
-        assert_entries("kernel-identities", 0.5, 1.0)
+        for z, w in ((0.1 + 0.05j, 0.45), (0.2, 0.3 + 0.2j)):
+            r = r_func(z, w)
+            assert abs(y_func(z, w) - (1 + z - r) / (1 + z + r)) <= 1e-13, (z, w)
 
     def test_disc_membership_criterion(self):
         # |y| < 1 exactly when the inner product of (1+z) and R is positive

@@ -7,8 +7,22 @@ import pytest
 from jacobiflow import maps
 from jacobiflow.contour import _jacobi_row, _laguerre_diagonal
 from jacobiflow.specfun import binomial, jacobi_poly, laguerre, pochhammer
-from jacobiflow.verify import _jacobi_taylor
-from conftest import assert_entries
+
+
+def _jacobi_taylor(n, a, b, x, y):
+    """Exact (re, im) of P_n^{a,b}(x + iy) for exact real a, b, x, y, by the
+    Taylor expansion at x that d/dx P_n^{a,b} = (n+a+b+1)/2 P_{n-1}^{a+1,b+1}
+    (DLMF 18.9.15) gives on the real exact path, each part's terms summed as
+    integers over the lcm of their denominators:
+
+        P_n^{a,b}(x + iy) = sum_k (n+a+b+1)_k / (2^k k!) P_{n-k}^{a+k,b+k}(x) (iy)^k."""
+    parts = ([], [])
+    for k in range(n + 1):
+        p = jacobi_poly(n - k, a + k, b + k, x)
+        num = (-1) ** (k // 2) * pochhammer(n + a + b + 1, k) * p.numerator * y.numerator**k
+        parts[k % 2].append((num, 2**k * math.factorial(k) * p.denominator * y.denominator**k))
+    lcms = [math.lcm(*(d for _, d in terms)) for terms in parts]
+    return tuple(Fraction(sum(c * (l // d) for c, d in terms), l) for terms, l in zip(parts, lcms))
 
 
 class TestPochhammer:
@@ -87,14 +101,17 @@ class TestLaguerre:
             assert approx == pytest.approx(float(exact), rel=1e-13, abs=1e-300)
 
     def test_three_term_recurrence_exact(self):
-        alpha = Fraction(3, 4)
-        z = Fraction(5, 8)
-        for n in range(2, 21):
-            rec = (
-                (2 * n - 1 + alpha - z) * laguerre(n - 1, alpha, z)
-                - (n - 1 + alpha) * laguerre(n - 2, alpha, z)
-            ) / n
-            assert rec == laguerre(n, alpha, z)
+        rng = random.Random(1905)
+        points = [(Fraction(3, 4), Fraction(5, 8))] + [
+            (Fraction(rng.randint(-40, 40), 8), Fraction(rng.randint(-32, 32), 16))
+            for _ in range(4)]
+        for alpha, z in points:
+            for n in range(2, 21):
+                rec = (
+                    (2 * n - 1 + alpha - z) * laguerre(n - 1, alpha, z)
+                    - (n - 1 + alpha) * laguerre(n - 2, alpha, z)
+                ) / n
+                assert rec == laguerre(n, alpha, z), (n, alpha, z)
 
     def test_large_argument_no_overflow(self):
         # the value is representable long before its largest inner term is
@@ -114,10 +131,25 @@ class TestJacobi:
             )
 
     def test_symmetry(self):
-        assert_entries("jacobi-symmetry", 0.5, 1.0)
+        # P_n^{a,b}(z) = (-1)^n P_n^{b,a}(-z), the recurrence at z against the
+        # exact value at -z (the recurrence alone is symmetric bit for bit)
+        n, a, b, x, y = 4, 2, 0, Fraction(3, 10), Fraction(1, 5)
+        re, im = _jacobi_taylor(n, b, a, -x, -y)
+        mirror = (-1) ** n * complex(float(re), float(im))
+        assert abs(_jacobi_row(n, a, b, complex(x, y))[n] - mirror) <= 1e-12
+
+    def test_recurrence_matches_exact_complex(self):
+        # the recurrence behind the Jacobi generating checks, at 0.3 + 0.2i and
+        # at their complex argument 1 - 2 (0.5 + 0.1i)^2 = 0.52 - 0.2i
+        for x, y in ((Fraction(3, 10), Fraction(1, 5)), (Fraction(13, 25), Fraction(-1, 5))):
+            row = _jacobi_row(60, 0, 4, complex(x, y))
+            for n in (20, 60):
+                re, im = _jacobi_taylor(n, 0, 4, x, y)
+                exact = complex(float(re), float(im))
+                assert abs(row[n] - exact) <= 1e-12 * abs(exact), (n, x, y)
 
     def test_exact_complex_taylor_oracle(self):
-        # the exact value behind verify's jacobi-exact-complex entry, against
+        # the exact value behind test_recurrence_matches_exact_complex, against
         # the explicit sum on (re, im) pairs, which needs no derivative identity
         points = ((Fraction(3, 10), Fraction(1, 5)), (Fraction(-5, 4), Fraction(2, 3)),
                   (Fraction(7, 9), Fraction(0)))
@@ -132,7 +164,7 @@ class TestJacobi:
                         assert got == (jacobi_poly(n, a, b, x), 0)
 
     def test_integer_sums_match_fraction_sums(self):
-        # jacobi-exact-complex's four (n, point) pairs, each part summed
+        # test_recurrence_matches_exact_complex's four (n, point) pairs, each part summed
         # term by term in Fractions
         for x, y in ((Fraction(3, 10), Fraction(1, 5)), (Fraction(13, 25), Fraction(-1, 5))):
             for n in (20, 60):

@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jacobiflow import cli, contour, flow, maps, powerseries, specfun, verify
+from jacobiflow import cli, contour, flow, maps, powerseries, specfun
 from jacobiflow.cli import main
 from jacobiflow.report import VerifyEntry, VerifyReport
 from jacobiflow.verify import run_checks
 from conftest import entries, report
+from test_flow import TestPnmPoly
 from test_powerseries import _reference_mul_trunc
 from test_specfun import _reference_jacobi, _reference_laguerre, _reference_laguerre_sum
 
@@ -56,28 +57,37 @@ class TestRunChecks:
         [entry] = entries("phi-critical-point", kappa, t)
         assert entry.residual < 2e-6, entry
 
+    @pytest.mark.parametrize("kappa,t,level", [(0.5, 1.0, "fast"), (0.3, 2.0, "full")])
+    def test_pnm_formula_fault_fails_by_name(self, kappa, t, level, monkeypatch):
+        # C(2k+m, m) for C(2k+m-1, m): off by one in the integer formula
+        def faulty(n, m):
+            return flow.RationalPoly((int(m == 0),) + tuple(
+                (-1) ** (m + k) * math.comb(n, k) * math.comb(2 * k + m, m)
+                for k in range(1, n + 1)))
+
+        monkeypatch.setattr(flow, "pnm_poly", functools.lru_cache(maxsize=None)(faulty))
+        rep = run_checks(kappa, t, level)
+        assert [e.name for e in rep.entries if not e.passed] == ["residue-oracle"]
+        with pytest.raises(AssertionError):
+            TestPnmPoly().test_value_at_three_is_its_definition()
+
 
 class TestEntryNames:
     """The ordered entry names of run_checks, so that a check dropped or
     added shows up as a test diff."""
 
     LEAD = (
-        "pochhammer-convention binomial-edges jacobi-symmetry jacobi-exact-complex "
-        "laguerre-exact-consistency series-roundtrip-complex series-reversion-exact "
-        "pnm-structure transform-roundtrip-exact invrel-forms-agree moment-expansion-constant"
-    ).split()
-    MIDDLE = (
-        "lagrange-inversion-oracle reversion-oracle kzero-closed-form m-series-two-routes "
-        "alpha-roundtrip herglotz-inverse-grid herglotz-positivity herglotz-conjugate-symmetry "
-        "herglotz-series-agreement herglotz-left-inverse v-deformed-values "
-        "v-deformed-positivity phi-critical-point psi-chain-identity flow-roundtrip-pointwise "
-        "kernel-identities branch-positivity-real-axis branch-polynomial-margin "
-        "quadrature-residues residue-oracle"
+        "moment-expansion-constant lagrange-inversion-oracle reversion-oracle "
+        "kzero-closed-form m-series-two-routes herglotz-inverse-grid herglotz-positivity "
+        "herglotz-conjugate-symmetry herglotz-series-agreement herglotz-left-inverse "
+        "v-deformed-values v-deformed-positivity phi-critical-point psi-chain-identity "
+        "flow-roundtrip-pointwise branch-positivity-real-axis branch-polynomial-margin "
+        "residue-oracle"
     ).split()
 
     @pytest.mark.parametrize(
         "kappa,level,count",
-        [(0.5, "fast", 42), (0.5, "full", 50), (0.0, "fast", 37), (0.0, "full", 41)],
+        [(0.5, "fast", 26), (0.5, "full", 32), (0.0, "fast", 22), (0.0, "full", 24)],
     )
     def test_ordered_names(self, kappa, level, count):
         full = level == "full"
@@ -86,31 +96,17 @@ class TestEntryNames:
                 "m-integral-vs-series", "m-integral-forms-agree", "branch-bound-estimate"]
         else:
             tail = ["mzero-closed-form"]
-        want = (
-            self.LEAD + ["evenness-in-kappa"] * (kappa != 0) + self.MIDDLE
-            + ["laguerre-generating"] * (5 if full else 3)
-            + ["jacobi-generating"] * (4 if full else 2) + tail
-        )
+        want = self.LEAD + ["laguerre-generating"] * (5 if full else 3) + tail
         assert len(want) == count
         assert [e.name for e in report(kappa, 1.0, level).entries] == want
 
 
-@pytest.fixture
-def fresh_fixed_entries():
-    """verify's parameter-free entries recomputed in the test, and again after it."""
-    verify._fixed_entries.cache_clear()
-    yield
-    verify._fixed_entries.cache_clear()
-
-
 class TestUnchangedReport:
     """The term-ratio evaluators leave every verify residual where the
-    term-by-term sums put it.  The parameter-free entries are recomputed with
-    the patched functions too."""
+    term-by-term sums put it."""
 
     @pytest.mark.parametrize("kappa,t", [(0.44, 1.78), (0.0, 1.0)])
-    def test_reference_sums_give_the_same_report(self, kappa, t, fresh_fixed_entries,
-                                                 monkeypatch):
+    def test_reference_sums_give_the_same_report(self, kappa, t, monkeypatch):
         got = report(kappa, t, "fast").to_dict()
         # k_series_coeff reads the unreduced sum behind laguerre
         references = {
@@ -118,86 +114,18 @@ class TestUnchangedReport:
             "_laguerre_sum": _reference_laguerre_sum,
             "jacobi_poly": _reference_jacobi,
         }
-        for module in (specfun, contour, maps, verify):
+        for module in (specfun, contour, maps):
             for name, ref in references.items():
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, ref)
-        verify._fixed_entries.cache_clear()
         want = run_checks(kappa, t, "fast").to_dict()
         assert got == want
 
-    def test_ring_loop_products_give_the_same_full_report(self, fresh_fixed_entries,
-                                                           monkeypatch):
+    def test_ring_loop_products_give_the_same_full_report(self, monkeypatch):
         got = run_checks(0.44, 1.78, "full").to_dict()
         monkeypatch.setattr(powerseries, "_mul_trunc", _reference_mul_trunc)
-        verify._fixed_entries.cache_clear()
         want = run_checks(0.44, 1.78, "full").to_dict()
         assert got == want
-
-
-class TestFixedEntries:
-    """The entries that read neither kappa nor t are computed once per
-    process and level and shared by every report."""
-
-    def test_each_fixed_check_runs_once_per_level(self, fresh_fixed_entries, monkeypatch):
-        calls = {}
-
-        def counting(module, name):
-            func = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return func(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
-
-        for name in ("_check_specfun", "_check_powerseries", "_check_flow_fixed",
-                     "_check_helpers"):
-            counting(verify, name)
-        counting(contour, "jacobi_gen_check")
-        for level in ("fast", "full", "fast", "full"):
-            for kappa, t in ((0.5, 1.0), (0.3, 2.0)):
-                assert run_checks(kappa, t, level).passed
-        # one call per level; the Jacobi generating checks are 2 at fast, 4 at full
-        assert calls == {"_check_specfun": 2, "_check_powerseries": 2, "_check_flow_fixed": 2,
-                         "_check_helpers": 2, "jacobi_gen_check": 6}
-
-    @pytest.mark.parametrize("kappa,t,level", [(0.5, 1.0, "full"), (0.0, 1.0, "fast")])
-    def test_cold_and_warm_reports_agree(self, kappa, t, level, fresh_fixed_entries):
-        cold = run_checks(kappa, t, level)
-        run_checks(0.3, 2.0, level)
-        warm = run_checks(kappa, t, level)
-        assert warm.to_dict() == cold.to_dict()
-        assert warm.format() == cold.format()
-        # the warm report holds every cached entry object, each once
-        fixed = [e for part in verify._fixed_entries(level == "full").values() for e in part]
-        assert len(fixed) == (15 if level == "fast" else 17)
-        assert sum(any(e is f for f in fixed) for e in warm.entries) == len(fixed)
-
-    def test_fault_shows_after_cache_clear(self, fresh_fixed_entries, monkeypatch):
-        assert run_checks(0.5, 1.0, "fast").passed
-        binomial = verify.binomial
-        monkeypatch.setattr(verify, "binomial", lambda n, k: binomial(n, k) + (n == 40))
-        verify._fixed_entries.cache_clear()
-        rep = run_checks(0.5, 1.0, "fast")
-        assert [e.name for e in rep.entries if not e.passed] == ["binomial-edges"]
-        assert "FAIL  binomial-edges" in rep.format()
-
-
-    @pytest.mark.parametrize("kappa,t,level", [(0.5, 1.0, "fast"), (0.3, 2.0, "full")])
-    def test_pnm_formula_fault_fails_by_name(self, kappa, t, level, fresh_fixed_entries,
-                                             monkeypatch):
-        # C(2k+m, m) for C(2k+m-1, m): off by one in the integer formula
-        def faulty(n, m):
-            return flow.RationalPoly((int(m == 0),) + tuple(
-                (-1) ** (m + k) * math.comb(n, k) * math.comb(2 * k + m, m)
-                for k in range(1, n + 1)))
-
-        monkeypatch.setattr(flow, "pnm_poly", functools.lru_cache(maxsize=None)(faulty))
-        flow.pnm_poly.cache_clear()
-        verify._fixed_entries.cache_clear()
-        rep = run_checks(kappa, t, level)
-        assert [e.name for e in rep.entries if not e.passed] == ["pnm-structure",
-                                                                 "residue-oracle"]
 
 
 class TestHerglotzCalls:
@@ -401,7 +329,7 @@ class TestCliVerify:
     def test_large_time_passes(self, capsys):
         got, out, err = _run(["verify", "--kappa", "0.5", "--t", "8"], capsys)
         assert (got, err) == (0, "")
-        assert out.endswith("PASS  overall: 42/42 checks passed\n")
+        assert out.endswith("PASS  overall: 26/26 checks passed\n")
 
     @pytest.mark.parametrize("t", ["8", "10", "20", "50", "700"])
     def test_large_time_ends_in_named_entries(self, t, capsys):
@@ -709,13 +637,13 @@ class TestTinyKappa:
         # (w - kappa) / rho, so no power of w - kappa underflows
         got, out, err = _run(["verify", "--kappa", kappa, "--t", "1", "--level", "full"], capsys)
         assert (got, err) == (0, "")
-        assert out.endswith("PASS  overall: 50/50 checks passed\n")
+        assert out.endswith("PASS  overall: 32/32 checks passed\n")
 
     @pytest.mark.parametrize("kappa", ["1e-34", "1e-62", "1e-200", "1e-300"])
     def test_verify_fast_passes(self, kappa, capsys):
         got, out, err = _run(["verify", "--kappa", kappa, "--t", "1"], capsys)
         assert (got, err) == (0, "")
-        assert out.endswith("PASS  overall: 42/42 checks passed\n")
+        assert out.endswith("PASS  overall: 26/26 checks passed\n")
 
 
     @pytest.mark.parametrize("t", ["1", "1e-300"])
