@@ -814,7 +814,7 @@ class TestPinnedBytes:
         assert (out / "manifest.json").read_text(encoding="utf-8") == self.MANIFEST
 
     # every residual, tolerance and context of the full report, bit for bit
-    VERIFY_FULL_JSON_SHA256 = "7d80d3ce7a66354c84b3854e1a82574ad319f060771101b25ad24bb921565f63"
+    VERIFY_FULL_JSON_SHA256 = "2e48ade4701dd5a0097cd314d5cdad02fc99276e1f3d59bb2ccd7f2f95e18b35"
 
     def test_verify_stdout(self, capsys):
         argv = ["verify", "--kappa", "0.5", "--t", "1", "--level", "full", "--format", "json"]
@@ -828,13 +828,13 @@ class TestPinnedBytes:
         "kappa,t,level,digest",
         [
             pytest.param("0.92", "1.12", "full",
-                         "da0fe99ea42fad128e8bc312602b80c1f3c290b9a400b3af0473af11358d46fc",
+                         "ab4db50c118b69aa00e45c0797b9cf6e7d0e4c6f49627dd43b052e2feec5c668",
                          id="0.92-1.12-full"),
             pytest.param("0", "1", "full",
-                         "67ce7c9e793686081059b43ea2d1203986fe62feb63cfe65d6250390d7b663d2",
+                         "349c36e1094441827799df7b51b57633deb10e4497fdf0561e4e7b2a609f858e",
                          id="0-1-full"),
             pytest.param("0.5", "1", "fast",
-                         "9767ef4e143bc9dbdce51f552663f1542da0288a65ea10154f6e23140128f973",
+                         "a7975e7bc9359582876969a9b4c2ef186bc4c3758a6dd4492a62ce5e21eaaaa8",
                          id="0.5-1-fast"),
         ],
     )
