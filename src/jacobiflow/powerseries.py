@@ -15,8 +15,11 @@ over one common denominator, convolves the integers by the ring loop itself
 Fractions, with one gcd per coefficient instead of about two per term.  A
 composition writes f once over its common denominator and runs Horner on
 integer numerators, dividing a step by a gcd only when that gcd exceeds 1:
-over an integer g no step is divided.  Every other coefficient type,
-int mixed with Fraction included, runs the ring loop.
+over an integer g no step is divided.  A reversion of an all-Fraction
+series rescales it to a series with integer coefficients and linear
+coefficient 1, reverts that on integers, where no step takes a gcd, and
+scales the result back, one Fraction per coefficient.  Every other
+coefficient type, int mixed with Fraction included, runs the ring loop.
 
 Compositional inversion (:func:`series_revert`) is done by Newton iteration
 with order doubling.  It never touches any closed-form coefficient formula,
@@ -229,6 +232,22 @@ def series_derive(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(f.base, [k * f.coeffs[k] for k in range(1, f.order + 1)])
 
 
+def _integer_form(c):
+    """(d, e, [n_1, ..., n_N]) with n_k = e d**k c_k integers for the
+    all-Fraction coefficients c_0..c_N, d and e positive.
+
+    d is the lcm of den(c_1) and of each den(c_{k+1}) / gcd(den(c_k),
+    den(c_{k+1})), so d**k clears den(c_k) when the denominators grow by
+    powers of one factor, as phi's do; e clears what is left, one k at a time.
+    """
+    dens = [x.denominator for x in c[1:]]
+    d = math.lcm(dens[0], *(b // math.gcd(a, b) for a, b in zip(dens, dens[1:])))
+    e = 1
+    for k, q in enumerate(dens, 1):
+        e *= q // math.gcd(q, e * d**k)
+    return d, e, [x.numerator * (e * d**k // x.denominator) for k, x in enumerate(c[1:], 1)]
+
+
 def series_revert(f: TruncatedSeries) -> TruncatedSeries:
     """Compositional inverse by Newton iteration with order doubling.
 
@@ -238,6 +257,11 @@ def series_revert(f: TruncatedSeries) -> TruncatedSeries:
     w**m, to g - g' (f(g) - w), exact through w**(2m): f'(g) g' = 1 + O(w**m)
     makes g' = 1/f'(g) + O(w**m), and f(g) - w = O(w**(m+1)).  So a step
     composes f with g once and needs neither f' nor a reciprocal.
+
+    An all-Fraction f is written with c_k = n_k / (e d**k) (``_integer_form``)
+    as f(w) = (n_1**2 / e) H(w / (d n_1)), H = w + sum_{k>=2} n_k n_1**(k-2) w**k.
+    H has integer coefficients and H_1 = 1, so the loop reverts H on integers
+    and takes no gcd; then [w**k] f^-1 = d e**k [w**k] H^-1 / n_1**(2k-1).
     """
     c = f.coeffs
     if c[0] != 0:
@@ -246,20 +270,28 @@ def series_revert(f: TruncatedSeries) -> TruncatedSeries:
         raise NonInvertibleError("vanishing linear coefficient, series not invertible")
     order = f.order
     zero = c[1] * 0
-    one = zero + 1
+    exact = all(type(x) is Fraction for x in c)
+    if exact:
+        d, e, nums = _integer_form(c)
+        fa = [0, 1] + [n * nums[0] ** k for k, n in enumerate(nums[1:])]
+        g = [0, 1]
+    else:
+        fa = [zero] + c[1:]
+        g = [zero, (zero + 1) / c[1]]
+    nil, one = g[0], g[0] + 1
 
-    fa = [zero] + c[1:]
-    g = [zero, one / c[1]]
     m = 1
     while m < order:
         dg = [k * g[k] for k in range(1, m + 1)]  # 1/f'(g) + O(w^m)
         m = min(2 * m, order)
-        gm = g + [zero] * (m + 1 - len(g))
+        gm = g + [nil] * (m + 1 - len(g))
         comp = _compose_trunc(fa[: m + 1], gm, m)
         comp[1] = comp[1] - one  # subtract the identity
         corr = _mul_trunc(comp, dg, m)
         g = [gm[k] - corr[k] for k in range(m + 1)]
 
+    if exact:
+        g[1:] = [Fraction(d * e**k * g[k], nums[0] ** (2 * k - 1)) for k in range(1, order + 1)]
     return TruncatedSeries(zero * 0, [f.base + zero] + g[1:])
 
 

@@ -43,6 +43,27 @@ def _reference_compose_trunc(f, g, order):
     return acc
 
 
+def _reference_revert(f):
+    """The Newton loop ``series_revert`` runs for every coefficient type but
+    all-Fraction lists, on f's own coefficients: over Fractions, each step's
+    composition takes ``_compose_trunc``'s Fraction branch."""
+    c = f.coeffs
+    zero = c[1] * 0
+    one = zero + 1
+    fa = [zero] + c[1:]
+    g = [zero, one / c[1]]
+    m = 1
+    while m < f.order:
+        dg = [k * g[k] for k in range(1, m + 1)]
+        m = min(2 * m, f.order)
+        gm = g + [zero] * (m + 1 - len(g))
+        comp = powerseries._compose_trunc(fa[: m + 1], gm, m)
+        comp[1] = comp[1] - one
+        corr = powerseries._mul_trunc(comp, dg, m)
+        g = [gm[k] - corr[k] for k in range(m + 1)]
+    return [f.base + zero] + g[1:]
+
+
 def _random_fraction(rng):
     # zeros, negatives and unrelated denominators
     if rng.random() < 0.2:
@@ -135,6 +156,63 @@ class TestComposeTruncKernel:
                 got = powerseries._compose_trunc(f, g, order)
                 assert got == want, (order, f, g)
                 assert all(type(c) is Fraction for c in got)
+
+
+def _revert_cases():
+    rng = random.Random(3141)
+    cases = {}
+    # zero coefficients, c_1 included among the candidates it is drawn from
+    cases["random-zeros"] = [Fraction(0), Fraction(rng.choice([-5, 3, 7]), rng.choice([1, 12, 2**20]))]
+    cases["random-zeros"] += [_random_fraction(rng) for _ in range(15)]
+    cases["negative-c1"] = [Fraction(0), Fraction(-3, 4)] + [
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(15)]
+    # denominators that are not powers of one base
+    dens = [Fraction(1, 7), Fraction(3, 10), Fraction(5, 2**40 * 3)]
+    cases["unrelated-denominators"] = [Fraction(0)] + [dens[k % 3] * (k % 4 - 1 or 2)
+                                                       for k in range(16)]
+    return cases
+
+
+_REVERT_CASES = _revert_cases()
+
+
+class TestRevertKernel:
+    """An all-Fraction series is reverted on integers (``_integer_form``);
+    the result equals the Newton loop on its Fractions at every order.
+    [w**k] of the inverse reads c_1..c_k only, so one reference inversion
+    at order 16 holds the answers at every lower order."""
+
+    @pytest.mark.parametrize("case", sorted(_REVERT_CASES))
+    def test_matches_the_fraction_loop(self, case):
+        coeffs = _REVERT_CASES[case]
+        assert coeffs[1] != 0 and (case != "random-zeros" or 0 in coeffs[2:])
+        for base in (Fraction(0), Fraction(-5, 3)):
+            want = _reference_revert(TruncatedSeries(base, coeffs))
+            for order in range(1, 17):
+                got = series_revert(TruncatedSeries(base, coeffs[: order + 1])).coeffs
+                assert got == want[: order + 1], (base, order)
+                assert all(type(c) is Fraction for c in got)
+
+    @pytest.mark.parametrize("kappa, t", [(1e-300, 1.0), (0.5, 700.0), (-0.3, 0.01)])
+    def test_matches_the_fraction_loop_on_phi(self, kappa, t):
+        phi = maps.phi_series(flow.FlowParams(kappa, t), 16)
+        want = _reference_revert(phi)
+        for order in range(1, 17):
+            got = series_revert(TruncatedSeries(phi.base, phi.coeffs[: order + 1])).coeffs
+            assert got == want[: order + 1], order
+
+    def test_integer_form(self):
+        c = [Fraction(0)] + _REVERT_CASES["unrelated-denominators"][1:]
+        d, e, nums = powerseries._integer_form(c)
+        assert all(n == e * d**k * x for k, (n, x) in enumerate(zip(nums, c[1:]), 1))
+
+    def test_mixed_int_keeps_the_generic_loop(self, monkeypatch):
+        f = TruncatedSeries(Fraction(0), [0, Fraction(2, 3), 1, Fraction(-1, 5), 0, 3])
+        want = _reference_revert(f)
+        monkeypatch.setattr(powerseries, "_integer_form", None)
+        got = series_revert(f).coeffs
+        assert got == want
+        assert [type(c) for c in got] == [type(c) for c in want]
 
 
 class TestConstruction:
