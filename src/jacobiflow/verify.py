@@ -61,9 +61,11 @@ def _check_oracles(rep: VerifyReport, params: flow.FlowParams, phi_s, k_coeffs, 
     # reads phi_s cut to the order it needs
     worst = 0.0
     cut = TruncatedSeries(phi_s.base, phi_s.coeffs[: n_max + 1])
+    # a_n and b_n = n 4**n a_n, each rounded once from the exact a_n
     for n, lagrange in enumerate(_lagrange_inverse(cut), 1):
-        worst = max(worst, _rel(float(lagrange), flow.a_coeff(params, n)))
-    rep.check("lagrange-inversion-oracle", worst, 1e-9, n_max=n_max)
+        worst = max(worst, _rel(float(lagrange), flow.a_coeff(params, n)),
+                    _rel(float(n * 4**n * lagrange), flow.b_coeff(params, n)))
+    rep.check("lagrange-inversion-oracle", worst, 0.0, n_max=n_max)
 
     order = phi_s.order
     oracle = series_compose(series_revert(phi_s), maps._alpha_inv_series(order))
