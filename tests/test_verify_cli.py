@@ -814,7 +814,7 @@ class TestPinnedBytes:
         assert (out / "manifest.json").read_text(encoding="utf-8") == self.MANIFEST
 
     # every residual, tolerance and context of the full report, bit for bit
-    VERIFY_FULL_JSON_SHA256 = "2e48ade4701dd5a0097cd314d5cdad02fc99276e1f3d59bb2ccd7f2f95e18b35"
+    VERIFY_FULL_JSON_SHA256 = "11578b6773877ed88626912ac49bfb6f02a42d2378d7c4a7ac0e23f6debe7eae"
 
     def test_verify_stdout(self, capsys):
         argv = ["verify", "--kappa", "0.5", "--t", "1", "--level", "full", "--format", "json"]
@@ -828,13 +828,13 @@ class TestPinnedBytes:
         "kappa,t,level,digest",
         [
             pytest.param("0.92", "1.12", "full",
-                         "ab4db50c118b69aa00e45c0797b9cf6e7d0e4c6f49627dd43b052e2feec5c668",
+                         "0e2081f6de3b7279cfcb1b669949bba797124f6dddabcb9923a351f3dcba5cd2",
                          id="0.92-1.12-full"),
             pytest.param("0", "1", "full",
-                         "349c36e1094441827799df7b51b57633deb10e4497fdf0561e4e7b2a609f858e",
+                         "1cc15835720344ba199f86a7ca9806897d5a06f251f1ee10d02c2fe133d8d74e",
                          id="0-1-full"),
             pytest.param("0.5", "1", "fast",
-                         "a7975e7bc9359582876969a9b4c2ef186bc4c3758a6dd4492a62ce5e21eaaaa8",
+                         "532deb6ac3f1ebf5c4ba04125a610daf24730544591b64954975d92d31ecfbe9",
                          id="0.5-1-fast"),
         ],
     )
