@@ -71,6 +71,33 @@ class TestRunChecks:
         with pytest.raises(AssertionError):
             TestPnmPoly().test_value_at_three_is_its_definition()
 
+    @pytest.mark.parametrize("kappa,t", [(0.5, 1.0), (-0.3, 0.01)])
+    @pytest.mark.parametrize(
+        "n,column,name",
+        [(3, 0, "lagrange-inversion-oracle"), (3, 1, "lagrange-inversion-oracle"),
+         (5, 1, "lagrange-inversion-oracle"), (7, 2, "m-series-two-routes"),
+         (7, 3, "reversion-oracle")],
+        ids=["a_3", "b_3", "b_5", "S_7", "S_7/7"],
+    )
+    def test_one_ulp_coefficient_fault_fails_by_name(self, kappa, t, n, column, name,
+                                                     monkeypatch):
+        # one column of one (a_n, b_n, S_n, S_n/n) row moved up by one ulp
+        rounded_row = flow._rounded_row
+
+        def faulty(k, *balls):
+            row = rounded_row(k, *balls)
+            if k != n or row[column] is None:
+                return row
+            return row[:column] + (math.nextafter(row[column], math.inf),) + row[column + 1:]
+
+        monkeypatch.setattr(flow, "_rounded_row", faulty)
+        flow._table.cache_clear()
+        try:
+            rep = run_checks(kappa, t, "full")
+        finally:
+            flow._table.cache_clear()
+        assert [e.name for e in rep.entries if not e.passed] == [name]
+
 
 class TestEntryNames:
     """The ordered entry names of run_checks, so that a check dropped or
