@@ -233,19 +233,16 @@ def series_derive(f: TruncatedSeries) -> TruncatedSeries:
 
 
 def _integer_form(c):
-    """(d, e, [n_1, ..., n_N]) with n_k = e d**k c_k integers for the
-    all-Fraction coefficients c_0..c_N, d and e positive.
+    """(d, [d c_1, d**2 c_2, ..., d**N c_N]), all integers, for the
+    all-Fraction coefficients c_0..c_N.
 
     d is the lcm of den(c_1) and of each den(c_{k+1}) / gcd(den(c_k),
-    den(c_{k+1})), so d**k clears den(c_k) when the denominators grow by
-    powers of one factor, as phi's do; e clears what is left, one k at a time.
+    den(c_{k+1})).  So d**k clears den(c_k) at every k: den(c_{k+1}) is that
+    gcd, a divisor of den(c_k) and so of d**k, times a divisor of d.
     """
     dens = [x.denominator for x in c[1:]]
     d = math.lcm(dens[0], *(b // math.gcd(a, b) for a, b in zip(dens, dens[1:])))
-    e = 1
-    for k, q in enumerate(dens, 1):
-        e *= q // math.gcd(q, e * d**k)
-    return d, e, [x.numerator * (e * d**k // x.denominator) for k, x in enumerate(c[1:], 1)]
+    return d, [x.numerator * (d**k // x.denominator) for k, x in enumerate(c[1:], 1)]
 
 
 def series_revert(f: TruncatedSeries) -> TruncatedSeries:
@@ -258,10 +255,10 @@ def series_revert(f: TruncatedSeries) -> TruncatedSeries:
     makes g' = 1/f'(g) + O(w**m), and f(g) - w = O(w**(m+1)).  So a step
     composes f with g once and needs neither f' nor a reciprocal.
 
-    An all-Fraction f is written with c_k = n_k / (e d**k) (``_integer_form``)
-    as f(w) = (n_1**2 / e) H(w / (d n_1)), H = w + sum_{k>=2} n_k n_1**(k-2) w**k.
-    H has integer coefficients and H_1 = 1, so the loop reverts H on integers
-    and takes no gcd; then [w**k] f^-1 = d e**k [w**k] H^-1 / n_1**(2k-1).
+    An all-Fraction f is written with c_k = n_k / d**k (``_integer_form``) as
+    f(w) = n_1**2 H(w / (d n_1)), H = w + sum_{k>=2} n_k n_1**(k-2) w**k.  H
+    has integer coefficients and H_1 = 1, so the loop reverts H on integers
+    and takes no gcd; then [w**k] f^-1 = d [w**k] H^-1 / n_1**(2k-1).
     """
     c = f.coeffs
     if c[0] != 0:
@@ -272,7 +269,7 @@ def series_revert(f: TruncatedSeries) -> TruncatedSeries:
     zero = c[1] * 0
     exact = all(type(x) is Fraction for x in c)
     if exact:
-        d, e, nums = _integer_form(c)
+        d, nums = _integer_form(c)
         fa = [0, 1] + [n * nums[0] ** k for k, n in enumerate(nums[1:])]
         g = [0, 1]
     else:
@@ -291,7 +288,7 @@ def series_revert(f: TruncatedSeries) -> TruncatedSeries:
         g = [gm[k] - corr[k] for k in range(m + 1)]
 
     if exact:
-        g[1:] = [Fraction(d * e**k * g[k], nums[0] ** (2 * k - 1)) for k in range(1, order + 1)]
+        g[1:] = [Fraction(d * g[k], nums[0] ** (2 * k - 1)) for k in range(1, order + 1)]
     return TruncatedSeries(zero * 0, [f.base + zero] + g[1:])
 
 

@@ -161,9 +161,9 @@ class TestComposeTruncKernel:
 def _revert_cases():
     rng = random.Random(3141)
     cases = {}
-    # zero coefficients, c_1 included among the candidates it is drawn from
-    cases["random-zeros"] = [Fraction(0), Fraction(rng.choice([-5, 3, 7]), rng.choice([1, 12, 2**20]))]
-    cases["random-zeros"] += [_random_fraction(rng) for _ in range(15)]
+    # a zero at every third power, and more at random
+    cases["zeros"] = [Fraction(0), Fraction(7, 12)] + [
+        _random_fraction(rng) if k % 3 else Fraction(0) for k in range(2, 17)]
     cases["negative-c1"] = [Fraction(0), Fraction(-3, 4)] + [
         Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(15)]
     # denominators that are not powers of one base
@@ -185,7 +185,6 @@ class TestRevertKernel:
     @pytest.mark.parametrize("case", sorted(_REVERT_CASES))
     def test_matches_the_fraction_loop(self, case):
         coeffs = _REVERT_CASES[case]
-        assert coeffs[1] != 0 and (case != "random-zeros" or 0 in coeffs[2:])
         for base in (Fraction(0), Fraction(-5, 3)):
             want = _reference_revert(TruncatedSeries(base, coeffs))
             for order in range(1, 17):
@@ -200,11 +199,6 @@ class TestRevertKernel:
         for order in range(1, 17):
             got = series_revert(TruncatedSeries(phi.base, phi.coeffs[: order + 1])).coeffs
             assert got == want[: order + 1], order
-
-    def test_integer_form(self):
-        c = [Fraction(0)] + _REVERT_CASES["unrelated-denominators"][1:]
-        d, e, nums = powerseries._integer_form(c)
-        assert all(n == e * d**k * x for k, (n, x) in enumerate(zip(nums, c[1:]), 1))
 
     def test_mixed_int_keeps_the_generic_loop(self, monkeypatch):
         f = TruncatedSeries(Fraction(0), [0, Fraction(2, 3), 1, Fraction(-1, 5), 0, 3])
