@@ -287,17 +287,32 @@ def _t_balls(t: float, prec: int, order: int) -> tuple:
     * Row n is (rho_n, e_n, beta_n): the midpoints of rho_n[r] for r < n,
       one radius for all of them, and the bit length of the largest
       midpoint.
+
+    The midpoint sums are Kronecker substitutions: Delta_k's k midpoints
+    are packed into the integer sum_r Delta_k[r] 2**(r W), and row n is
+    sum_{k<=n} C(2n, n-k) times those integers, one product per (n, k),
+    its W-bit slots read once.  With B the bit length of the largest
+    midpoint up to ``order``, W is B + 2 order + 2 rounded up to whole
+    bytes; sum_{k<=n} C(2n, n-k) < 4**n, so |rho_n[r]| < 2**(B + 2n) <=
+    2**(W-1) and no slot overflows.  A slot moves between signed and
+    two's complement form by its bias 2**(W-1): for |v| < 2**(W-1),
+    v + 2**(W-1) is v mod 2**W with its top bit flipped.
     """
-    cols, rads, rows = [], [], []  # cols[r]: midpoints of Delta_k[r], k > r
-    for n in range(1, order + 1):
-        mids, rad = _diff_balls(t, prec, n)
-        cols.append([])
-        for col, m in zip(cols, mids):
-            col.append(m)
-        rads.append(rad)
-        weight = _binomial_row(2 * n)[n::-1]  # C(2n, n-k) for k <= n
-        row = tuple(sum(map(operator.mul, weight[r + 1:], col)) for r, col in enumerate(cols))
-        rows.append((row, sum(map(operator.mul, weight[1:], rads)),
+    diffs = [_diff_balls(t, prec, k) for k in range(1, order + 1)]
+    rads = [rad for _, rad in diffs]
+    size = (max(abs(m).bit_length() for mids, _ in diffs for m in mids) + 2 * order + 9) // 8
+    width = 8 * size  # W
+    biases = list(accumulate(1 << width - 1 + r * width for r in range(order)))  # n slots at n - 1
+    packed = [(int.from_bytes(b"".join(m.to_bytes(size, "little", signed=True) for m in mids),
+                              "little") ^ bias) - bias
+              for (mids, _), bias in zip(diffs, biases)]
+    rows = []
+    for n, bias in enumerate(biases, 1):
+        weight = _binomial_row(2 * n)[n - 1::-1]  # C(2n, n-k) for k = 1..n
+        slots = ((sum(map(operator.mul, weight, packed)) + bias) ^ bias).to_bytes(size * n, "little")
+        row = tuple([int.from_bytes(slots[i:i + size], "little", signed=True)
+                     for i in range(0, size * n, size)])
+        rows.append((row, sum(map(operator.mul, weight, rads)),
                      max(abs(v).bit_length() for v in row)))
     return tuple(rows)
 

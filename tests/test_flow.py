@@ -91,6 +91,25 @@ def _reference_b_num(rows, kappa, n):
     )
 
 
+def _reference_t_balls(t, prec, order):
+    """``_t_balls`` as a product per (n, r, k): each rho_n[r] summed over
+    the column of Delta_k[r], k > r, as the engine summed it before the
+    packed row sums.  It calls ``flow._diff_balls``, so a patch of it reaches
+    both."""
+    cols, rads, rows = [], [], []  # cols[r]: midpoints of Delta_k[r], k > r
+    for n in range(1, order + 1):
+        mids, rad = flow._diff_balls(t, prec, n)
+        cols.append([])
+        for col, m in zip(cols, mids):
+            col.append(m)
+        rads.append(rad)
+        weight = flow._binomial_row(2 * n)[n::-1]  # C(2n, n-k) for k <= n
+        row = tuple(sum(w * m for w, m in zip(weight[r + 1:], col)) for r, col in enumerate(cols))
+        rows.append((row, sum(w * e for w, e in zip(weight[1:], rads)),
+                     max(abs(v).bit_length() for v in row)))
+    return tuple(rows)
+
+
 class TestFlowParams:
     def test_epsilon_is_exact_square(self):
         p = FlowParams(0.3, 1.0)
@@ -593,6 +612,31 @@ class TestBallPass:
         assert _t_balls(t, 96, 8) is low and _t_balls.cache_info()[:2] == (1, 2)
         assert _t_balls(t, 96, 10)[:8] == low  # row n does not depend on the order
         assert high == _t_balls.__wrapped__(t, 160, 12)
+
+    @pytest.mark.parametrize("t", [1e-6, 0.5, 1.37, 5.0, 40.0, 708.0])
+    def test_packed_row_sums_equal_the_reference(self, t):
+        # a reference row does not depend on the order, so one reference per
+        # precision serves every order that shares it
+        want = {}
+        for order in range(1, 65):
+            prec = flow._precision(order, t)
+            if prec not in want:
+                want[prec] = _reference_t_balls(t, prec, 64)
+            assert _t_balls.__wrapped__(t, prec, order) == want[prec][:order], (t, order)
+
+    @pytest.mark.parametrize("first", [1, -1])
+    @pytest.mark.parametrize("bits", range(60, 68))
+    def test_packed_slots_at_their_bound(self, bits, first, monkeypatch):
+        # every midpoint at +-(2**B - 1), the sign alternating over r: each
+        # |rho_n[r]| is (2**B - 1) sum_{k>r} C(2n, n-k), the most a slot has
+        # to hold, and neighbouring slots differ in sign; eight consecutive B
+        # put B + 2 order + 2 at every offset from a whole byte
+        mid = (1 << bits) - 1
+        monkeypatch.setattr(flow, "_diff_balls",
+                            lambda t, prec, k: ([first * (-1) ** r * mid for r in range(k)], 1))
+        rows = _t_balls.__wrapped__(1.0, 0, 64)
+        assert rows == _reference_t_balls(1.0, 0, 64)
+        assert rows[-1][2] > bits + 2 * 64 - 3  # near the bound, not far below it
 
     def test_shared_ball_table_under_threads(self):
         # threads that ask for the tables of two P in any order
