@@ -57,11 +57,11 @@ def _json(value) -> str:
 
 
 def _csv(rows: list[dict]) -> str:
-    """Header from the first record's keys, one line per record."""
-    lines = [",".join(rows[0])]
-    for row in rows:
-        lines.append(",".join(_num(v) if isinstance(v, float) else str(v) for v in row.values()))
-    return "\n".join(lines) + "\n"
+    """Header from the first record's keys, one line per record.  Every
+    record has the first one's value types, so one %-format, ``%.17g`` for
+    a float (as ``_num``) and ``%s`` for anything else, makes every line."""
+    line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0].values()) + "\n"
+    return ",".join(rows[0]) + "\n" + "".join([line % tuple(row.values()) for row in rows])
 
 
 def _write(path, text: str):
