@@ -78,7 +78,7 @@ def _check_oracles(rep: VerifyReport, params: flow.FlowParams, phi_s, k_coeffs, 
     t = float(params.t)
     inv0 = flow.phi_inv_coeffs(flow.FlowParams(0.0, t), 16)
     worst = max(_rel(a, b) for a, b in zip(inv0.coeffs[1:], k_coeffs))
-    rep.check("kzero-closed-form", worst, 1e-10, t=t)
+    rep.check("kzero-closed-form", worst, 0.0, t=t)
 
     # S_n: the derivative of the exact oracle, n (S_n/n), against the engine
     mser = flow.m_series_coeffs(params, order)

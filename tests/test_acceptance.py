@@ -41,7 +41,7 @@ def integral_runs():
 
 
 def test_criterion_01_symmetric_closed_form():
-    _report("criterion-01 symmetric-closed-form", _worst("kzero-closed-form", GRID), 1e-10,
+    _report("criterion-01 symmetric-closed-form", _worst("kzero-closed-form", GRID), 0.0,
             "inverted-flow coefficients vs Herglotz coefficients, n <= 16")
 
 

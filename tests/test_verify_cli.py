@@ -73,15 +73,17 @@ class TestRunChecks:
 
     @pytest.mark.parametrize("kappa,t", [(0.5, 1.0), (-0.3, 0.01)])
     @pytest.mark.parametrize(
-        "n,column,name",
-        [(3, 0, "lagrange-inversion-oracle"), (3, 1, "lagrange-inversion-oracle"),
-         (5, 1, "lagrange-inversion-oracle"), (7, 2, "m-series-two-routes"),
-         (7, 3, "reversion-oracle")],
+        "n,column,names",
+        [(3, 0, ["lagrange-inversion-oracle"]), (3, 1, ["lagrange-inversion-oracle"]),
+         (5, 1, ["lagrange-inversion-oracle"]), (7, 2, ["m-series-two-routes"]),
+         (7, 3, ["reversion-oracle", "kzero-closed-form"])],
         ids=["a_3", "b_3", "b_5", "S_7", "S_7/7"],
     )
-    def test_one_ulp_coefficient_fault_fails_by_name(self, kappa, t, n, column, name,
+    def test_one_ulp_coefficient_fault_fails_by_name(self, kappa, t, n, column, names,
                                                      monkeypatch):
-        # one column of one (a_n, b_n, S_n, S_n/n) row moved up by one ulp
+        # one column of one (a_n, b_n, S_n, S_n/n) row moved up by one ulp; the
+        # fault reaches every kappa, so S_n/n also fails kzero-closed-form,
+        # which compares the kappa = 0 series at tolerance 0
         rounded_row = flow._rounded_row
 
         def faulty(k, *balls):
@@ -96,7 +98,7 @@ class TestRunChecks:
             rep = run_checks(kappa, t, "full")
         finally:
             flow._table.cache_clear()
-        assert [e.name for e in rep.entries if not e.passed] == [name]
+        assert [e.name for e in rep.entries if not e.passed] == names
 
 
 class TestEntryNames:
@@ -841,7 +843,7 @@ class TestPinnedBytes:
         assert (out / "manifest.json").read_text(encoding="utf-8") == self.MANIFEST
 
     # every residual, tolerance and context of the full report, bit for bit
-    VERIFY_FULL_JSON_SHA256 = "11578b6773877ed88626912ac49bfb6f02a42d2378d7c4a7ac0e23f6debe7eae"
+    VERIFY_FULL_JSON_SHA256 = "c4608930d68746f5fa679ae129a0097f285a088e781d067dda8ecfd6c669bffb"
 
     def test_verify_stdout(self, capsys):
         argv = ["verify", "--kappa", "0.5", "--t", "1", "--level", "full", "--format", "json"]
@@ -855,13 +857,13 @@ class TestPinnedBytes:
         "kappa,t,level,digest",
         [
             pytest.param("0.92", "1.12", "full",
-                         "0e2081f6de3b7279cfcb1b669949bba797124f6dddabcb9923a351f3dcba5cd2",
+                         "42f306057558ac7b9b2524abb52f451aa90ab5726a84d8c4be2b03aa64a137c1",
                          id="0.92-1.12-full"),
             pytest.param("0", "1", "full",
-                         "1cc15835720344ba199f86a7ca9806897d5a06f251f1ee10d02c2fe133d8d74e",
+                         "2ab5adae8ab68db3cb2b2be0b643e0ad2456ceb5462dde89a87becda02ba62ae",
                          id="0-1-full"),
             pytest.param("0.5", "1", "fast",
-                         "532deb6ac3f1ebf5c4ba04125a610daf24730544591b64954975d92d31ecfbe9",
+                         "c347063a3dd14c149cb2cc9dbd34150d8e8b4151a3d1205057992b309d3b543b",
                          id="0.5-1-fast"),
         ],
     )
