@@ -674,6 +674,20 @@ class TestTinyKappa:
         assert (got, err) == (0, "")
         assert out.endswith("PASS  overall: 26/26 checks passed\n")
 
+    @pytest.mark.parametrize("level", ["fast", "full"])
+    @pytest.mark.parametrize("kappa", ["4.4e-308", "1e-306"])
+    def test_verify_next_to_the_smallest_normal_is_classified(self, kappa, level, capsys):
+        # at 4.4e-308 the circle radius |kappa|/2 is subnormal; from 4.45e-308
+        # to about 6.0e-307 (fast) or 4.9e-305 (full) pkm_residues' integrand
+        # overflows near 1/rho before the quadrature multiplies it by w - kappa
+        got, out, err = _run(["verify", "--kappa", kappa, "--t", "1", "--level", level], capsys)
+        assert "Traceback" not in err
+        if got == 0:
+            assert err == "" and re.search(r"^PASS  overall: (\d+)/\1 checks passed\n\Z", out, re.M)
+        else:
+            assert (got, out) == (3, "") and err.startswith("error: numerical failure: ")
+            assert err.count("\n") == 1 and err.endswith("\n")
+
 
     @pytest.mark.parametrize("t", ["1", "1e-300"])
     def test_integral_at_kappa_1e_300(self, t, capsys):
