@@ -35,7 +35,12 @@ e / 2**P of m / 2**P, and each radius is a proven bound (``_t_balls``,
 ``_balls``).  An entry is kept when both ends of its ball
 round to the same binary64 (Ziv's test); rounding is monotone, so that float
 is float(exact).  P is a few hundred bits, set by the order and t
-(``_precision``).  The exact engine makes only the rows the pass leaves
+(``_precision``).  The t-only row sums of the pass are packed (Kronecker
+substitution): the midpoints of each Delta_k sit in W-bit slots of one
+integer, W = B + 2 order + 2 bits rounded up to whole bytes with B the bit
+length of the largest midpoint, so a row is one product per (n, k) and no
+slot overflows, since the binomial weights of a row sum to less than 4**n
+(``_t_balls``).  The exact engine makes only the rows the pass leaves
 open: a value halfway between two floats or exactly 0, and the values of
 kappa near 0 or +-1 at t >= 5, which shrink like e^{-n t}.  Each of its coefficients is one integer
 quotient, which Python rounds to binary64 once: float(Fraction(num, den)).
@@ -294,15 +299,16 @@ def _t_balls(t: float, prec: int, order: int) -> tuple:
     its W-bit slots read once.  With B the bit length of the largest
     midpoint up to ``order``, W is B + 2 order + 2 rounded up to whole
     bytes; sum_{k<=n} C(2n, n-k) < 4**n, so |rho_n[r]| < 2**(B + 2n) <=
-    2**(W-1) and no slot overflows.  A slot moves between signed and
-    two's complement form by its bias 2**(W-1): for |v| < 2**(W-1),
+    2**(W-1) and no slot overflows.  Slots go to and from W-bit two's
+    complement by a bias of 2**(W-1) each: for |v| < 2**(W-1),
     v + 2**(W-1) is v mod 2**W with its top bit flipped.
     """
     diffs = [_diff_balls(t, prec, k) for k in range(1, order + 1)]
     rads = [rad for _, rad in diffs]
-    size = (max(abs(m).bit_length() for mids, _ in diffs for m in mids) + 2 * order + 9) // 8
-    width = 8 * size  # W
-    biases = list(accumulate(1 << width - 1 + r * width for r in range(order)))  # n slots at n - 1
+    bits = max(abs(m).bit_length() for mids, _ in diffs for m in mids)  # B
+    size = (bits + 2 * order + 9) // 8  # bytes per slot, W = 8 size
+    # biases[n - 1]: the bias 2**(W-1) in each of slots 0..n-1
+    biases = list(accumulate(1 << (r + 1) * 8 * size - 1 for r in range(order)))
     packed = [(int.from_bytes(b"".join(m.to_bytes(size, "little", signed=True) for m in mids),
                               "little") ^ bias) - bias
               for (mids, _), bias in zip(diffs, biases)]
