@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -66,11 +67,18 @@ def alpha_inv(z) -> complex:
 def xi(t: float, z):
     """Exponential Cayley-type map (z - 1)/(z + 1) e^{t z}.
 
-    Accepts complex scalars or arrays; pole at z = -1.  A scalar and the same
-    point inside an array may differ by an ulp, as numpy's scalar complex
+    Accepts complex scalars or arrays; pole at z = -1.  A scalar is evaluated
+    on numpy complex scalars, with no 0-d array, which would turn into such
+    scalars after its first operation anyway.  A scalar and the same point
+    inside an array may differ by an ulp, as numpy's scalar complex
     arithmetic and its array loops round differently; :func:`herglotz_k`
     works on flat arrays only, so its K does not depend on the form.
     """
+    if isinstance(z, numbers.Number):
+        z = np.complex128(z)
+        if z == -1:
+            raise DomainError("xi has a pole at z = -1")
+        return complex((z - 1) / (z + 1) * np.exp(t * z))
     arr = np.asarray(z, dtype=complex)
     if np.any(arr == -1):
         raise DomainError("xi has a pole at z = -1")
@@ -195,12 +203,18 @@ def v_deformed(params: FlowParams, z):
     arrays; an array costs one :func:`herglotz_k` call, and each entry equals
     the scalar result bit for bit.
     """
+    return herglotz_k(float(params.t), _v_argument(params, z))
+
+
+def _v_argument(params: FlowParams, z) -> np.ndarray:
+    """The Herglotz argument alpha[(1 - eps) alpha_inv(z)] of :func:`v_deformed`,
+    an array of z's shape, so that a caller may solve it with other points."""
     arr = np.asarray(z, dtype=complex)
     if not np.all(np.abs(arr) < 1):
         raise DomainError("deformed transform needs |z| < 1")
     scale = 1 - float(params.epsilon)
     ys = [alpha(scale * alpha_inv(w)) for w in arr.ravel().tolist()]
-    return herglotz_k(float(params.t), np.reshape(ys, arr.shape))
+    return np.reshape(np.array(ys, dtype=complex), arr.shape)
 
 
 def phi(params: FlowParams, z) -> complex:
@@ -291,19 +305,27 @@ def phi_series(params: FlowParams, order: int) -> TruncatedSeries:
 
     The coefficients are Fractions, anchored at the same once-rounded dyadic
     e^{-t} the coefficient engine uses, so the only floating error in a
-    comparison with the engine is the final rounding.
+    comparison with the engine is the final rounding.  With u = z - 1, the
+    Cayley factor (z - 1)/(z + 1) = u/(2 + u) and the prefactor, in partial
+    fractions z**2/(z**2 - kappa**2) = 1 + (kappa/2) (1/(z - kappa) -
+    1/(z + kappa)), are written down term by term from
+    1/(c + u) = sum_k (-1)**k u**k / c**(k+1); only alpha_inv takes a
+    series reciprocal.
     """
     t = float(params.t)
     big_d, delta = _exp_neg_t(t)
     expt = Fraction(1 << delta, big_d)
     one = Fraction(1)
-    zvar = TruncatedSeries.variable(one, order, one=one)
-    expo = TruncatedSeries(
-        one, [expt * Fraction(t) ** k / math.factorial(k) for k in range(order + 1)]
+    kap = Fraction(params.kappa)
+    below, above = 1 / (1 - kap), 1 / (1 + kap)
+    ks = range(order + 1)
+    expo = TruncatedSeries(one, [expt * Fraction(t) ** k / math.factorial(k) for k in ks])
+    cayley = TruncatedSeries(one, [Fraction(0)] + [-Fraction(-1, 2) ** k for k in ks[1:]])
+    pref = TruncatedSeries(
+        one, [(k == 0) + (-1) ** k * kap / 2 * (below ** (k + 1) - above ** (k + 1)) for k in ks]
     )
-    xi_s = (zvar - 1) * (zvar + 1).reciprocal() * expo
+    xi_s = cayley * expo
     alpha_inv_s = 4 * xi_s * ((1 + xi_s) * (1 + xi_s)).reciprocal()
-    pref = zvar * zvar * (zvar * zvar - Fraction(params.kappa) ** 2).reciprocal()
     return pref * alpha_inv_s
 
 

@@ -9,11 +9,16 @@ neither is a tier-1 test, since its result never depends on the run's input.
 A run expands phi about z = 1 once, exactly, and hands truncations of it to
 every check that reads it.  The reversion oracle reverts phi and composes
 that with alpha_inv's integer series: (alpha o phi)^-1 = phi^-1 o alpha_inv.
+The map layer's Herglotz points, from K(0) to the arguments of v_deformed,
+are solved in one continuation and split back per check; each K is the one
+a call of its own would give, since the continuation moves every point on
+its own.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -93,15 +98,31 @@ def _check_maps(rep: VerifyReport, params: flow.FlowParams, phi_s, k_coeffs, ful
     t = float(params.t)
     kap = float(params.kappa)
 
+    # the points of every Herglotz check below, solved in one call: K(y) does
+    # not depend on the batch y arrives in
     radii = (0.1, 0.3, 0.5, 0.7, 0.9)
     angles = np.linspace(0.0, 2 * np.pi, 12 if full else 8, endpoint=False)
-    worst = abs(maps.herglotz_k(t, 0.0) - 1.0)
+    grid = [r * cmath.exp(1j * ang) for r in radii for ang in angles]
+    series_ys = [0.2, -0.3, 0.15 + 0.2j, 0.3j]
+    # xi point by point: numpy's vector loops may round array entries differently;
+    # at large t, e^{tZ} overflows at a Z whose xi lies far off the disc anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = {Z: maps.xi(t, Z) for Z in (1.0, 1.1, 0.9 + 0.1j, 1.05 - 0.15j)}
+    Zs = [Z for Z, y in left.items() if abs(y) < 1]
+    # V(0), at kappa = 0 two points against K, and the radius x angle grid
+    kz = [0.3, -0.2 + 0.4j] if kap == 0.0 else []
+    rs = (0.5, 0.9, 0.95) if full else (0.5, 0.9)
+    zs = [0.0] + kz + [r * cmath.exp(1j * ang) for r in rs for ang in angles]
+    parts = [[0.0], grid, [y.conjugate() for y in grid], series_ys, [left[Z] for Z in Zs], kz,
+             maps._v_argument(params, zs).tolist()]
+    ks = iter(maps.herglotz_k(t, np.array([*itertools.chain(*parts)], dtype=complex)).tolist())
+    [k0], ks_grid, ks_conj, ks_series, ks_left, ks_kz, vs = (
+        list(itertools.islice(ks, len(part))) for part in parts)
+
+    worst = abs(k0 - 1.0)
     pos = math.inf
     sym = 0.0
-    ys = [r * cmath.exp(1j * ang) for r in radii for ang in angles]
-    ks = maps.herglotz_k(t, np.array(ys))
-    ks_conj = maps.herglotz_k(t, np.conj(ys))
-    for y, K, Kc in zip(ys, ks.tolist(), ks_conj.tolist()):
+    for y, K, Kc in zip(grid, ks_grid, ks_conj):
         worst = max(worst, abs(maps.xi(t, K) - y))
         pos = min(pos, K.real)
         sym = max(sym, abs(Kc - K.conjugate()))
@@ -109,34 +130,21 @@ def _check_maps(rep: VerifyReport, params: flow.FlowParams, phi_s, k_coeffs, ful
     rep.check("herglotz-positivity", max(0.0, -pos), 0.0, min_real=pos)
     rep.check("herglotz-conjugate-symmetry", sym, 1e-12)
 
-    ys = (0.2, -0.3, 0.15 + 0.2j, 0.3j)
     worst = 0.0
-    for y, K in zip(ys, maps.herglotz_k(t, np.array(ys)).tolist()):
+    for y, K in zip(series_ys, ks_series):
         partial = 1.0 + sum(c * y**n for n, c in enumerate(k_coeffs, start=1))
         worst = max(worst, abs(partial - K))
     rep.check("herglotz-series-agreement", worst, 1e-10, t=t)
 
-    # xi point by point: numpy's vector loops may round array entries differently;
-    # at large t, e^{tZ} overflows at a Z whose xi lies far off the disc anyway
-    with np.errstate(over="ignore", invalid="ignore"):
-        ys = {Z: maps.xi(t, Z) for Z in (1.0, 1.1, 0.9 + 0.1j, 1.05 - 0.15j)}
-    Zs = [Z for Z, y in ys.items() if abs(y) < 1]
-    ks = maps.herglotz_k(t, np.array([ys[Z] for Z in Zs], dtype=complex)).tolist()
-    worst = max((abs(K - Z) for K, Z in zip(ks, Zs)), default=0.0)
+    worst = max((abs(K - Z) for K, Z in zip(ks_left, Zs)), default=0.0)
     rep.check("herglotz-left-inverse", worst, 1e-11, t=t)
 
-    # V(0), at kappa = 0 two points against K, and the radius x angle grid, in one call
-    kz = [0.3, -0.2 + 0.4j] if kap == 0.0 else []
-    rs = (0.5, 0.9, 0.95) if full else (0.5, 0.9)
-    zs = [0.0] + kz + [r * cmath.exp(1j * ang) for r in rs for ang in angles]
-    vs = maps.v_deformed(params, np.array(zs)).tolist()
     res = abs(vs[0] - 1.0)
     if kz:
-        ks = maps.herglotz_k(t, np.array(kz)).tolist()
-        res = max(res, abs(vs[1] - ks[0]), abs(vs[2] - ks[1]))
-    grid = vs[1 + len(kz):]
-    vmin = min(v.real for v in grid)
-    vmax = max(abs(v) for v in grid)
+        res = max(res, abs(vs[1] - ks_kz[0]), abs(vs[2] - ks_kz[1]))
+    ring = vs[1 + len(kz):]
+    vmin = min(v.real for v in ring)
+    vmax = max(abs(v) for v in ring)
     rep.check("v-deformed-values", res, 1e-12, kappa=kap)
     rep.check("v-deformed-positivity", max(0.0, -vmin), 0.0,
               min_real=vmin, max_abs=vmax)
@@ -246,8 +254,10 @@ def _check_contour(rep: VerifyReport, params: flow.FlowParams, full: bool):
     zs = (0.02, 0.03 + 0.01j, 0.05) if full else (0.03,)
     worst_series = 0.0
     worst_forms = 0.0
+    circles = {}
     for z in zs:
         res = contour.m_integral_detailed(params, z)
+        circles[z] = res.contour
         worst_series = max(worst_series, _rel(res.corollary, mser(z)))
         worst_forms = max(worst_forms, abs(res.corollary - res.proposition))
         rep.add(contour.nonvanishing_check(params, z, res.contour))
@@ -257,8 +267,9 @@ def _check_contour(rep: VerifyReport, params: flow.FlowParams, full: bool):
     rep.check("m-integral-vs-series", worst_series, 1e-6, points=len(zs))
     rep.check("m-integral-forms-agree", worst_forms, 1e-9, points=len(zs))
 
-    # corrected branch estimate: |(1-z)^2 + 4 w^2 z - 1| <= |z| (|z| + 2 max|1-2w^2|)
-    spec2 = contour.admissible_contour(params, 0.05)
+    # corrected branch estimate: |(1-z)^2 + 4 w^2 z - 1| <= |z| (|z| + 2 max|1-2w^2|),
+    # on the circle of the z = 0.05 integral where one was run
+    spec2 = circles[0.05] if 0.05 in circles else contour.admissible_contour(params, 0.05)
     w = contour.contour_nodes(spec2)
     bound_gap = 0.0
     for z in (0.05, 0.03 + 0.01j):

@@ -33,6 +33,31 @@ from jacobiflow.verify import run_checks
 from conftest import assert_entries, entries
 
 
+def _reference_xi(t, z):
+    """xi on a 0-d array, as the package evaluated a scalar before it ran
+    scalars on numpy complex scalars."""
+    arr = np.asarray(z, dtype=complex)
+    if np.any(arr == -1):
+        raise DomainError("xi has a pole at z = -1")
+    return complex((arr - 1) / (arr + 1) * np.exp(t * arr))
+
+
+def _reference_phi_series(params, order):
+    """phi about z = 1 with three series reciprocals, for the Cayley factor,
+    alpha_inv and the prefactor, as the package built it before it wrote
+    the Cayley factor and the prefactor's partial fractions term by term."""
+    t = float(params.t)
+    big_d, delta = _exp_neg_t(t)
+    one = Fraction(1)
+    zvar = TruncatedSeries.variable(one, order, one=one)
+    expo = TruncatedSeries(one, [Fraction(1 << delta, big_d) * Fraction(t) ** k
+                                 / math.factorial(k) for k in range(order + 1)])
+    xi_s = (zvar - 1) * (zvar + 1).reciprocal() * expo
+    alpha_inv_s = 4 * xi_s * ((1 + xi_s) * (1 + xi_s)).reciprocal()
+    pref = zvar * zvar * (zvar * zvar - Fraction(params.kappa) ** 2).reciprocal()
+    return pref * alpha_inv_s
+
+
 class TestAlpha:
     def test_fixed_values(self):
         assert alpha(0.0) == 0
@@ -67,6 +92,20 @@ class TestXi:
         out = xi(0.5, z)
         assert out.shape == z.shape
         assert out[0] == 0
+
+    @pytest.mark.parametrize("t", [0.01, 0.65, 1.37, 2.45, 20.0, 600.0])
+    def test_scalar_has_the_bits_of_the_0d_array_path(self, t):
+        # a scalar runs on numpy complex scalars; the 0-d array it used to
+        # take turns into those scalars after its first operation
+        rng = random.Random(23)
+        zs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(400)]
+        zs += [rng.uniform(-3, 3) for _ in range(100)] + [0, 1, 2, 0.5, -0.0, 1e-320]
+        zs += [np.complex128(z) for z in zs[:50]] + [np.float64(z.real) for z in zs[:50]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for z in zs:
+                got, want = xi(t, z), _reference_xi(t, z)
+                assert type(got) is complex
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), z
 
 
 class TestHerglotz:
@@ -144,6 +183,19 @@ class TestBatchedContinuation:
         ys = rng.uniform(0.51, 0.99, 64) * np.exp(2j * np.pi * rng.uniform(size=64))
         single = np.array([herglotz_k(t, complex(y)) for y in ys])
         np.testing.assert_allclose(herglotz_k(t, ys), single, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("t", [0.01, 1.37, 20.0, 700.0])
+    @pytest.mark.parametrize("top", [0.0, 0.5, 0.95])
+    def test_concatenation_has_the_bits_of_its_parts(self, t, top):
+        # verify solves the map layer's points in one call and splits the
+        # result: every point must keep the bits of the batch it came from
+        rng = np.random.default_rng(29)
+        parts = [rng.uniform(0, top, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+                 for size in (1, 60, 60, 4, 3, 2, 37)]
+        parts[0][:] = 0
+        whole = maps._herglotz_delta(t, np.concatenate(parts))
+        apart = np.concatenate([maps._herglotz_delta(t, part) for part in parts])
+        assert whole.view(np.uint64).tolist() == apart.view(np.uint64).tolist()
 
     def test_mixed_near_far_two_dimensional(self):
         ys = np.array([[0.1 + 0.2j, 0.9j, -0.4], [0.7 - 0.6j, 0.3, -0.95]])
@@ -448,6 +500,18 @@ class TestFlowMaps:
         full = phi_series(p, 12).coeffs
         for n in (4, 6, 8, 10):
             assert full[: n + 1] == phi_series(p, n).coeffs
+
+    @pytest.mark.parametrize("kappa, t", [
+        (0.5, 1.0), (0.0, 2.0), (-0.5, 0.3), (0.92, 1.12), (1e-300, 700.0),
+        (Fraction(1, 3), 0.7), (0.99999, 50.0), (-0.99999, 2.0)])
+    def test_phi_series_equals_three_reciprocals(self, kappa, t):
+        # the direct Cayley and partial-fraction series give the same Fractions
+        p = FlowParams(kappa, t)
+        for order in range(1, 13):
+            got, want = phi_series(p, order), _reference_phi_series(p, order)
+            assert got.base == want.base
+            assert got.coeffs == want.coeffs, order
+            assert all(type(c) is Fraction for c in got.coeffs)
 
     @pytest.mark.parametrize("kappa, t", [(0.5, 1.0), (0.37, 2.45), (Fraction(1, 3), 0.7)])
     def test_alpha_series_matches_the_sqrt_route(self, kappa, t):

@@ -159,10 +159,10 @@ class TestUnchangedReport:
 
 class TestHerglotzCalls:
     def test_full_suite_batches_the_herglotz_grid(self, monkeypatch):
-        # the radius x angle grid and its conjugates go in one array call
-        # each, and so do each contour's first doubled grid and the y of
-        # the five Laguerre generating checks; the points sent stay exactly
-        # those of one call per point.  contour solves for delta = K - 1
+        # every Herglotz point of the map checks goes in one array call, and
+        # so do each contour's first doubled grid and the y of the five
+        # Laguerre generating checks; the points sent stay exactly those of
+        # one call per point.  contour solves for delta = K - 1
         calls = []
 
         def counting(solve):
@@ -176,7 +176,7 @@ class TestHerglotzCalls:
         contour._kernel_cached.cache_clear()
         assert run_checks(0.44, 1.78, "full").passed
         contour._kernel_cached.cache_clear()
-        assert len(calls) == 10
+        assert len(calls) == 5
         assert sum(calls) == 1707
 
 
@@ -636,6 +636,16 @@ class TestSeededSweep:
                 assert re.search(r"^FAIL  (?!overall:)\S+:", out, re.M), (argv, out)
         assert min(z_moduli) < 1e-308, z_moduli  # a subnormal z was drawn
 
+    @pytest.mark.parametrize("kappa,t", [("0", "600"), ("1e-300", "700")])
+    def test_large_time_verify_fails_by_name(self, kappa, t, capsys):
+        # the far end of the sweep's t: 1 + delta rounds to 1 in the batched
+        # map layer, and every FAIL line names its entry, with nothing on stderr
+        code, out, err = _run(["verify", "--kappa", kappa, "--t", t], capsys)
+        assert (code, err) == (1, "")
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert [re.match(r"FAIL  (\S+): ", line)[1] for line in fails] == [
+            "herglotz-inverse-grid", "phi-critical-point", "flow-roundtrip-pointwise", "overall"]
+
 
 class TestNegativeValues:
     """argparse reads -1e-3 or -0.5,0.5 as an option of its own; after a
@@ -865,7 +875,8 @@ class TestPinnedBytes:
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == self.VERIFY_FULL_JSON_SHA256
 
-    # kappa near 1 and kappa = 0 at full, and the fast grids; the ids leave
+    # kappa near 1, kappa = 0, and a negative kappa at a tiny t at full, and
+    # the fast grids; the ids leave
     # the digest out, so a re-pin keeps each test's name
     @pytest.mark.parametrize(
         "kappa,t,level,digest",
@@ -879,6 +890,9 @@ class TestPinnedBytes:
             pytest.param("0.5", "1", "fast",
                          "c347063a3dd14c149cb2cc9dbd34150d8e8b4151a3d1205057992b309d3b543b",
                          id="0.5-1-fast"),
+            pytest.param("-0.3", "0.01", "full",
+                         "057b156cd27e43f103b14184d06d53cd9a02713c8d7fa7f89f8c588cfa05ceec",
+                         id="-0.3-0.01-full"),
         ],
     )
     def test_verify_stdout_more(self, kappa, t, level, digest, capsys):
