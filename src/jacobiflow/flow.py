@@ -6,8 +6,8 @@ they cancel catastrophically (twelve orders of magnitude are lost already at
 n = 16), so the engine never sums in binary64.  Its inputs are exact
 rationals: eps = kappa**2 is the exact square of the input, t is dyadic, and
 e^{-k t} enters as the k-th power of the once-rounded dyadic e^{-t}.  The
-exact engine's sums run on integer numerators over known denominators, and
-the ball pass below uses the same identities:
+exact engine's sums run on integer numerators over known denominators, on
+these identities:
 
 * The sum over m of L_{k-m-1}^{(m+1)}(2kt) 2**m P_{n,m}(eps) is reordered
   into sum_j (-1)**j C(n, j) eps**j Q(k, j), where
@@ -29,9 +29,13 @@ the ball pass below uses the same identities:
 
 Every public float is float(exact), but a table rarely needs the exact
 integers, whose thousands of bits rounding never reads.  ``_make_table``
-runs the same sums on balls first (midpoint-radius arithmetic, as in Arb): an
-integer midpoint m and radius e at scale 2**P stand for every real within
-e / 2**P of m / 2**P, and each radius is a proven bound (``_t_balls``,
+runs the same sums on balls first (midpoint-radius arithmetic, as in Arb),
+with one step made by another algorithm: the exact engine makes the forward
+differences of Q(k, .) from Laguerre values and prefix sums, O(k**2) steps
+for each k, and the ball pass makes them by a four-term recurrence in r
+(``_diff_balls``), O(k) steps for each k.  An integer midpoint m and
+radius e at scale 2**P stand for every real within e / 2**P of m / 2**P,
+and each radius is a proven bound (``_diff_balls``, ``_t_balls``,
 ``_balls``).  An entry is kept when both ends of its ball
 round to the same binary64 (Ziv's test); rounding is monotone, so that float
 is float(exact).  P is a few hundred bits, set by the order and t
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,9 +82,11 @@ def _exp_neg_t(t) -> tuple[int, int]:
     return big_d, d.bit_length() - 1
 
 
+@lru_cache(maxsize=8)
 def _t_scales(t: float) -> tuple[int, int, int, int]:
     """(T, tau, D, delta) with t = T / 2**tau and the once-rounded e^{-t}
-    = D / 2**delta (``_exp_neg_t``), both binary64 and so dyadic."""
+    = D / 2**delta (``_exp_neg_t``), both binary64 and so dyadic; formed
+    once per t, not once per k."""
     big_t, t_den = t.as_integer_ratio()
     return (big_t, t_den.bit_length() - 1, *_exp_neg_t(t))
 
@@ -254,23 +261,91 @@ def _t_rows(t: float, top: int) -> tuple:
 
 
 @cache
-def _delta_radius(k: int) -> int:
-    """max_r C(k-1+r, 2r) 4**r over r < k: the most that the ball of
-    (-1)**N L_N^{(1)}(2kt), N < k, each of radius 1, can move Delta_k[r]."""
-    return max(math.comb(k - 1 + r, 2 * r) << 2 * r for r in range(k))
+def _recurrence_coeffs(m: int) -> memoryview:
+    """The parameter-free integers of the recurrence of ``_diff_balls`` at
+    m = k-1, seven per step r = m-1, ..., 0: 16 (m-r)(m+r+2)(r+2), then
+    u0, v0, u1, v1, w and u2 with 16 (m-r)(m+r+2)(r+2) b_r = (u0 + v0 x)
+    b_{r+1} + (u1 + v1 x + w x**2) b_{r+2} + u2 b_{r+3}.  They are packed
+    as 64-bit integers in a read-only view: a tuple of Python ints would
+    take about five times the memory."""
+    steps = []
+    for r in range(m - 1, -1, -1):
+        steps += (16 * (m - r) * (m + r + 2) * (r + 2),
+                  4 * (2 * r + 3) * (6 * r * r + 18 * r + 8 - 4 * m * m - 8 * m),
+                  4 * (2 * r + 3) * (m + 1),
+                  -(r + 1) * (16 * m * m + 32 * m - 48 * r * r - 192 * r - 176),
+                  8 * (r + 1) * (m + 1), -(r + 1),
+                  8 * (r + 1) * (r + 2) * (2 * r + 5))
+    return memoryview(struct.pack(f"{len(steps)}q", *steps)).cast("q")
+
+
+def _recurrence_balls(x: int, tau: int, m: int, scale: int) -> tuple:
+    """(midpoints of b_r 2**scale for r <= m, one radius for all of them):
+    the recurrence of ``_diff_balls`` at x = X / 2**tau, run on integer
+    balls from the exact b_m = (-4)**m.
+
+    A step is integer products, a shift by 2 tau and a floor division by a
+    small integer, off by less than 1.  The running radius e_r bounds the
+    distance of the midpoint from b_r 2**scale: the recurrence with each
+    coefficient replaced by the integer above its absolute value, plus 2,
+    one for the floor division of that bound and one for the midpoint's.
+    """
+    shift2 = 2 * tau
+    x_tau, x_sq = x << tau, x * x
+    b1, b2, b3 = (-1) ** m << scale + 2 * m, 0, 0  # b_{r+1}, b_{r+2}, b_{r+3}
+    e1 = e2 = e3 = rad = 0
+    mids = [b1]
+    steps = iter(_recurrence_coeffs(m))
+    for den, u0, v0, u1, v1, w, u2 in zip(*repeat(steps, 7)):
+        c1 = (u0 << shift2) + v0 * x_tau  # 2**(2 tau) (u0 + v0 x)
+        c2 = (u1 << shift2) + v1 * x_tau + w * x_sq
+        b = ((c1 * b1 + c2 * b2 + (u2 * b3 << shift2)) >> shift2) // den
+        e = (((abs(c1) >> shift2) + 1) * e1 + ((abs(c2) >> shift2) + 1) * e2 + u2 * e3) // den + 2
+        b1, b2, b3, e1, e2, e3 = b, b1, b2, e, e1, e2
+        mids.append(b)
+        if e > rad:
+            rad = e
+    mids.reverse()
+    return mids, rad
 
 
 def _diff_balls(t: float, prec: int, k: int) -> tuple:
-    """(midpoints of Delta_k[r] for r < k, their common radius): see ``_t_balls``."""
+    """(midpoints of Delta_k[r] for r < k, their common radius) at scale
+    2**prec: see ``_t_balls``.
+
+    With m = k-1 and x = 2kt, b_r = Delta**r Q(k, 0) = (-4)**r a_r, where
+    a_r = [s**(m-r)] (1+s)**(-2r) (1-s)**-2 e^{-xs/(1-s)}, satisfies
+
+        (m-r)(m+r+2)(r+2) a_r
+          + (2r+3)(6r**2 + 18r + 8 - 4m**2 - 8m + (m+1) x) a_{r+1}
+          + (r+1)(16m**2 + 32m - 48r**2 - 192r - 176 - 8(m+1) x + x**2) a_{r+2}
+          + 32 (r+1)(r+2)(2r+5) a_{r+3} = 0,
+
+    run backward from a_m = 1 and a_{m+1} = a_{m+2} = 0 (a_r is the
+    coefficient of a negative power of s for r > m).  Its certificate (creative
+    telescoping, Zeilberger 1991): a_r is the residue at 0 of
+    F_r = v**r g s**(-m-1), with v = s/(1+s)**2 and g = (1-s)**-2
+    e^{-xs/(1-s)}, and the left side above with each a replaced by its F is
+    d/ds [R F_r], R = s (1-s)**2 (q0 + q1 s + q2 s**2 + q3 s**3) / (1+s)**5,
+
+        q0 = -(r+2)(m+r+2),           q1 = mr - 2m + 3r**2 - rx + 10r - x + 4,
+        q2 = mr - 2m - 3r**2 - rx - 8r - x - 8,      q3 = (r-m)(r+2),
+
+    whose residue at 0 is 0.  Times (-4)**(r+3), it is the recurrence of
+    the b_r that ``_recurrence_coeffs(m)`` holds.
+
+    The b_r run as balls of radius e at scale 2**(prec + 16)
+    (``_recurrence_balls``).  Times e^{-kt} = (D / 2**delta)**k, formed
+    with as many bits as the largest midpoint, the radius at scale 2**prec
+    is at most e e^{-kt} / 2**16 + 3.  No step is shared with the exact
+    engine's ``_diff_row``: the two make Delta_k by independent algorithms.
+    """
     big_t, tau, big_d, delta = _t_scales(t)
-    series = _laguerre_scaled(2 * k * big_t, tau, k)
-    mids = _delta_rows([((v << prec) >> tau * N) // math.factorial(N)
-                        for N, v in enumerate(series)])
-    shift = max(prec, max(abs(m).bit_length() for m in mids))
+    mids, rad = _recurrence_balls(2 * k * big_t, tau, k - 1, prec + 16)
+    shift = max(prec, max(max(mids), -min(mids)).bit_length() - 16)
     decay = (big_d**k << shift) >> delta * k  # floor(e^{-kt} 2**shift)
-    sign = 1 if k % 2 else -1  # (-1)**(k-1)
-    return ([sign * (m * decay >> shift) for m in mids],
-            (_delta_radius(k) * (decay + 1) >> shift) + 3)
+    shift += 16
+    return [b * decay >> shift for b in mids], (rad * (decay + 1) >> shift) + 3
 
 
 @lru_cache(maxsize=4)
@@ -282,16 +357,18 @@ def _t_balls(t: float, prec: int, order: int) -> tuple:
     Delta_k[r] = e^{-kt} Delta**r Q(k, 0), the value ``_diff_row`` makes
     exactly, and rho_n[r] = sum_{k>r} C(2n, n-k) Delta_k[r]:
 
-    * (-1)**N L_N^{(1)}(2kt), from the integer recurrence, becomes a ball of
-      radius 1: its value times 2**prec, floored (a shift by tau N, then a
-      floor division by N!).  The 2r-fold prefix sums run on the midpoints
-      and add no error: entry r has radius C(k-1+r, 2r).  Times
-      4**r and e^{-kt} = (D / 2**delta)**k, formed with as many bits as the
-      largest midpoint, the radius is at most
-      C(k-1+r, 2r) 4**r e^{-kt} + 3; ``_delta_radius`` bounds it over r.
+    * ``_diff_balls`` makes Delta_k[r] for r < k by a four-term recurrence
+      in r on integer balls 16 bits finer than 2**prec
+      (``_recurrence_balls``).  A radius runs along with the midpoints:
+      each step bounds how far its coefficients carry the last three
+      radii and adds 2 for its floors.  The k midpoints share one proven
+      radius, 2**-16 e^{-kt} times the largest running radius, plus 3: at
+      most 59 bits at order 64 and any t.  O(k) steps make Delta_k, so the
+      pass makes its t-side in O(order**2) big-integer steps, where the
+      exact engine's prefix sums take O(order**3).
     * Row n is (rho_n, e_n, beta_n): the midpoints of rho_n[r] for r < n,
-      one radius for all of them, and the bit length of the largest
-      midpoint.
+      one radius for all of them, e_n = sum_{k<=n} C(2n, n-k) times the
+      radius of Delta_k, and the bit length of the largest midpoint.
 
     The midpoint sums are Kronecker substitutions: Delta_k's k midpoints
     are packed into the integer sum_r Delta_k[r] 2**(r W), and row n is
@@ -305,7 +382,7 @@ def _t_balls(t: float, prec: int, order: int) -> tuple:
     """
     diffs = [_diff_balls(t, prec, k) for k in range(1, order + 1)]
     rads = [rad for _, rad in diffs]
-    bits = max(abs(m).bit_length() for mids, _ in diffs for m in mids)  # B
+    bits = max(max(max(mids), -min(mids)) for mids, _ in diffs).bit_length()  # B
     size = (bits + 2 * order + 9) // 8  # bytes per slot, W = 8 size
     # biases[n - 1]: the bias 2**(W-1) in each of slots 0..n-1
     biases = list(accumulate(1 << (r + 1) * 8 * size - 1 for r in range(order)))
@@ -318,18 +395,22 @@ def _t_balls(t: float, prec: int, order: int) -> tuple:
         slots = ((sum(map(operator.mul, weight, packed)) + bias) ^ bias).to_bytes(size * n, "little")
         row = tuple([int.from_bytes(slots[i:i + size], "little", signed=True)
                      for i in range(0, size * n, size)])
-        rows.append((row, sum(map(operator.mul, weight, rads)),
-                     max(abs(v).bit_length() for v in row)))
+        rows.append((row, sum(map(operator.mul, weight, rads)), max(max(row), -min(row)).bit_length()))
     return tuple(rows)
 
 
 def _precision(order: int, t: float) -> int:
     """P of the ball pass for a table to ``order`` at t.
 
-    A ball's radius, in units of 2**-P, is about 2**(3.5 order + 50) after
-    the sums (measured up to order 64), a coefficient is about e^{-t} or
-    larger unless kappa is near 0 or +-1, and rounding reads 53 bits: so P
-    has 4 order + 96 bits above e^{-t}, rounded up to a multiple of 32.
+    A ball's radius, in units of 2**-P, is at most about 2**(3.4 order + 6)
+    after the sums (222 bits at order 64, measured at kappa in {0, 0.37,
+    0.99999} and t from 1e-6 to 700; the powers of eps and the weights of
+    S_n make most of it, Delta_k at most 59 bits), a coefficient is about
+    e^{-t} or larger unless kappa is near 0 or +-1, and rounding reads 53
+    bits: so P has 4 order + 96 bits above e^{-t}, rounded up to a
+    multiple of 32.  At order 48 that is 320 bits for t up to 22; the
+    smallest P that decided every row the pass decides at the 40 (kappa,
+    t) of the benchmark's ``table`` pool was 232.
     """
     return -(-(96 + 4 * order + math.ceil(t / math.log(2))) // 32) * 32
 

@@ -475,6 +475,13 @@ def _no_exact_rows(eps, t, ns):
     raise AssertionError(f"the exact engine made rows {ns}")
 
 
+def _forbidden(name):
+    """A stand-in for ``flow.<name>`` that fails any call."""
+    def call(*args):
+        raise AssertionError(f"{name} was called")
+    return call
+
+
 def _record_exact_rows(monkeypatch):
     """The list of rows the exact engine makes from here on."""
     made = []
@@ -519,10 +526,47 @@ class TestBallPass:
     @pytest.mark.parametrize("kappa,t", [(0.37, 1.23), (-0.81, 0.14), (Fraction(1, 3), 2.5),
                                          (0.3, 1e-6), (0.7, 700.0)])
     def test_ball_pass_decides_alone(self, kappa, t, monkeypatch):
-        p = FlowParams(kappa, t)
-        want = _exact_floats(p, 48)
+        # to order 64 at t = 1e-6 and 700, where the error of the recurrence
+        # for Delta_k grows most
+        p, order = FlowParams(kappa, t), 64 if t in (1e-6, 700.0) else 48
+        want = _exact_floats(p, order)
         monkeypatch.setattr(flow, "_exact_nums", _no_exact_rows)
+        assert _hex(_fresh_table(p, order)) == want
+
+    def test_ball_pass_shares_no_step_with_the_exact_engine(self, monkeypatch):
+        # Delta_k of the pass comes from the recurrence in r alone: neither
+        # the Laguerre values nor the prefix sums of the exact engine
+        p = FlowParams(0.37, 1.23)
+        want = _exact_floats(p, 48)
+        for name in ("_laguerre_scaled", "_delta_rows", "_exact_nums"):
+            monkeypatch.setattr(flow, name, _forbidden(name))
+        _t_balls.cache_clear()
         assert _hex(_fresh_table(p, 48)) == want
+
+    @pytest.mark.parametrize("t", [1e-6, 0.12, 1.37, 40.0, 708.0])
+    def test_recurrence_equals_diff_row(self, t):
+        # a_r = [s**(m-r)] (1+s)**(-2r) (1-s)**-2 e^{-xs/(1-s)}, m = k-1 and
+        # x = 2kt, by the backward recurrence from a_m = 1, a_{m+1} = a_{m+2}
+        # = 0, in Fractions; Delta**r Q(k, 0) = b_r = (-4)**r a_r.  The balls
+        # of b_r at scale 2**0 and 2**4, where each step's floor is felt,
+        # hold it
+        big_t, tau, big_d, _ = flow._t_scales(t)
+        for k in range(1, 65):
+            m, x = k - 1, Fraction(2 * k * big_t, 1 << tau)
+            a = [Fraction(0)] * (k + 2)
+            a[m] = Fraction(1)
+            for r in range(m - 1, -1, -1):
+                a[r] = -((2 * r + 3) * (6 * r * r + 18 * r + 8 - 4 * m * m - 8 * m + (m + 1) * x) * a[r + 1]
+                         + (r + 1) * (16 * m * m + 32 * m - 48 * r * r - 192 * r - 176
+                                      - 8 * (m + 1) * x + x * x) * a[r + 2]
+                         + 32 * (r + 1) * (r + 2) * (2 * r + 5) * a[r + 3]) / ((m - r) * (m + r + 2) * (r + 2))
+            exact = _diff_row(t, k)
+            unit = big_d**k * math.factorial(m) << tau * m
+            assert [unit * (-4) ** r * a[r] for r in range(k)] == exact, k
+            for scale in (0, 4):
+                mids, rad = flow._recurrence_balls(2 * k * big_t, tau, m, scale)
+                for r, v in enumerate(exact):
+                    assert abs(Fraction(v << scale, unit) - mids[r]) <= rad, (k, scale, r)
 
     @pytest.mark.parametrize("prec", [0, 4, 40, 64])
     @pytest.mark.parametrize("kappa,t", [(0.37, 1.23), (0.0, 8.0), (0.5, 1.35)])
@@ -542,12 +586,13 @@ class TestBallPass:
                                          (-0.99999, 40.0), (0.5, 700.0)])
     def test_balls_hold_the_exact_values(self, kappa, t, prec):
         # every midpoint is within its radius of the exact value, at any P:
-        # Delta_k[r] and rho_n[r] against the exact t-table, b_n and S_n
-        # against the exact engine
+        # Delta_k[r] (to k = 64, where the recurrence's radius grows most)
+        # and rho_n[r] against the exact t-table, b_n and S_n against the
+        # exact engine
         order = 24
         P = prec
         _, tau, _, delta = flow._t_scales(t)
-        for k in range(1, order + 1):
+        for k in range(1, 65):
             scale = math.factorial(k - 1) << tau * (k - 1) + delta * k
             mids, rad = _diff_balls(t, P, k)
             for r, exact in enumerate(_diff_row(t, k)):
