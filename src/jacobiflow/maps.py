@@ -28,8 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .flow import FlowParams, _check_index, _exp_neg_t
-from .powerseries import TruncatedSeries, series_compose
+from .flow import FlowParams, _check_index, _exp_neg_t, _t_scales
+from .powerseries import TruncatedSeries, _mul_trunc, _recip_unit, series_compose
 from .specfun import _laguerre_sum
 
 REL_TOL = 1e-15
@@ -304,29 +304,40 @@ def phi_series(params: FlowParams, order: int) -> TruncatedSeries:
     power-series arithmetic (independent of the coefficient formulas).
 
     The coefficients are Fractions, anchored at the same once-rounded dyadic
-    e^{-t} the coefficient engine uses, so the only floating error in a
-    comparison with the engine is the final rounding.  With u = z - 1, the
-    Cayley factor (z - 1)/(z + 1) = u/(2 + u) and the prefactor, in partial
+    e^{-t} = D / 2**delta the coefficient engine uses, so the only floating
+    error in a comparison with the engine is the final rounding.  With
+    u = z - 1, xi = u/(2 + u) e^t e^{tu} and the prefactor, in partial
     fractions z**2/(z**2 - kappa**2) = 1 + (kappa/2) (1/(z - kappa) -
-    1/(z + kappa)), are written down term by term from
-    1/(c + u) = sum_k (-1)**k u**k / c**(k+1); only alpha_inv takes a
-    series reciprocal.
+    1/(z + kappa)), are written down term by term.  With kappa = K/q,
+    a = q - K, b = q + K, t = T/2**tau and d = lcm(2**(tau+1) lcm(1..order) D,
+    ab), [u**k] xi = X_k/d**k and [u**k] prefactor = P_k/(ab)**(k+1) with
+    integers X_k and P_k: the series run on integers, and coefficient k is
+    one Fraction N_k/(ab d**k).
     """
-    t = float(params.t)
-    big_d, delta = _exp_neg_t(t)
-    expt = Fraction(1 << delta, big_d)
-    one = Fraction(1)
+    big_t, tau, big_d, delta = _t_scales(float(params.t))
     kap = Fraction(params.kappa)
-    below, above = 1 / (1 - kap), 1 / (1 + kap)
-    ks = range(order + 1)
-    expo = TruncatedSeries(one, [expt * Fraction(t) ** k / math.factorial(k) for k in ks])
-    cayley = TruncatedSeries(one, [Fraction(0)] + [-Fraction(-1, 2) ** k for k in ks[1:]])
-    pref = TruncatedSeries(
-        one, [(k == 0) + (-1) ** k * kap / 2 * (below ** (k + 1) - above ** (k + 1)) for k in ks]
-    )
-    xi_s = cayley * expo
-    alpha_inv_s = 4 * xi_s * ((1 + xi_s) * (1 + xi_s)).reciprocal()
-    return pref * alpha_inv_s
+    K, q = kap.numerator, kap.denominator
+    a, b = q - K, q + K
+    ab = a * b
+    d = math.lcm(math.lcm(*range(1, order + 1)) * big_d << tau + 1, ab)
+    # d**i [u**i] u/(2 + u) = -(-d/2)**i, d**j [u**j] e^t e^{tu} = 2**delta (tdd)**j/(D j!);
+    # the prefactor's terms carry (d/ab)**k, and P_0 = ab + K**2 = q**2
+    half, tdd, qd = d >> 1, big_t * (d >> tau), q * (d // ab)
+    pref, cayley, expo = [q * q], [0], [1]
+    ak, bk, qk = a, b, 1
+    for k in range(1, order + 1):
+        ak, bk, qk = ak * a, bk * b, -qk * qd
+        pref.append(K * qk * (bk - ak) // 2)
+        cayley.append(-cayley[-1] * half if k > 1 else half // big_d)
+        expo.append(expo[-1] * tdd // k)
+    xi_s = [x << delta for x in _mul_trunc(cayley, expo, order)]
+    recip = _recip_unit([1] + xi_s[1:], order)
+    alpha_inv_s = _mul_trunc([4 * x for x in xi_s], _mul_trunc(recip, recip, order), order)
+    coeffs, den = [], ab
+    for n in _mul_trunc(pref, alpha_inv_s, order):
+        coeffs.append(Fraction(n, den))
+        den *= d
+    return TruncatedSeries(Fraction(1), coeffs)
 
 
 def big_phi_series(params: FlowParams, order: int) -> TruncatedSeries:

@@ -179,6 +179,14 @@ def _recip_trunc(a, order):
     return out
 
 
+def _recip_unit(a, order):
+    """1/a to ``order`` for integers a with a_0 = 1: integers, no division."""
+    out = [1]
+    for n in range(1, order + 1):
+        out.append(-sum(a[i] * out[n - i] for i in range(1, min(n, len(a) - 1) + 1)))
+    return out
+
+
 def _compose_trunc(f, g, order):
     """Coefficients of f(g(w)) to ``order``; g must have zero constant term.
 

@@ -503,11 +503,13 @@ class TestFlowMaps:
 
     @pytest.mark.parametrize("kappa, t", [
         (0.5, 1.0), (0.0, 2.0), (-0.5, 0.3), (0.92, 1.12), (1e-300, 700.0),
-        (Fraction(1, 3), 0.7), (0.99999, 50.0), (-0.99999, 2.0)])
+        (Fraction(1, 3), 0.7), (0.99999, 50.0), (-0.99999, 2.0),
+        *((kappa, t) for kappa in (0.0, 1e-300, Fraction(1, 3), -0.99999) for t in (1e-6, 700.0)
+          if (kappa, t) != (1e-300, 700.0))])
     def test_phi_series_equals_three_reciprocals(self, kappa, t):
-        # the direct Cayley and partial-fraction series give the same Fractions
+        # the integer series give the Fractions of the three series reciprocals
         p = FlowParams(kappa, t)
-        for order in range(1, 13):
+        for order in [*range(13), 24]:
             got, want = phi_series(p, order), _reference_phi_series(p, order)
             assert got.base == want.base
             assert got.coeffs == want.coeffs, order

@@ -64,6 +64,21 @@ def _reference_revert(f):
     return [f.base + zero] + g[1:]
 
 
+def _reference_lagrange_inverse(f):
+    """The Lagrange extraction ``verify._lagrange_inverse`` ran before it
+    worked on integers: the powers of w/f over one denominator, each step
+    divided by the gcd of its numerators and that denominator."""
+    top = f.order - 1
+    ratio, rden = powerseries._common_denominator(powerseries._recip_trunc(f.coeffs[1:], top))
+    power, den, out = ratio, rden, [Fraction(ratio[0], rden)]
+    for n in range(2, f.order + 1):
+        power = powerseries._mul_trunc(power, ratio, top)
+        common = math.gcd(den * rden, *power)
+        power, den = [c // common for c in power], den * rden // common
+        out.append(Fraction(power[n - 1], den * n))
+    return out
+
+
 def _random_fraction(rng):
     # zeros, negatives and unrelated denominators
     if rng.random() < 0.2:
@@ -422,6 +437,24 @@ class TestRevert:
                 power = power * ratio
                 want.append(power.coeffs[n - 1] / n)
             assert verify._lagrange_inverse(f) == want, order
+
+    @pytest.mark.parametrize("order", range(1, 17))
+    def test_lagrange_on_integers_matches_the_gcd_loop(self, order):
+        # zeros, a negative c_1 and the denominators 7, 10 and 2**40 * 3
+        rng = random.Random(3900 + order)
+        dens = [Fraction(1, 7), Fraction(3, 10), Fraction(5, 3 << 40)]
+        coeffs = [Fraction(0), -rng.randint(1, 9) * rng.choice(dens)]
+        coeffs += [rng.choice([0, rng.randint(-9, 9)]) * rng.choice(dens)
+                   for _ in range(order - 1)]
+        f = TruncatedSeries(Fraction(0), coeffs)
+        got = verify._lagrange_inverse(f)
+        assert got == _reference_lagrange_inverse(f)
+        assert all(type(c) is Fraction for c in got)
+
+    @pytest.mark.parametrize("kappa, t", [(1e-300, 1.0), (0.5, 700.0), (-0.3, 0.01)])
+    def test_lagrange_on_integers_matches_the_gcd_loop_on_phi(self, kappa, t):
+        f = maps.phi_series(flow.FlowParams(kappa, t), 12)
+        assert verify._lagrange_inverse(f) == _reference_lagrange_inverse(f)
 
     @pytest.mark.parametrize("order", [16, 31, 47, MAX_ORDER])
     def test_newton_step_roundtrip_complex(self, order):
