@@ -384,17 +384,21 @@ def _laguerre_diagonal(ms, t: float, n_terms) -> list:
     each m of ``ms`` and n of ``n_terms``: one pass of the forward recurrence
     in the degree (DLMF 18.9.13) at every x = 2 j t of every row at once,
     (d+1) L_{d+1} = (2d + a + 1 - x) L_d - (d + a) L_{d-1}, with a a column
-    and the rows zero-padded.  Degrees past the one read may overflow, to no harm."""
+    and the rows zero-padded.  Both factors are formed for every d before the
+    loop, each rounded as in the step.  Degrees past the one read may
+    overflow, to no harm."""
     sizes = [max(n - m, 0) for m, n in zip(ms, n_terms)]
     a = np.array([[m + 1] for m in ms])
     x = np.zeros((len(sizes), max(sizes)))
     for row, m, size in zip(x, ms, sizes):
         row[:size] = 2.0 * np.arange(m + 1, m + 1 + size) * t
+    degrees = np.arange(x.shape[1])[:, None, None]
+    rise, fall = 2 * degrees + a + 1 - x, degrees + a
     prev, cur, out = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
         for d in range(x.shape[1]):
             out[:, d] = cur[:, d]
-            prev, cur = cur, ((2 * d + a + 1 - x) * cur - (d + a) * prev) / (d + 1)
+            prev, cur = cur, (rise[d] * cur - fall[d] * prev) / (d + 1)
     return [row[:size] for row, size in zip(out, sizes)]
 
 

@@ -432,6 +432,31 @@ class TestGeneratingChecks:
             assert abs(row[d] - want) <= 1e-13 * abs(want)
         assert not np.all(np.isfinite(row))
 
+    @staticmethod
+    def _reference_laguerre_diagonal(ms, t, n_terms):
+        """The recurrence pass of ``_laguerre_diagonal`` as it ran before it
+        formed its two factors for every degree ahead of the loop."""
+        sizes = [max(n - m, 0) for m, n in zip(ms, n_terms)]
+        a = np.array([[m + 1] for m in ms])
+        x = np.zeros((len(sizes), max(sizes)))
+        for row, m, size in zip(x, ms, sizes):
+            row[:size] = 2.0 * np.arange(m + 1, m + 1 + size) * t
+        prev, cur, out = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for d in range(x.shape[1]):
+                out[:, d] = cur[:, d]
+                prev, cur = cur, ((2 * d + a + 1 - x) * cur - (d + a) * prev) / (d + 1)
+        return [row[:size] for row, size in zip(out, sizes)]
+
+    @pytest.mark.parametrize("t", [0.3, 1.37, 2.45, 20.0, 700.0])
+    @pytest.mark.parametrize("ms, n_terms", [
+        ((0, 1, 2, 3, 4), (80, 120, 120, 120, 120)), ((0, 1, 2), (80, 120, 120)), ((7,), (5,))])
+    def test_laguerre_factors_ahead_of_the_loop_keep_every_bit(self, ms, n_terms, t):
+        # verify's full and fast stacks, and a row with no degree at all
+        got = contour._laguerre_diagonal(list(ms), t, list(n_terms))
+        want = self._reference_laguerre_diagonal(list(ms), t, list(n_terms))
+        assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
+
     @pytest.mark.parametrize("t", [100.0, 300.0, 700.0])
     def test_laguerre_overflow_keeps_the_residual_finite(self, t):
         # the recurrence overflows before the last term, where e^{-tj} is 0:
