@@ -101,6 +101,33 @@ class TestRunChecks:
         assert [e.name for e in rep.entries if not e.passed] == names
 
 
+    @pytest.mark.parametrize("kappa,t", [(0.5, 1.0), (-0.3, 0.5)])
+    @pytest.mark.parametrize("eta,names", [
+        pytest.param(1e-11, ["herglotz-inverse-grid"], id="1e-11"),
+        # the grid's residual is checked at 1e-11; a certificate for delta
+        # would make this row fail by name and flip the xfail
+        pytest.param(1e-12, None, id="1e-12", marks=pytest.mark.xfail(
+            strict=True, reason="a 1e-12 fault in delta fails no entry yet")),
+    ])
+    def test_herglotz_delta_fault_fails_by_name(self, kappa, t, eta, names, monkeypatch):
+        # delta = K - 1 scaled by 1 + eta, for every caller, the cached
+        # contour kernels included
+        solve = maps._herglotz_delta
+
+        def faulty(t, y):
+            return solve(t, y) * (1 + eta)
+
+        monkeypatch.setattr(maps, "_herglotz_delta", faulty)
+        monkeypatch.setattr(contour, "_herglotz_delta", faulty)
+        contour._kernel_cached.cache_clear()
+        try:
+            rep = run_checks(kappa, t, "full")
+        finally:
+            contour._kernel_cached.cache_clear()
+        failed = [e.name for e in rep.entries if not e.passed]
+        assert failed if names is None else failed == names
+
+
 class TestEntryNames:
     """The ordered entry names of run_checks, so that a check dropped or
     added shows up as a test diff."""
