@@ -201,10 +201,10 @@ def pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
     over the circle, which equals (-1)**m P_k^(m)(eps).  For m = 0 the
     integrand has an extra pole at w = 0, so the circle must exclude the
     origin; the cross-check against the exact polynomials is the quadrature
-    oracle of the whole contour machinery.  In u = (w - kappa)/rho and
-    c = kappa/rho the integrand is c (c + u)**(m-1) (1 - w**2)**k / (u**(m+1) rho),
-    and the quadrature's factor w - kappa = rho u cancels the 1/rho: every
-    factor is of size 1, and none underflows at a tiny kappa.  On a wide
+    oracle of the whole contour machinery.  It is integrated on the unit
+    circle in u = (w - kappa)/rho: with c = kappa/rho and dw = rho du the
+    integrand is c (c + u)**(m-1) (1 - w**2)**k / u**(m+1), every factor is
+    of size 1, and none underflows or overflows at a tiny kappa.  On a wide
     circle at large k and m the terms still reach 1e5, where rounding alone
     moves a sum by more than ``QUAD_TOL``: the pairs stop relative to their
     largest term.
@@ -236,10 +236,10 @@ def pkm_residues(pairs, params: FlowParams, spec: ContourSpec) -> list:
         for m in set(ms.tolist()):
             at = ms == m
             rows = np.array([k_pow[k] for k in ks[at].tolist()])
-            stack[at, 0] = c * (c + u) ** (m - 1) * rows / (u ** (m + 1) * rho)
-        return w, stack
+            stack[at, 0] = c * (c + u) ** (m - 1) * rows / u ** (m + 1)
+        return u, stack
 
-    groups = _adaptive_quadrature(level, spec, len(pairs), relative=True)
+    groups = _adaptive_quadrature(level, unit, len(pairs), relative=True)
     return [values[0].real for values, _, _ in groups]
 
 

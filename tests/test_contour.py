@@ -179,7 +179,8 @@ class TestPkmResidue:
     @staticmethod
     def _per_pair(kappa, spec, pairs):
         """Each pair's residue by its own quadrature, and the node count it
-        stopped at: the integrand in u = (w - kappa)/rho, c = kappa/rho."""
+        stopped at: the integral on the unit circle in u = (w - kappa)/rho,
+        with c = kappa/rho and dw = rho du."""
         rho, unit = spec.radius, ContourSpec(0j, 1.0, spec.samples)
         c = kappa / rho
         out = []
@@ -187,10 +188,10 @@ class TestPkmResidue:
             def level(n, live, k=k, m=m):
                 u = contour_nodes(unit, n)
                 w = spec.center + rho * u
-                fw = c * (c + u) ** (m - 1) * (1 - w * w) ** k / (u ** (m + 1) * rho)
-                return w, fw[None, None]
+                fw = c * (c + u) ** (m - 1) * (1 - w * w) ** k / u ** (m + 1)
+                return u, fw[None, None]
 
-            [(values, samples, _)] = contour._adaptive_quadrature(level, spec, relative=True)
+            [(values, samples, _)] = contour._adaptive_quadrature(level, unit, relative=True)
             out.append((values[0].real, samples))
         return out
 

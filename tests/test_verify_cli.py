@@ -700,7 +700,7 @@ class TestTinyKappa:
     def test_verify_passes(self, kappa, capsys):
         # condition (iv)'s margin is relative to |kappa|, so a circle is
         # admitted at |kappa| <= 1e-8 too; the residue oracle integrates in
-        # (w - kappa) / rho, so no power of w - kappa underflows
+        # u = (w - kappa) / rho, so no power of w - kappa underflows
         got, out, err = _run(["verify", "--kappa", kappa, "--t", "1", "--level", "full"], capsys)
         assert (got, err) == (0, "")
         assert out.endswith("PASS  overall: 32/32 checks passed\n")
@@ -712,18 +712,19 @@ class TestTinyKappa:
         assert out.endswith("PASS  overall: 26/26 checks passed\n")
 
     @pytest.mark.parametrize("level", ["fast", "full"])
-    @pytest.mark.parametrize("kappa", ["4.4e-308", "1e-306"])
+    @pytest.mark.parametrize("kappa", ["4.4e-308", "4.4501477170144028e-308", "1e-306"])
     def test_verify_next_to_the_smallest_normal_is_classified(self, kappa, level, capsys):
-        # at 4.4e-308 the circle radius |kappa|/2 is subnormal; from 4.45e-308
-        # to about 6.0e-307 (fast) or 4.9e-305 (full) pkm_residues' integrand
-        # overflows near 1/rho before the quadrature multiplies it by w - kappa
+        # at 4.4e-308 the circle radius |kappa|/2 is subnormal, a named numerical
+        # failure; from twice the least normal float, 4.4501477170144028e-308,
+        # pkm_residues integrates in u on the unit circle, where no factor
+        # of its integrand overflows, and verify passes
         got, out, err = _run(["verify", "--kappa", kappa, "--t", "1", "--level", level], capsys)
-        assert "Traceback" not in err
-        if got == 0:
-            assert err == "" and re.search(r"^PASS  overall: (\d+)/\1 checks passed\n\Z", out, re.M)
-        else:
+        if kappa == "4.4e-308":
             assert (got, out) == (3, "") and err.startswith("error: numerical failure: ")
-            assert err.count("\n") == 1 and err.endswith("\n")
+            assert err.count("\n") == 1 and err.endswith("is not a normal float\n")
+        else:
+            assert (got, err) == (0, "")
+            assert re.search(r"^PASS  overall: (\d+)/\1 checks passed\n\Z", out, re.M)
 
 
     @pytest.mark.parametrize("t", ["1", "1e-300"])
@@ -894,7 +895,7 @@ class TestPinnedBytes:
         assert (out / "manifest.json").read_text(encoding="utf-8") == self.MANIFEST
 
     # every residual, tolerance and context of the full report, bit for bit
-    VERIFY_FULL_JSON_SHA256 = "c4608930d68746f5fa679ae129a0097f285a088e781d067dda8ecfd6c669bffb"
+    VERIFY_FULL_JSON_SHA256 = "ee4e6cb0c36f7a75a591617024ce5f9a7fe28d4c601e0d11c3d3694192ba4783"
 
     def test_verify_stdout(self, capsys):
         argv = ["verify", "--kappa", "0.5", "--t", "1", "--level", "full", "--format", "json"]
@@ -909,16 +910,16 @@ class TestPinnedBytes:
         "kappa,t,level,digest",
         [
             pytest.param("0.92", "1.12", "full",
-                         "42f306057558ac7b9b2524abb52f451aa90ab5726a84d8c4be2b03aa64a137c1",
+                         "1a4c5941da63c93e9983ce0ef3d5ab1fe3c53f070828920032d5774b82f05b4d",
                          id="0.92-1.12-full"),
             pytest.param("0", "1", "full",
-                         "2ab5adae8ab68db3cb2b2be0b643e0ad2456ceb5462dde89a87becda02ba62ae",
+                         "0ffc61760493a484e872601580c0d1d44627d92d58b452c4a643f2e1c455a9bb",
                          id="0-1-full"),
             pytest.param("0.5", "1", "fast",
                          "c347063a3dd14c149cb2cc9dbd34150d8e8b4151a3d1205057992b309d3b543b",
                          id="0.5-1-fast"),
             pytest.param("-0.3", "0.01", "full",
-                         "057b156cd27e43f103b14184d06d53cd9a02713c8d7fa7f89f8c588cfa05ceec",
+                         "9f8e3788f81488ae395c5a5d555b77b55e6682b37053ca10505d8aee7b7ce8fe",
                          id="-0.3-0.01-full"),
         ],
     )
