@@ -303,16 +303,12 @@ def phi_series(params: FlowParams, order: int) -> TruncatedSeries:
     """Taylor expansion of :func:`phi` about z = 1, built purely by
     power-series arithmetic (independent of the coefficient formulas).
 
-    The coefficients are Fractions, anchored at the same once-rounded dyadic
-    e^{-t} = D / 2**delta the coefficient engine uses, so the only floating
-    error in a comparison with the engine is the final rounding.  With
-    u = z - 1, xi = u/(2 + u) e^t e^{tu} and the prefactor, in partial
-    fractions z**2/(z**2 - kappa**2) = 1 + (kappa/2) (1/(z - kappa) -
-    1/(z + kappa)), are written down term by term.  With kappa = K/q,
-    a = q - K, b = q + K, t = T/2**tau and d = lcm(2**(tau+1) lcm(1..order) D,
-    ab), [u**k] xi = X_k/d**k and [u**k] prefactor = P_k/(ab)**(k+1) with
-    integers X_k and P_k: the series run on integers, and coefficient k is
-    one Fraction N_k/(ab d**k).
+    Exact, anchored at the once-rounded dyadic e^{-t} = D / 2**delta the
+    engine uses.  With u = z - 1, xi = u/(2 + u) e^t e^{tu} and the partial
+    fractions of z**2/(z**2 - kappa**2) are written term by term.  With
+    kappa = K/q, a = q - K, b = q + K, t = T/2**tau and d = lcm(2**(tau+1)
+    lcm(1..order) D, ab), d**k xi and (ab)**(k+1) times the prefactor are
+    integer series, and coefficient k is one Fraction N_k/(ab d**k).
     """
     big_t, tau, big_d, delta = _t_scales(float(params.t))
     kap = Fraction(params.kappa)
@@ -320,16 +316,16 @@ def phi_series(params: FlowParams, order: int) -> TruncatedSeries:
     a, b = q - K, q + K
     ab = a * b
     d = math.lcm(math.lcm(*range(1, order + 1)) * big_d << tau + 1, ab)
-    # d**i [u**i] u/(2 + u) = -(-d/2)**i, d**j [u**j] e^t e^{tu} = 2**delta (tdd)**j/(D j!);
-    # the prefactor's terms carry (d/ab)**k, and P_0 = ab + K**2 = q**2
-    half, tdd, qd = d >> 1, big_t * (d >> tau), q * (d // ab)
+    # d**i [u**i] u/(2 + u) = -(-d/2)**i, d**j [u**j] e^t e^{tu} = 2**delta (t d)**j / (D j!);
+    # term k of the prefactor carries (d/ab)**k, and its constant is ab + K**2 = q**2
+    half, td, qd = d >> 1, big_t * (d >> tau), q * (d // ab)
     pref, cayley, expo = [q * q], [0], [1]
     ak, bk, qk = a, b, 1
     for k in range(1, order + 1):
         ak, bk, qk = ak * a, bk * b, -qk * qd
         pref.append(K * qk * (bk - ak) // 2)
         cayley.append(-cayley[-1] * half if k > 1 else half // big_d)
-        expo.append(expo[-1] * tdd // k)
+        expo.append(expo[-1] * td // k)
     xi_s = [x << delta for x in _mul_trunc(cayley, expo, order)]
     recip = _recip_unit([1] + xi_s[1:], order)
     alpha_inv_s = _mul_trunc([4 * x for x in xi_s], _mul_trunc(recip, recip, order), order)
