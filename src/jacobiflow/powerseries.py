@@ -241,8 +241,9 @@ def series_derive(f: TruncatedSeries) -> TruncatedSeries:
 
 
 def _integer_form(c):
-    """(d, [d c_1, d**2 c_2, ..., d**N c_N]), all integers, for the
-    all-Fraction coefficients c_0..c_N.
+    """(d, n_1, H) for the all-Fraction coefficients c_0..c_N, with
+    c_k = n_k / d**k for integers d and n_k, and f(w) = n_1**2 H(w / (d n_1)):
+    H = w + sum_{k>=2} n_k n_1**(k-2) w**k has integer coefficients and H_1 = 1.
 
     d is the lcm of den(c_1) and of each den(c_{k+1}) / gcd(den(c_k),
     den(c_{k+1})).  So d**k clears den(c_k) at every k: den(c_{k+1}) is that
@@ -250,7 +251,8 @@ def _integer_form(c):
     """
     dens = [x.denominator for x in c[1:]]
     d = math.lcm(dens[0], *(b // math.gcd(a, b) for a, b in zip(dens, dens[1:])))
-    return d, [x.numerator * (d**k // x.denominator) for k, x in enumerate(c[1:], 1)]
+    nums = [x.numerator * (d**k // x.denominator) for k, x in enumerate(c[1:], 1)]
+    return d, nums[0], [0, 1] + [n * nums[0] ** k for k, n in enumerate(nums[1:])]
 
 
 def series_revert(f: TruncatedSeries) -> TruncatedSeries:
@@ -263,10 +265,9 @@ def series_revert(f: TruncatedSeries) -> TruncatedSeries:
     makes g' = 1/f'(g) + O(w**m), and f(g) - w = O(w**(m+1)).  So a step
     composes f with g once and needs neither f' nor a reciprocal.
 
-    An all-Fraction f is written with c_k = n_k / d**k (``_integer_form``) as
-    f(w) = n_1**2 H(w / (d n_1)), H = w + sum_{k>=2} n_k n_1**(k-2) w**k.  H
-    has integer coefficients and H_1 = 1, so the loop reverts H on integers
-    and takes no gcd; then [w**k] f^-1 = d [w**k] H^-1 / n_1**(2k-1).
+    An all-Fraction f is written as f(w) = n_1**2 H(w / (d n_1)) with H on
+    integers and H_1 = 1 (``_integer_form``), so the loop reverts H on
+    integers and takes no gcd; then [w**k] f^-1 = d [w**k] H^-1 / n_1**(2k-1).
     """
     c = f.coeffs
     if c[0] != 0:
@@ -277,8 +278,7 @@ def series_revert(f: TruncatedSeries) -> TruncatedSeries:
     zero = c[1] * 0
     exact = all(type(x) is Fraction for x in c)
     if exact:
-        d, nums = _integer_form(c)
-        fa = [0, 1] + [n * nums[0] ** k for k, n in enumerate(nums[1:])]
+        d, n_1, fa = _integer_form(c)
         g = [0, 1]
     else:
         fa = [zero] + c[1:]
@@ -296,7 +296,7 @@ def series_revert(f: TruncatedSeries) -> TruncatedSeries:
         g = [gm[k] - corr[k] for k in range(m + 1)]
 
     if exact:
-        g[1:] = [Fraction(d * g[k], nums[0] ** (2 * k - 1)) for k in range(1, order + 1)]
+        g[1:] = [Fraction(d * g[k], n_1 ** (2 * k - 1)) for k in range(1, order + 1)]
     return TruncatedSeries(zero * 0, [f.base + zero] + g[1:])
 
 

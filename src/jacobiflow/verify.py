@@ -36,12 +36,12 @@ def _rel(a, b) -> float:
 def _lagrange_inverse(f: TruncatedSeries) -> list:
     """Coefficients 1, ..., order of the compositional inverse of the exact
     series f = c_1 w + c_2 w**2 + ..., by Lagrange: (1/n) [w^(n-1)] (w/f)^n.
-    As in ``series_revert``, f = n_1**2 H(w / (d n_1)) with H_1 = 1 and H on
-    integers, so w/H and its powers are integers, the division by n is
-    exact, and [w**n] f^-1 = d [w^(n-1)] (w/H)**n / (n n_1**(2n-1))."""
-    d, nums = powerseries._integer_form(f.coeffs)
-    top, n_1 = f.order - 1, nums[0]
-    ratio = powerseries._recip_unit([1] + [c * n_1**k for k, c in enumerate(nums[1:])], top)
+    With f = n_1**2 H(w / (d n_1)), H on integers and H_1 = 1
+    (``powerseries._integer_form``), w/H and its powers are integers, the
+    division by n is exact, and [w**n] f^-1 = d [w^(n-1)] (w/H)**n / (n n_1**(2n-1))."""
+    d, n_1, h = powerseries._integer_form(f.coeffs)
+    top = f.order - 1
+    ratio = powerseries._recip_unit(h[1:], top)
     power, out = ratio, [Fraction(d, n_1)]
     for n in range(2, f.order + 1):
         power = powerseries._mul_trunc(power, ratio, top)
